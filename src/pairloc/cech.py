@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .ideals import Ideal
 from .ring import Polynomial
 from .support import PairSpec, s_zero
@@ -105,5 +105,6 @@ def position_zero_kernel(elements, J: Ideal, K: Ideal) -> GammaResult:
     for a in elements:
         part = gamma_monomial(PairContext(PairSpec(Ideal(ring, (a,)), J), K)).L
         single = part if single is None else single.intersect(part)
-    assert single == result.L, "factorwise kernel intersection mismatch"
+    if single != result.L:
+        raise InternalError("factorwise kernel intersection mismatch")
     return result

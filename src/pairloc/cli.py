@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import betti as betti_mod
 from .betti import INFINITY, depth_at_face, depth_quotient, hochster_betti, koszul_tor
 from .cech import build_cech, collapse, position_zero_kernel
-from .errors import ParseError, PreconditionError, RingMismatchError
+from .errors import PairlocError, ParseError, PreconditionError
 from .ideals import (FacePrime, Ideal, colon, dim_quotient, intersect,
                      radical_member, saturate)
 from .invariants import (ara_upper_bound, lh_vanishes, pair_depth,
@@ -323,6 +323,8 @@ def cmd_cech(session, args):
 
 
 def cmd_check(session, args):
+    if args.samples is not None and args.samples < 1:
+        raise PreconditionError(f"--samples must be at least 1, got {args.samples}")
     report = run_suite(args.suite, samples=args.samples, seed=args.seed)
     return report, {}
 
@@ -448,7 +450,7 @@ def main(argv=None, stdout=None, stderr=None):
         if args.command != "check" and session is None:
             raise PreconditionError("--session is required for this command")
         result, witnesses = COMMANDS[args.command](session, args)
-    except (ParseError, PreconditionError, RingMismatchError) as exc:
+    except PairlocError as exc:
         payload = {"schemaVersion": SCHEMA_VERSION, "command": args.command,
                    "error": str(exc),
                    "citations": CITATIONS.get(args.command, [])}

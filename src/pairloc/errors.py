@@ -26,3 +26,7 @@ class ParseError(PairlocError):
 
 class PreconditionError(PairlocError):
     """A documented hypothesis of the requested operation is violated."""
+
+
+class InternalError(Exception):
+    """A failed internal cross-check: a bug, deliberately not a PairlocError."""

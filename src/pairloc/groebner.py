@@ -119,7 +119,9 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
         if g.ring != ring:
             raise RingMismatchError("generators over different rings")
 
-    G = sorted({g.monic() for g in gens}, key=lambda p: ring.sort_key(p.leading_exp()))
+    # ties go by the terms, not by the set's order, which follows string hashing
+    G = sorted({g.monic() for g in gens},
+               key=lambda p: (ring.sort_key(p.leading_exp()), sorted(p.terms.items())))
     leads = [g.leading_exp() for g in G]
 
     def lcm_key(i, j):

@@ -3,8 +3,10 @@
 `Ideal` is the general carrier (sum, product, intersection, colon, saturation,
 radical membership, Krull dimension of the quotient).  `MonomialIdeal` stores
 exponent-vector generators as a divisibility antichain and answers colon,
-radical, minimal primes, Assh, and dimension combinatorially; the two layers
-deliberately share no decision code so they can cross-check each other.
+radical, minimal primes, Assh, and dimension combinatorially.  `in_radical`
+(I ⊆ √A) and `radical_member` answer monomial A by the support rule and any
+other A by `radical_member_groebner`, the Rabinowitsch reference that tests and
+the minimal-prime torsion route check the support rule against.
 """
 
 from __future__ import annotations
@@ -254,7 +256,8 @@ def saturate(A: Ideal, B: Ideal) -> Ideal:
 
 
 def radical_member(f: Polynomial, A: Ideal) -> bool:
-    """f ∈ √A, by adjoining t and testing 1 ∈ A + (1 − t·f)."""
+    """f ∈ √A.  When A is monomial, √A is monomial too, so f lies in it iff
+    every term of f does; otherwise `radical_member_groebner` decides."""
     if f.ring != A.ring:
         raise RingMismatchError("element over a different ring")
     if f.is_zero():
@@ -263,15 +266,29 @@ def radical_member(f: Polynomial, A: Ideal) -> bool:
     hit = _radical_cache.get(key)
     if hit is not None:
         return hit
+    if all(g.is_zero() or g.is_monomial() for g in A.gens):
+        Am = A.as_monomial()
+        result = all(Am.radical_contains(e) for e in f.terms)
+    else:
+        result = radical_member_groebner(f, A)
+    _radical_cache[key] = result
+    return result
+
+
+def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
+    """f ∈ √A, by adjoining t and testing 1 ∈ A + (1 − t·f); uncached."""
     ring = A.ring
     name = _fresh_name(ring)
     big = extended_ring(ring, name)
     t = Polynomial.variable(big, name)
     gens = [lift_poly(g, big) for g in A.gens]
     gens.append(Polynomial.one(big) - t * lift_poly(f, big))
-    result = buchberger(gens, big).contains_one()
-    _radical_cache[key] = result
-    return result
+    return buchberger(gens, big).contains_one()
+
+
+def in_radical(I: Ideal, A: Ideal) -> bool:
+    """Whether every generator of I lies in √A, i.e. I ⊆ √A."""
+    return all(radical_member(g, A) for g in I.gens)
 
 
 def dim_quotient(A: Ideal) -> int:

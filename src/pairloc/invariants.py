@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .betti import INFINITY, depth_at_face
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .ideals import FacePrime, Ideal, dim_quotient, radical_member
 from .support import w_member
 from .torsion import PairContext
@@ -145,7 +145,6 @@ def build_report(ctx: PairContext, extras=()) -> InvariantReport:
     except PreconditionError:
         lh = None
     ara = ara_upper_bound(ctx)
-    if top is not None:
-        assert depth.value <= top <= local
-    assert non_local >= local
+    if (top is not None and not depth.value <= top <= local) or non_local < local:
+        raise InternalError("invariant report violates depth <= top <= local <= nonLocal")
     return InvariantReport(depth, local, non_local, top, ara, lh)

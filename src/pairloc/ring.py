@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExponentOverflowError, ParseError, RingMismatchError
+from .errors import ExponentOverflowError, ParseError, PreconditionError, RingMismatchError
 
 # Exponents are checked machine integers: loud failure instead of silent wrap
 # in any downstream fixed-width representation.
@@ -78,7 +78,7 @@ class RingSpec:
         try:
             return self.variables.index(name)
         except ValueError:
-            raise KeyError(f"unknown variable {name!r}") from None
+            raise PreconditionError(f"unknown variable {name!r}") from None
 
     # -- coefficient field -------------------------------------------------
 
@@ -115,9 +115,6 @@ class RingSpec:
             raise RingMismatchError("exponent vector length does not match ring")
         ka, kb = self.sort_key(a), self.sort_key(b)
         return (ka > kb) - (ka < kb)
-
-    def with_order(self, order) -> "RingSpec":
-        return RingSpec(self.char, self.variables, order)
 
     def __str__(self):
         field = "QQ" if self.char == 0 else f"GF({self.char})"
@@ -183,9 +180,6 @@ class Polynomial:
     def is_one(self):
         zero = (0,) * self.ring.nvars
         return len(self.terms) == 1 and zero in self.terms and self.terms[zero] == self.ring.coeff(1)
-
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
 
     def is_monomial(self):
         """A single term (any coefficient)."""
@@ -302,25 +296,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def substitute(self, assignment: dict):
-        """Apply the ring homomorphism sending named variables to polynomials.
-
-        Unassigned variables map to themselves; values must live in this ring.
-        """
-        for v in assignment.values():
-            self._same_ring(v)
-        idx = {self.ring.var_index(name): poly for name, poly in assignment.items()}
-        result = Polynomial.zero(self.ring)
-        for exp, c in self.terms.items():
-            part = Polynomial.constant(self.ring, c)
-            rest = list(exp)
-            for i, poly in idx.items():
-                if exp[i]:
-                    part = part * poly ** exp[i]
-                    rest[i] = 0
-            result = result + part * Polynomial.monomial(self.ring, rest)
-        return result
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -426,7 +401,7 @@ def parse_polynomial(ring: RingSpec, text: str, line=None) -> Polynomial:
                     err(f"unexpected token {tok!r}", at)
                 try:
                     vi = ring.var_index(tok)
-                except KeyError:
+                except PreconditionError:
                     err(f"unknown variable {tok!r}", at)
                 power = 1
                 i += 1

@@ -12,7 +12,7 @@ import random
 from .betti import depth_quotient, hochster_betti, koszul_tor, polarize, projective_dimension
 from .cech import build_cech, collapse, position_zero_kernel
 from .groebner import spoly_certificate
-from .ideals import Ideal, MonomialIdeal, radical_member
+from .ideals import Ideal, MonomialIdeal, in_radical
 from .invariants import ara_upper_bound, pair_depth
 from .ring import Polynomial
 from .samples import (DEFAULT_SEED, random_homogeneous_ideal, random_monomial_context,
@@ -276,7 +276,7 @@ def suite_pair_depth(samples=100, seed=DEFAULT_SEED):
             jgens.append(tuple(e + rng.randint(0, 1) for e in base))
         Jm = MonomialIdeal.from_exps(n, jgens)
         J = Jm.to_ideal(ring)
-        if not all(radical_member(g, Km.to_ideal(ring)) for g in J.gens):
+        if not in_radical(J, Km.to_ideal(ring)):
             failures.append(f"sample {k}: J not inside radical of K (generator bug)")
             continue
         ctx = PairContext(PairSpec(m, J), Km.to_ideal(ring))
@@ -312,7 +312,7 @@ def suite_cech(samples=100, seed=DEFAULT_SEED):
         if once.length > len(elements):
             failures.append(f"sample {k}: collapse grew the complex")
             continue
-        # factorwise kernel equality is asserted inside position_zero_kernel
+        # factorwise kernel equality is checked inside position_zero_kernel
         full = position_zero_kernel(elements, J, K)
         survivors = [sk.factors[i].element for i in once.surviving_indices()]
         reduced_I = Ideal(ring, tuple(survivors)) if survivors else Ideal.zero(ring)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import PreconditionError
-from .ideals import Ideal, radical_member
+from .errors import InternalError, PreconditionError
+from .ideals import Ideal, in_radical, radical_member
 from .ring import Polynomial
 
 
@@ -43,15 +43,13 @@ def w_member(p: Ideal, pair: PairSpec) -> bool:
     p._check(pair.I)
     if p.is_unit():
         raise PreconditionError("w_member requires a proper ideal")
-    target = pair.J + p
-    return all(radical_member(g, target) for g in pair.I.gens)
+    return in_radical(pair.I, pair.J + p)
 
 
 def wtilde_member(a: Ideal, pair: PairSpec) -> bool:
     """True iff every generator of I is in the radical of a + J."""
     a._check(pair.I)
-    target = a + pair.J
-    return all(radical_member(g, target) for g in pair.I.gens)
+    return in_radical(pair.I, a + pair.J)
 
 
 def s_zero(a: Polynomial, J: Ideal) -> bool:
@@ -108,7 +106,8 @@ def s_certificate(p: Ideal, a: Polynomial, J: Ideal, n_max: int = 4,
             if p.member(a_n + j):
                 cert = SCertificate(n, j, coeffs, n_max, degree_cap)
                 # re-verify both defining properties of the certificate
-                assert p.member(a_n + cert.j) and J.member(cert.j)
+                if not (p.member(a_n + cert.j) and J.member(cert.j)):
+                    raise InternalError("S-certificate failed its re-verification")
                 return cert
     return None
 

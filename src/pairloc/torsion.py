@@ -5,7 +5,9 @@ characterization: x is torsion iff every generator of I lies in the radical of
 (K : x) + J.  For monomial data the whole submodule is computed three times by
 genuinely different routes — per-monomial radical membership over the exponent
 box, minimal-prime support tests, and a directed union of saturations — which
-must agree; the triangle is the correctness argument.
+must agree; the triangle is the correctness argument.  The minimal-prime route
+decides support by the Rabinowitsch reference, so the monomial support rule
+that answers the other two routes is never the only thing checking itself.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import PreconditionError
-from .ideals import FacePrime, Ideal, MonomialIdeal, colon, radical_member
+from .ideals import (FacePrime, Ideal, MonomialIdeal, colon, in_radical,
+                     radical_member_groebner)
 from .ring import Polynomial
 from .support import PairSpec, w_member, wtilde_member
 
@@ -54,50 +57,47 @@ def gamma_member(x: Polynomial, ctx: PairContext) -> bool:
     if r.is_zero():
         return True
     ann = colon(ctx.K, Ideal(ctx.ring, (r,)))
-    target = ann + ctx.pair.J
-    return all(radical_member(g, target) for g in ctx.pair.I.gens)
+    return in_radical(ctx.pair.I, ann + ctx.pair.J)
 
 
 def _box(e):
     return sorted(product(*[range(b + 1) for b in e]))
 
 
-def _result(ring, Km, members, witnesses):
+def _box_route(Km, torsion_at, kind):
+    """Lift L ⊇ K generated by K and the box monomials outside K whose
+    annihilator (K : m) satisfies torsion_at, each witnessed by kind."""
+    members = [b for b in _box(Km.max_exponents())
+               if not Km.contains(b) and torsion_at(Km.colon_monomial(b))]
     L = MonomialIdeal.from_exps(Km.nvars, Km.gens + tuple(members))
-    return GammaResult(L, L.is_unit(), tuple(sorted(witnesses.items())))
+    return GammaResult(L, L.is_unit(), tuple((b, kind) for b in members))
 
 
 def gamma_monomial(ctx: PairContext) -> GammaResult:
     """Torsion submodule lift by per-monomial radical membership over the box
     bounded by the componentwise maximum exponent of K's minimal generators."""
     Im, Jm, Km = ctx.monomial_data()
-    ring = ctx.ring
-    J = ctx.pair.J
-    members, witnesses = [], {}
-    for b in _box(Km.max_exponents()):
-        if Km.contains(b):
-            continue
-        ann = Km.colon_monomial(b).to_ideal(ring)
-        if all(radical_member(g, ann + J) for g in ctx.pair.I.gens):
-            members.append(b)
-            witnesses[b] = "radical-membership"
-    return _result(ring, Km, members, witnesses)
+    ring, pair = ctx.ring, ctx.pair
+    return _box_route(Km, lambda ann: in_radical(pair.I, ann.to_ideal(ring) + pair.J),
+                      "radical-membership")
 
 
 def gamma_minprime_oracle(ctx: PairContext) -> GammaResult:
     """Independent route: a monomial is torsion iff every minimal prime of its
-    annihilator lies in the support family of the pair."""
+    annihilator lies in the support family of the pair, decided once per
+    distinct prime by the Rabinowitsch reference."""
     Im, Jm, Km = ctx.monomial_data()
-    ring = ctx.ring
-    members, witnesses = [], {}
-    for b in _box(Km.max_exponents()):
-        if Km.contains(b):
-            continue
-        ann = Km.colon_monomial(b)
-        if all(w_member(p.to_ideal(ring), ctx.pair) for p in ann.min_primes()):
-            members.append(b)
-            witnesses[b] = "min-primes-in-support"
-    return _result(ring, Km, members, witnesses)
+    ring, pair = ctx.ring, ctx.pair
+    in_w = {}  # face prime -> whether it lies in W(I, J)
+
+    def supported(ann):
+        primes = ann.min_primes()
+        for p in set(primes) - in_w.keys():
+            target = pair.J + p.to_ideal(ring)
+            in_w[p] = all(radical_member_groebner(g, target) for g in pair.I.gens)
+        return all(in_w[p] for p in primes)
+
+    return _box_route(Km, supported, "min-primes-in-support")
 
 
 def gamma_colimit_oracle(ctx: PairContext) -> GammaResult:
@@ -128,8 +128,7 @@ def is_torsion(ctx: PairContext) -> bool:
 
 def mj_quotient_is_I_torsion(ctx: PairContext) -> bool:
     """Whether M/JM is I-torsion, i.e. I lies in the radical of K + J."""
-    target = ctx.K + ctx.pair.J
-    return all(radical_member(g, target) for g in ctx.pair.I.gens)
+    return in_radical(ctx.pair.I, ctx.K + ctx.pair.J)
 
 
 # -- associated primes of monomial cyclic modules -----------------------------

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pairloc import cech
 from pairloc.cli import main, parse_session
 from pairloc.errors import ParseError
 
@@ -140,3 +141,46 @@ def test_pair_depth_command(session_file):
     assert code == 0
     report = json.loads(out)
     assert isinstance(report["result"]["value"], int)
+
+
+def test_exponent_overflow_exit_code(tmp_path):
+    path = tmp_path / "session.txt"
+    path.write_text(SESSION + "ideal B = x^99999999999999999999\n")
+    code, out, err = run(["dim", "--session", str(path), "--ideal", "K", "--no-timings"])
+    assert code == 2
+    assert out == ""
+    assert "exceeds" in json.loads(err)["error"]
+
+
+def test_unknown_face_variable_exit_code(session_file):
+    code, _, err = run(["depth-at-face", "--session", session_file, "--K", "K",
+                        "--vars", "x,q", "--no-timings"])
+    assert code == 2
+    assert "'q'" in json.loads(err)["error"]
+
+
+def test_check_rejects_sample_count_below_one():
+    code, out, err = run(["check", "--suite", "groebner", "--samples", "-3",
+                          "--no-timings"])
+    assert code == 2
+    assert out == ""
+    assert "samples" in json.loads(err)["error"]
+
+
+def test_internal_error_exit_code(session_file, monkeypatch):
+    # a factorwise kernel that disagrees with the full one is a bug, exit 1
+    real = cech.gamma_monomial
+    calls = []
+
+    def skewed(ctx):
+        calls.append(ctx)
+        if len(calls) > 1:  # every single-factor kernel becomes the whole ring
+            ctx = cech.PairContext(ctx.pair, cech.Ideal.unit(ctx.ring))
+        return real(ctx)
+
+    monkeypatch.setattr(cech, "gamma_monomial", skewed)
+    code, out, err = run(["cech", "--session", session_file, "--elements", "x;y",
+                          "--J", "J", "--K", "K", "--no-timings"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["internalError"].startswith("InternalError")

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,3 +111,34 @@ def test_constructed_members_reduce_to_zero(seed):
     for g in gens:
         f = f + g * random_polynomial(rng, r, max_degree=2)
     assert normal_form(f, gb.generators).is_zero()
+
+
+# Counts the normal_form calls Buchberger makes on a seeded batch of ideals.
+_COUNT_NORMAL_FORMS = """
+import random
+from pairloc import groebner
+from pairloc.samples import random_homogeneous_ideal, standard_ring
+calls = 0
+original = groebner.normal_form
+def counted(f, basis):
+    global calls
+    calls += 1
+    return original(f, basis)
+groebner.normal_form = counted
+rng = random.Random(7)
+ring = standard_ring(3)
+for _ in range(20):
+    groebner.buchberger(random_homogeneous_ideal(rng, ring).gens, ring)
+print(calls)
+"""
+
+
+def test_buchberger_work_is_independent_of_string_hashing():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    counts = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _COUNT_NORMAL_FORMS],
+                              capture_output=True, text=True, env=env, check=True)
+        counts.add(int(proc.stdout))
+    assert len(counts) == 1, counts

@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloc.errors import PreconditionError
 from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, colon,
-                            dim_quotient, eliminate, intersect, radical_member,
-                            saturate)
+                            dim_quotient, eliminate, in_radical, intersect,
+                            radical_member, radical_member_groebner, saturate)
 from pairloc.ring import Polynomial
 from pairloc.samples import random_monomial_ideal, standard_ring
 
@@ -150,7 +150,32 @@ def test_monomial_paths_match_groebner_paths(A, B):
 @given(mono_ideals, mono)
 def test_radical_membership_matches_support_rule(A, exp):
     f = Polynomial.monomial(R3, exp)
-    assert radical_member(f, A.to_ideal(R3)) == A.radical_contains(exp)
+    assert radical_member_groebner(f, A.to_ideal(R3)) == A.radical_contains(exp)
+
+
+coeffs = st.integers(min_value=-2, max_value=2).filter(bool)
+polys = st.lists(st.tuples(mono, coeffs), min_size=1, max_size=3).map(
+    lambda terms: sum((Polynomial.monomial(R3, e, c) for e, c in terms),
+                      Polynomial.zero(R3)))
+mixed_ideals = st.one_of(
+    mono_ideals.map(lambda A: A.to_ideal(R3)),
+    st.lists(polys, min_size=1, max_size=2).map(lambda gens: Ideal(R3, gens)),
+    st.just(Ideal.zero(R3)),
+    st.just(Ideal.unit(R3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_ideals, st.one_of(polys, mono.map(lambda e: Polynomial.monomial(R3, e))))
+@example(Ideal(R3, (pp(R3, "x^2*y"), pp(R3, "z^3"))), pp(R3, "x*y*z + 2*z^2"))
+@example(Ideal(R3, (pp(R3, "x^2*y"),)), pp(R3, "x*y - z"))
+@example(Ideal(R3, (pp(R3, "x^2 - y*z"), pp(R3, "y^2"))), pp(R3, "x"))
+@example(Ideal(R3, (pp(R3, "x - y"),)), pp(R3, "x*z"))
+@example(Ideal.zero(R3), pp(R3, "x"))
+@example(Ideal.unit(R3), pp(R3, "x*y + 1"))
+def test_radical_member_matches_groebner_reference(A, f):
+    # monomial A with many-term f, non-monomial A with monomial f, zero and unit A
+    assert radical_member(f, A) == radical_member_groebner(f, A)
+    assert in_radical(Ideal(R3, (f,)), A) == radical_member_groebner(f, A)
 
 
 @settings(max_examples=30, deadline=None)

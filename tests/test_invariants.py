@@ -1,7 +1,8 @@
 import pytest
 
+from pairloc import invariants
 from pairloc.betti import INFINITY, depth_quotient
-from pairloc.errors import PreconditionError
+from pairloc.errors import InternalError, PreconditionError
 from pairloc.ideals import FacePrime, Ideal, intersect
 from pairloc.invariants import (ara_upper_bound, build_report, lh_vanishes,
                                 pair_depth, top_nonvanishing, vanishing_bounds)
@@ -117,3 +118,12 @@ def test_report_coherence():
     assert rep.non_local_upper_bound == 2
     assert rep.top_degree == 1
     assert rep.pair_depth.value <= rep.top_degree <= rep.local_upper_bound
+
+
+def test_build_report_cross_check_raises(monkeypatch):
+    # a top degree above the local bound breaks depth <= top <= local
+    r = ring("xy")
+    x, y = variables(r)
+    monkeypatch.setattr(invariants, "top_nonvanishing", lambda ctx: 5)
+    with pytest.raises(InternalError):
+        build_report(_ctx(r, (x, y), (y,)))
