@@ -325,7 +325,11 @@ def cmd_cech(session, args):
 def cmd_check(session, args):
     if args.samples is not None and args.samples < 1:
         raise PreconditionError(f"--samples must be at least 1, got {args.samples}")
-    report = run_suite(args.suite, samples=args.samples, seed=args.seed)
+    if args.suite == "all":
+        report = {name: run_suite(name, samples=args.samples, seed=args.seed)
+                  for name in SUITES}
+    else:
+        report = run_suite(args.suite, samples=args.samples, seed=args.seed)
     return report, {}
 
 
@@ -412,7 +416,7 @@ def build_parser():
                                   "help": "';'-separated polynomials"},
                    "--J": {"required": True, "dest": "J"},
                    "--K": {"dest": "K"}})
-    add("check", **{"--suite": {"required": True, "choices": sorted(SUITES)},
+    add("check", **{"--suite": {"required": True, "choices": sorted(SUITES) + ["all"]},
                     "--samples": {"type": int},
                     "--seed": {"type": int}})
     return parser
@@ -435,17 +439,26 @@ def _echo_inputs(session, args):
     return echoed
 
 
+def _env_seed():
+    value = os.environ.get("PAIRLOC_SEED")
+    if value is None:
+        return DEFAULT_SEED
+    try:
+        return int(value)
+    except ValueError:
+        raise PreconditionError(f"PAIRLOC_SEED must be an integer, got {value!r}") from None
+
+
 def main(argv=None, stdout=None, stderr=None):
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = int(os.environ.get("PAIRLOC_SEED", DEFAULT_SEED))
-
     started = time.monotonic()
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _env_seed()
         session = load_session(args.session) if args.session else None
         if args.command != "check" and session is None:
             raise PreconditionError("--session is required for this command")

@@ -23,6 +23,11 @@ _radical_cache = {}
 
 
 def clear_caches():
+    """Empty the module caches of Groebner bases and radical memberships.
+
+    Only the module caches: an `Ideal` keeps the basis it has computed in its
+    own `_gb`, so an existing Ideal answers from that basis afterwards; build
+    a new Ideal to start cold."""
     _gb_cache.clear()
     _radical_cache.clear()
 
@@ -123,6 +128,10 @@ class Ideal:
     def _check(self, other):
         if not isinstance(other, Ideal) or other.ring != self.ring:
             raise RingMismatchError("ideals over different rings")
+
+    def is_monomial(self):
+        """Whether every generator is a monomial or zero."""
+        return all(g.is_zero() or g.is_monomial() for g in self.gens)
 
     def as_monomial(self):
         """View as a MonomialIdeal; error if a generator is not a monomial."""
@@ -266,7 +275,7 @@ def radical_member(f: Polynomial, A: Ideal) -> bool:
     hit = _radical_cache.get(key)
     if hit is not None:
         return hit
-    if all(g.is_zero() or g.is_monomial() for g in A.gens):
+    if A.is_monomial():
         Am = A.as_monomial()
         result = all(Am.radical_contains(e) for e in f.terms)
     else:

@@ -12,6 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate
+from operator import neg
 
 from .errors import ExponentOverflowError, ParseError, PreconditionError, RingMismatchError
 
@@ -44,14 +47,42 @@ def _is_prime(p: int) -> bool:
 
 
 def _grevlex_key(exp):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, exp[::-1])))
+
+
+def _grevlex_key_desc(exp):
+    return (-sum(exp), exp[::-1])
+
+
+def _lex_key_desc(exp):
+    return tuple(map(neg, exp))
+
+
+def _block_key(block_key, bounds, exp):
+    return tuple(block_key(exp[a:b]) for a, b in bounds)
+
+
+def _order_keys(order):
+    """(ascending, descending) sort keys of a monomial order: the descending
+    key of exp a is below that of exp b iff a is the greater monomial."""
+    kind = order[0]
+    if kind == "lex":
+        return tuple, _lex_key_desc
+    if kind == "grevlex":
+        return _grevlex_key, _grevlex_key_desc
+    ends = list(accumulate(order[1]))
+    bounds = tuple(zip([0] + ends[:-1], ends))
+    return (partial(_block_key, _grevlex_key, bounds),
+            partial(_block_key, _grevlex_key_desc, bounds))
 
 
 @dataclass(frozen=True)
 class RingSpec:
     """A polynomial ring: coefficient field, named variables, monomial order.
 
-    char == 0 means QQ; char == p (prime, < 2^31) means GF(p).
+    char == 0 means QQ; char == p (prime, < 2^31) means GF(p).  The order
+    is realized as two key functions on exponent vectors: exp a is below exp b
+    iff ``sort_key(a) < sort_key(b)``, iff ``desc_key(a) > desc_key(b)``.
     """
 
     char: int
@@ -69,6 +100,9 @@ class RingSpec:
             raise ValueError(f"unknown monomial order {self.order!r}")
         if kind == "elim" and sum(self.order[1]) != len(self.variables):
             raise ValueError("elimination block sizes must sum to the number of variables")
+        ascending, descending = _order_keys(self.order)
+        object.__setattr__(self, "sort_key", ascending)
+        object.__setattr__(self, "desc_key", descending)
 
     @property
     def nvars(self):
@@ -95,20 +129,6 @@ class RingSpec:
 
     # -- monomial order ----------------------------------------------------
 
-    def sort_key(self, exp):
-        """Total-order key: exp a is below exp b iff sort_key(a) < sort_key(b)."""
-        kind = self.order[0]
-        if kind == "lex":
-            return exp
-        if kind == "grevlex":
-            return _grevlex_key(exp)
-        keys = []
-        pos = 0
-        for size in self.order[1]:
-            keys.append(_grevlex_key(exp[pos:pos + size]))
-            pos += size
-        return tuple(keys)
-
     def compare(self, a, b) -> int:
         """Return -1, 0, 1 comparing exponent vectors in this ring's order."""
         if len(a) != self.nvars or len(b) != self.nvars:
@@ -122,18 +142,21 @@ class RingSpec:
 
 
 def _check_exp(exp):
-    for e in exp:
-        if e < 0:
+    if exp:
+        if max(exp) >= EXP_LIMIT:
+            raise ExponentOverflowError(f"exponent {max(exp)} exceeds checked bound")
+        if min(exp) < 0:
             raise ValueError("negative exponent")
-        if e >= EXP_LIMIT:
-            raise ExponentOverflowError(f"exponent {e} exceeds checked bound")
     return exp
 
 
 class Polynomial:
-    """An exact polynomial: immutable, hashable, canonical (no zero terms)."""
+    """An exact polynomial: immutable, hashable, canonical (no zero terms).
 
-    __slots__ = ("ring", "terms", "_hash")
+    The leading exponent is computed at most once and kept in `_lead`.
+    """
+
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: RingSpec, terms: dict, _normalized=False):
         self.ring = ring
@@ -147,6 +170,7 @@ class Polynomial:
                     clean[_check_exp(tuple(exp))] = c
             self.terms = clean
         self._hash = None
+        self._lead = None
 
     # -- constructors ------------------------------------------------------
 
@@ -199,21 +223,27 @@ class Polynomial:
 
     def leading_term(self):
         """(exponent, coefficient) of the greatest monomial; error on zero."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=self.ring.sort_key)
+        exp = self.leading_exp()
         return exp, self.terms[exp]
 
     def leading_exp(self):
-        return self.leading_term()[0]
+        exp = self._lead
+        if exp is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            exp = self._lead = min(self.terms, key=self.ring.desc_key)
+        return exp
 
     def monic(self):
         if not self.terms:
             return self
-        _, c = self.leading_term()
-        inv = self.ring.coeff_inv(c)
-        return Polynomial(self.ring, {e: v * inv if self.ring.char == 0 else (v * inv) % self.ring.char
-                                      for e, v in self.terms.items()}, _normalized=True)
+        lead = self.leading_exp()
+        inv = self.ring.coeff_inv(self.terms[lead])
+        char = self.ring.char
+        out = Polynomial(self.ring, {e: (v * inv) % char if char else v * inv
+                                     for e, v in self.terms.items()}, _normalized=True)
+        out._lead = lead
+        return out
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -274,7 +304,7 @@ class Polynomial:
                           _normalized=True)
 
     def mul_term(self, exp, coeff):
-        """Multiply by coeff * x^exp, the hot loop of polynomial reduction."""
+        """Multiply by coeff * x^exp."""
         coeff = self.ring.coeff(coeff)
         if not coeff:
             return Polynomial.zero(self.ring)

@@ -2,7 +2,8 @@
 
 Membership is decided for arbitrary ideals through the annihilator
 characterization: x is torsion iff every generator of I lies in the radical of
-(K : x) + J.  For monomial data the whole submodule is computed three times by
+(K : x) + J; when K and the remainder of x modulo K are monomial, (K : x) is
+the monomial colon, otherwise an intersection.  For monomial data the whole submodule is computed three times by
 genuinely different routes — per-monomial radical membership over the exponent
 box, minimal-prime support tests, and a directed union of saturations — which
 must agree; the triangle is the correctness argument.  The minimal-prime route
@@ -56,7 +57,11 @@ def gamma_member(x: Polynomial, ctx: PairContext) -> bool:
     r = ctx.K.normal_form(x)
     if r.is_zero():
         return True
-    ann = colon(ctx.K, Ideal(ctx.ring, (r,)))
+    if r.is_monomial() and ctx.K.is_monomial():
+        # (K : c·x^e) = (K : x^e), and for monomial K that is monomial
+        ann = ctx.K.as_monomial().colon_monomial(r.leading_exp()).to_ideal(ctx.ring)
+    else:
+        ann = colon(ctx.K, Ideal(ctx.ring, (r,)))
     return in_radical(ctx.pair.I, ann + ctx.pair.J)
 
 

@@ -6,6 +6,7 @@ import pytest
 from pairloc import cech
 from pairloc.cli import main, parse_session
 from pairloc.errors import ParseError
+from pairloc.suites import SUITES, run_suite
 
 SESSION = """\
 ring QQ[x,y,z] order grevlex
@@ -117,6 +118,25 @@ def test_check_env_seed(monkeypatch):
     _, out, _ = run(["check", "--suite", "torsion-free", "--samples", "5",
                      "--no-timings"])
     assert json.loads(out)["inputs"]["seed"] == 99
+
+
+def test_check_rejects_non_integer_env_seed(monkeypatch):
+    monkeypatch.setenv("PAIRLOC_SEED", "abc")
+    code, out, err = run(["check", "--suite", "groebner", "--samples", "2",
+                          "--no-timings"])
+    assert code == 2
+    assert out == ""
+    assert "PAIRLOC_SEED" in json.loads(err)["error"]
+
+
+def test_check_all_suites():
+    code, out, _ = run(["check", "--suite", "all", "--samples", "1", "--seed", "3",
+                        "--no-timings"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert sorted(result) == sorted(SUITES)
+    for name, report in result.items():
+        assert report == run_suite(name, samples=1, seed=3)
 
 
 def test_pretty_flag(session_file):

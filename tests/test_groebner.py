@@ -1,14 +1,17 @@
+import json
 import os
 import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairloc.errors import ExponentOverflowError
 from pairloc.groebner import (buchberger, normal_form, s_polynomial,
                               spoly_certificate)
-from pairloc.ring import LEX, Polynomial
+from pairloc.ring import EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.samples import random_polynomial, standard_ring
 
 from conftest import pp, ring, variables
@@ -142,3 +145,78 @@ def test_buchberger_work_is_independent_of_string_hashing():
                               capture_output=True, text=True, env=env, check=True)
         counts.add(int(proc.stdout))
     assert len(counts) == 1, counts
+
+
+def _reference_normal_form(f, basis):
+    """Division with a fresh polynomial per step: the greatest remaining term
+    is reduced by the first basis element whose leading term divides it."""
+    ring = f.ring
+    remainder, p = Polynomial.zero(ring), f
+    while not p.is_zero():
+        exp = max(p.terms, key=ring.sort_key)
+        c = p.terms[exp]
+        for g in basis:
+            lexp = max(g.terms, key=ring.sort_key)
+            if all(a <= b for a, b in zip(lexp, exp)):
+                shift = tuple(a - b for a, b in zip(exp, lexp))
+                factor = c * ring.coeff_inv(g.terms[lexp])
+                p = p - g * Polynomial.monomial(ring, shift, factor)
+                break
+        else:
+            term = Polynomial.monomial(ring, exp, c)
+            remainder, p = remainder + term, p - term
+    return remainder
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([0, 32003]),
+       st.sampled_from([LEX, GREVLEX, elimination(1, 2)]))
+def test_normal_form_matches_copying_reference(seed, char, order):
+    rng = random.Random(seed)
+    r = RingSpec(char, ("x", "y", "z"), order)
+    basis = [g for g in (random_polynomial(rng, r, max_degree=3, max_terms=3)
+                         for _ in range(rng.randint(1, 4))) if not g.is_zero()]
+    f = random_polynomial(rng, r, max_degree=5, max_terms=8)
+    if rng.random() < 0.5 and basis:  # give f a part that lies in the ideal
+        f = f + basis[0] * random_polynomial(rng, r, max_degree=2, max_terms=3)
+    nf = normal_form(f, basis)
+    assert nf == _reference_normal_form(f, basis)
+    leads = [max(g.terms, key=r.sort_key) for g in basis]
+    assert not any(all(a <= b for a, b in zip(lead, exp))
+                   for exp in nf.terms for lead in leads)
+    if nf:
+        assert nf.leading_exp() == max(nf.terms, key=r.sort_key)
+
+
+def test_reduction_past_the_exponent_limit_raises():
+    r = ring("xy")
+    x, y = variables(r)
+    g = x - y * y  # leading term y^2 in grevlex
+    f = Polynomial.monomial(r, (EXP_LIMIT - 1, 2))  # x^(L-1) y^2 -> x^L
+    with pytest.raises(ExponentOverflowError):
+        normal_form(f, [g])
+
+
+_SYSTEMS = {
+    "cyclic-4": ("abcd", ["a + b + c + d", "a*b + b*c + a*d + c*d",
+                          "a*b*c + a*b*d + a*c*d + b*c*d", "a*b*c*d - 1"]),
+    "katsura-4": ("abcde", ["a + 2*b + 2*c + 2*d + 2*e - 1",
+                            "a^2 + 2*b^2 + 2*c^2 + 2*d^2 + 2*e^2 - a",
+                            "2*a*b + 2*b*c + 2*c*d + 2*d*e - b",
+                            "b^2 + 2*a*c + 2*b*d + 2*c*e - c",
+                            "2*b*c + 2*a*d + 2*b*e - d"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+@pytest.mark.parametrize("char", [0, 32003])
+def test_buchberger_matches_committed_bases(name, char):
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "golden", "groebner_bases.json")
+    with open(path, encoding="utf-8") as fh:
+        expected = json.load(fh)[f"{name} over {'QQ' if char == 0 else f'GF({char})'}"]
+    names, gens = _SYSTEMS[name]
+    r = ring(names, char=char)
+    gb = buchberger([pp(r, g) for g in gens], r)
+    assert [str(g) for g in gb] == expected

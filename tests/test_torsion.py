@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairloc.ideals import Ideal, MonomialIdeal
+from pairloc.ideals import Ideal, MonomialIdeal, colon, in_radical
 from pairloc.ring import Polynomial
 from pairloc.samples import random_monomial_context, standard_ring
 from pairloc.support import PairSpec, w_member
@@ -137,3 +137,22 @@ def test_witness_kinds_present():
     # every minimal generator of L carries a witness
     witnessed = {e for e, _ in res.witnesses}
     assert set(res.L.gens) <= witnessed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_gamma_member_monomial_annihilator_matches_colon(seed):
+    # on monomial K the annihilator of a monomial remainder is the monomial
+    # colon; the answer must equal the one from the general colon
+    rng = random.Random(seed)
+    r = standard_ring(3)
+    ctx = random_monomial_context(rng, r)
+    x = Polynomial.monomial(r, tuple(rng.randint(0, 3) for _ in range(3)),
+                            rng.randint(1, 5))
+    rem = ctx.K.normal_form(x)
+    if rem.is_zero():
+        assert gamma_member(x, ctx)
+        return
+    ann = colon(ctx.K, Ideal(r, (rem,)))
+    assert ann == ctx.K.as_monomial().colon_monomial(rem.leading_exp()).to_ideal(r)
+    assert gamma_member(x, ctx) == in_radical(ctx.pair.I, ann + ctx.pair.J)
