@@ -13,7 +13,7 @@ from .errors import (ExponentOverflowError, PairlocError, ParseError,
                      PreconditionError, RingMismatchError)
 from .groebner import GroebnerBasis, buchberger, normal_form
 from .ideals import (FacePrime, Ideal, MonomialIdeal, colon, dim_quotient,
-                     eliminate, intersect, radical_member, saturate)
+                     intersect, radical_member, saturate)
 from .invariants import (InvariantReport, ara_upper_bound, build_report,
                          lh_vanishes, pair_depth, top_nonvanishing,
                          vanishing_bounds)

@@ -101,9 +101,6 @@ class BettiTable:
     def pd(self) -> int:
         return max((i for (i, _), _ in self.entries), default=0)
 
-    def total(self, i: int) -> int:
-        return sum(v for (j, _), v in self.entries if j == i)
-
 
 # -- Koszul-complex Tor (brute-force oracle) ----------------------------------
 

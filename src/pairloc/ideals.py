@@ -3,7 +3,9 @@
 `Ideal` is the general carrier (sum, product, intersection, colon, saturation,
 radical membership, Krull dimension of the quotient).  `MonomialIdeal` stores
 exponent-vector generators as a divisibility antichain and answers colon,
-radical, minimal primes, Assh, and dimension combinatorially.  `in_radical`
+radical, minimal primes, Assh, and dimension combinatorially.  Saturation is
+one elimination per generator b of B: A : b^∞ = (A + (1 − t·b)) ∩ k[x], the
+same auxiliary-variable basis the Rabinowitsch test reads.  `in_radical`
 (I ⊆ √A) and `radical_member` answer monomial A by the support rule and any
 other A by `radical_member_groebner`, the Rabinowitsch reference that tests and
 the minimal-prime torsion route check the support rule against.
@@ -145,7 +147,7 @@ class Ideal:
         return MonomialIdeal.from_exps(self.ring.nvars, exps)
 
 
-# -- ring extension / permutation helpers -------------------------------------
+# -- ring extension helpers ---------------------------------------------------
 
 def _fresh_name(ring, base="t"):
     name = base
@@ -175,53 +177,35 @@ def drop_first_var(f: Polynomial, small: RingSpec) -> Polynomial:
     return Polynomial(small, terms, _normalized=True)
 
 
-def _permuted_ring(ring: RingSpec, perm, order):
-    return RingSpec(ring.char, tuple(ring.variables[i] for i in perm), order)
-
-
-def _permute_poly(f: Polynomial, target: RingSpec, perm):
-    return Polynomial(target, {tuple(e[i] for i in perm): c for e, c in f.terms.items()},
-                      _normalized=True)
-
-
 # -- elimination-backed operations --------------------------------------------
 
-def eliminate(A: Ideal, drop_vars) -> Ideal:
-    """A intersected with the subring omitting drop_vars, as an ideal of the
-    ambient ring whose generators do not involve the dropped variables."""
-    ring = A.ring
-    drop = {ring.var_index(v) if isinstance(v, str) else v for v in drop_vars}
-    if not drop:
-        return Ideal(ring, A.gens)
-    keep = [i for i in range(ring.nvars) if i not in drop]
-    perm = sorted(drop) + keep
-    elim_ring = _permuted_ring(ring, perm, elimination(len(drop), len(keep))
-                               if keep else ("grevlex",))
-    gens = [_permute_poly(g, elim_ring, perm) for g in A.gens]
-    gb = buchberger(gens, elim_ring)
-    inv = [0] * ring.nvars
-    for pos, i in enumerate(perm):
-        inv[i] = pos
-    kept = []
-    for g in gb:
-        if all(all(e[inv[i]] == 0 for i in drop) for e in g.terms):
-            kept.append(_permute_poly(g, ring, inv))
-    return Ideal(ring, kept)
+def _t_free(gb: GroebnerBasis, ring: RingSpec) -> Ideal:
+    """The elements of a basis over `extended_ring` that do not involve t: a
+    basis of its intersection with the ring, since t comes first."""
+    return Ideal(ring, [drop_first_var(g, ring) for g in gb
+                        if all(e[0] == 0 for e in g.terms)])
+
+
+def _rabinowitsch(A: Ideal, f: Polynomial) -> GroebnerBasis:
+    """Reduced basis of A + (1 − t·f) over `extended_ring`, t first."""
+    name = _fresh_name(A.ring)
+    big = extended_ring(A.ring, name)
+    t = Polynomial.variable(big, name)
+    gens = [lift_poly(g, big) for g in A.gens]
+    gens.append(Polynomial.one(big) - t * lift_poly(f, big))
+    return buchberger(gens, big)
 
 
 def intersect(A: Ideal, B: Ideal) -> Ideal:
     """A ∩ B via a single auxiliary variable: eliminate t from t·A + (1−t)·B."""
     A._check(B)
-    ring = A.ring
-    name = _fresh_name(ring)
-    big = extended_ring(ring, name)
+    name = _fresh_name(A.ring)
+    big = extended_ring(A.ring, name)
     t = Polynomial.variable(big, name)
     one_minus_t = Polynomial.one(big) - t
     gens = [t * lift_poly(g, big) for g in A.gens]
     gens += [one_minus_t * lift_poly(g, big) for g in B.gens]
-    gb = buchberger(gens, big)
-    kept = [drop_first_var(g, ring) for g in gb if all(e[0] == 0 for e in g.terms)]
-    return Ideal(ring, kept)
+    return _t_free(buchberger(gens, big), A.ring)
 
 
 def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
@@ -240,28 +224,30 @@ def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
     return q
 
 
-def colon(A: Ideal, B: Ideal) -> Ideal:
-    """(A : B), intersected elementwise over the generators of B."""
+def _over_generators(A: Ideal, B: Ideal, part) -> Ideal:
+    """The intersection of part(b) over the nonzero generators b of B; the
+    unit ideal when B = 0."""
     A._check(B)
     result = None
-    nonzero = [b for b in B.gens if not b.is_zero()]
-    if not nonzero:
-        return Ideal.unit(A.ring)
-    for b in nonzero:
+    for b in B.gens:
+        if not b.is_zero():
+            p = part(b)
+            result = p if result is None else intersect(result, p)
+    return Ideal.unit(A.ring) if result is None else result
+
+
+def colon(A: Ideal, B: Ideal) -> Ideal:
+    """(A : B), intersected elementwise over the generators of B."""
+    def part(b):
         inter = intersect(A, Ideal(A.ring, (b,)))
-        part = Ideal(A.ring, [exact_divide(g, b) for g in inter.gens if not g.is_zero()])
-        result = part if result is None else intersect(result, part)
-    return result
+        return Ideal(A.ring, [exact_divide(g, b) for g in inter.gens if not g.is_zero()])
+    return _over_generators(A, B, part)
 
 
 def saturate(A: Ideal, B: Ideal) -> Ideal:
-    """Stable value of the colon chain A ⊆ (A:B) ⊆ (A:B²) ⊆ …"""
-    current = A
-    while True:
-        nxt = colon(current, B)
-        if nxt == current:
-            return current
-        current = nxt
+    """(A : B^∞), intersected over the generators b of B, each part
+    A : b^∞ = (A + (1 − t·b)) ∩ k[x] found by one elimination."""
+    return _over_generators(A, B, lambda b: _t_free(_rabinowitsch(A, b), A.ring))
 
 
 def radical_member(f: Polynomial, A: Ideal) -> bool:
@@ -286,13 +272,7 @@ def radical_member(f: Polynomial, A: Ideal) -> bool:
 
 def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
     """f ∈ √A, by adjoining t and testing 1 ∈ A + (1 − t·f); uncached."""
-    ring = A.ring
-    name = _fresh_name(ring)
-    big = extended_ring(ring, name)
-    t = Polynomial.variable(big, name)
-    gens = [lift_poly(g, big) for g in A.gens]
-    gens.append(Polynomial.one(big) - t * lift_poly(f, big))
-    return buchberger(gens, big).contains_one()
+    return _rabinowitsch(A, f).contains_one()
 
 
 def in_radical(I: Ideal, A: Ideal) -> bool:

@@ -115,8 +115,9 @@ def gamma_colimit_oracle(ctx: PairContext) -> GammaResult:
     used = {}
     for a in sorted(candidates, key=lambda c: c.gens):
         if wtilde_member(a.to_ideal(ring), ctx.pair):
-            L = L + Km.saturation(a)
-            for g in Km.saturation(a).gens:
+            kernel = Km.saturation(a)
+            L = L + kernel
+            for g in kernel.gens:
                 used.setdefault(g, "saturation-kernel")
     witnesses = {g: kind for g, kind in used.items() if not Km.contains(g)}
     return GammaResult(L, L.is_unit(), tuple(sorted(witnesses.items())))

@@ -6,20 +6,12 @@ from hypothesis import strategies as st
 
 from pairloc.errors import PreconditionError
 from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, colon,
-                            dim_quotient, eliminate, in_radical, intersect,
+                            dim_quotient, in_radical, intersect,
                             radical_member, radical_member_groebner, saturate)
 from pairloc.ring import Polynomial
 from pairloc.samples import random_monomial_ideal, standard_ring
 
 from conftest import pp, ring, variables
-
-
-def test_eliminate_example():
-    r = ring("txy")
-    t, x, y = variables(r)
-    A = Ideal(r, (t * x, t - y))
-    E = eliminate(A, {"t"})
-    assert E == Ideal(r, (x * y,))
 
 
 def test_intersect_two_planes():
@@ -154,9 +146,16 @@ def test_radical_membership_matches_support_rule(A, exp):
 
 
 coeffs = st.integers(min_value=-2, max_value=2).filter(bool)
-polys = st.lists(st.tuples(mono, coeffs), min_size=1, max_size=3).map(
-    lambda terms: sum((Polynomial.monomial(R3, e, c) for e, c in terms),
-                      Polynomial.zero(R3)))
+
+
+def _polys(r, top=3):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=top)] * 3)
+    return st.lists(st.tuples(exps, coeffs), min_size=1, max_size=3).map(
+        lambda terms: sum((Polynomial.monomial(r, e, c) for e, c in terms),
+                          Polynomial.zero(r)))
+
+
+polys = _polys(R3)
 mixed_ideals = st.one_of(
     mono_ideals.map(lambda A: A.to_ideal(R3)),
     st.lists(polys, min_size=1, max_size=2).map(lambda gens: Ideal(R3, gens)),
@@ -186,3 +185,38 @@ def test_colon_and_saturation_laws(A, B):
     assert Q * Bi == intersect(Q * Bi, Ai)  # (A:B)·B ⊆ A
     S = saturate(Ai, Bi)
     assert colon(S, Bi) == S  # saturation is stable
+
+
+def _colon_chain_limit(A, B):
+    """Stable value of the colon chain A ⊆ (A:B) ⊆ (A:B²) ⊆ …, which is A : B^∞."""
+    current = A
+    while True:
+        nxt = colon(current, B)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def _saturation_inputs(r):
+    polys = _polys(r, top=2)  # exponents up to 3 make the colon chain slow
+    A = st.lists(polys, min_size=1, max_size=2).map(lambda gens: Ideal(r, gens))
+    B = st.lists(polys, max_size=2).map(lambda gens: Ideal(r, gens))  # [] is B = 0
+    return st.tuples(A, B)
+
+
+R3_MOD = standard_ring(3, char=32003)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([R3, R3_MOD]).flatmap(_saturation_inputs))
+@example((Ideal(R3, (pp(R3, "x*y - x*z"),)), Ideal(R3, (pp(R3, "y - z"),))))
+@example((Ideal(R3_MOD, (pp(R3_MOD, "x^2*y + x*z^2"), pp(R3_MOD, "y^2 - z"))),
+          Ideal(R3_MOD, (pp(R3_MOD, "x + y"), pp(R3_MOD, "x*z")))))
+@example((Ideal(R3, (pp(R3, "x^2 - y*z"), pp(R3, "x*y"))),
+          Ideal(R3, (pp(R3, "x - y"), pp(R3, "z^2 + 1")))))
+@example((Ideal(R3, (pp(R3, "x^2 - y"),)), Ideal.zero(R3)))
+@example((Ideal(R3_MOD, (pp(R3_MOD, "x*y - z^2"),)), Ideal.unit(R3_MOD)))
+def test_saturate_matches_colon_chain(inputs):
+    # non-monomial A and B over QQ and GF(32003); B with two generators, B = 0, B = (1)
+    A, B = inputs
+    assert saturate(A, B) == _colon_chain_limit(A, B)
