@@ -149,19 +149,21 @@ class Ideal:
 
 # -- ring extension helpers ---------------------------------------------------
 
-def _fresh_name(ring, base="t"):
-    name = base
-    k = 0
-    while name in ring.variables:
-        k += 1
-        name = f"{base}{k}"
-    return name
-
-
 def extended_ring(ring: RingSpec, extra: str):
     """Ring with one dominant extra variable (elimination order, extra first)."""
     return RingSpec(ring.char, (extra,) + ring.variables,
                     elimination(1, ring.nvars) if ring.nvars else ("grevlex",))
+
+
+def _adjoin_t(ring: RingSpec):
+    """`extended_ring` over the first of t, t1, t2, … not a variable of
+    `ring`, and that variable t as a polynomial."""
+    name, k = "t", 0
+    while name in ring.variables:
+        k += 1
+        name = f"t{k}"
+    big = extended_ring(ring, name)
+    return big, Polynomial.variable(big, name)
 
 
 def lift_poly(f: Polynomial, big: RingSpec) -> Polynomial:
@@ -188,9 +190,7 @@ def _t_free(gb: GroebnerBasis, ring: RingSpec) -> Ideal:
 
 def _rabinowitsch(A: Ideal, f: Polynomial) -> GroebnerBasis:
     """Reduced basis of A + (1 − t·f) over `extended_ring`, t first."""
-    name = _fresh_name(A.ring)
-    big = extended_ring(A.ring, name)
-    t = Polynomial.variable(big, name)
+    big, t = _adjoin_t(A.ring)
     gens = [lift_poly(g, big) for g in A.gens]
     gens.append(Polynomial.one(big) - t * lift_poly(f, big))
     return buchberger(gens, big)
@@ -199,9 +199,7 @@ def _rabinowitsch(A: Ideal, f: Polynomial) -> GroebnerBasis:
 def intersect(A: Ideal, B: Ideal) -> Ideal:
     """A ∩ B via a single auxiliary variable: eliminate t from t·A + (1−t)·B."""
     A._check(B)
-    name = _fresh_name(A.ring)
-    big = extended_ring(A.ring, name)
-    t = Polynomial.variable(big, name)
+    big, t = _adjoin_t(A.ring)
     one_minus_t = Polynomial.one(big) - t
     gens = [t * lift_poly(g, big) for g in A.gens]
     gens += [one_minus_t * lift_poly(g, big) for g in B.gens]
