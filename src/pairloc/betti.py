@@ -1,11 +1,14 @@
 """Betti numbers, projective dimension, and depth of monomial cyclic modules.
 
-Two independent computations back every depth number: a brute-force Tor
-computation assembling multigraded strands of the Koszul complex on all
-variables, and simplicial homology of restricted Stanley-Reisner complexes for
-squarefree ideals (combined with polarization in the general case).  The
-homological index convention of the simplicial route is pinned by entrywise
-equality with the Koszul route, not trusted from transcription.
+One engine computes every Betti table, projective dimension and depth:
+`hochster_betti` reads the multigraded Betti numbers of R/K from the reduced
+homology of the upper Koszul simplicial complexes K^b, for b in the lcm
+lattice of the minimal generators, in the n variables of the ring and for
+any exponents.  `koszul_tor`, a brute-force Tor computation assembling
+multigraded strands of the Koszul complex on all variables, is the
+independent oracle it is checked against, entry by entry; its homological
+index convention is pinned by that equality, not trusted from transcription.
+`polarize` is kept only to be checked: it must preserve projective dimension.
 
 Depth of the zero module is the infinite sentinel INFINITY; over the graded
 model depth + projective dimension equals the number of variables.
@@ -153,107 +156,63 @@ def koszul_tor(K: MonomialIdeal, char: int = 0) -> BettiTable:
     return BettiTable.from_dict(n, entries)
 
 
-# -- Stanley-Reisner route ----------------------------------------------------
+# -- upper Koszul complexes (the Betti engine) --------------------------------
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Vertices with an antichain of facets; faces are subsets of facets."""
-
-    vertices: tuple
-    facets: tuple  # sorted tuple of sorted vertex tuples, mutually incomparable
-
-    @staticmethod
-    def from_faces(vertices, faces):
-        faces = [tuple(sorted(f)) for f in faces]
-        facets = [f for f in faces
-                  if not any(g != f and set(f) <= set(g) for g in faces)]
-        return SimplicialComplex(tuple(vertices), tuple(sorted(set(facets))))
-
-    def faces(self):
-        """All faces including the empty face, grouped by cardinality."""
-        seen = set()
-        for f in self.facets:
-            for k in range(len(f) + 1):
-                seen.update(combinations(f, k))
-        if not self.facets:
-            seen.add(())
-        by_card = {}
-        for f in sorted(seen):
-            by_card.setdefault(len(f), []).append(f)
-        return by_card
-
-    def restrict(self, keep):
-        keep = set(keep)
-        faces = [tuple(v for v in f if v in keep) for f in self.facets]
-        return SimplicialComplex.from_faces(tuple(sorted(keep)), faces + [()])
-
-    def reduced_homology_dims(self, char: int = 0):
-        """dim of reduced homology per dimension q >= -1 (empty face included)."""
-        by_card = self.faces()
-        top = max(by_card)
-        dims = {}
-        ranks = {}
-        for k in range(1, top + 1):
-            lower = {f: i for i, f in enumerate(by_card.get(k - 1, []))}
-            rows = []
-            for f in by_card.get(k, []):
-                row = [0] * len(lower)
-                for pos in range(len(f)):
-                    sub = f[:pos] + f[pos + 1:]
-                    row[lower[sub]] = -1 if pos % 2 else 1
-                rows.append(row)
-            ranks[k] = matrix_rank(rows, char) if rows and lower else 0
-        for k in range(0, top + 1):
-            q = k - 1
-            dims[q] = len(by_card.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        return dims
+def reduced_homology_dims(by_card, char: int = 0):
+    """dim of reduced homology per dimension q >= -1 of a simplicial complex
+    given by its faces grouped by cardinality (the empty face under 0)."""
+    top = max(by_card)
+    ranks = {}
+    for k in range(1, top + 1):
+        lower = {f: i for i, f in enumerate(by_card.get(k - 1, []))}
+        rows = []
+        for f in by_card.get(k, []):
+            row = [0] * len(lower)
+            for pos in range(len(f)):
+                row[lower[f[:pos] + f[pos + 1:]]] = -1 if pos % 2 else 1
+            rows.append(row)
+        ranks[k] = matrix_rank(rows, char) if rows and lower else 0
+    return {k - 1: len(by_card.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+            for k in range(top + 1)}
 
 
-def stanley_reisner_complex(K: MonomialIdeal) -> SimplicialComplex:
-    """The complex whose non-faces are the supports of the squarefree ideal."""
-    _require_squarefree(K)
-    n = K.nvars
-    nonfaces = [frozenset(i for i, e in enumerate(g) if e) for g in K.gens]
-    faces = []
-    for k in range(n + 1):
-        for c in combinations(range(n), k):
-            cs = set(c)
-            if not any(nf <= cs for nf in nonfaces):
-                faces.append(c)
-    return SimplicialComplex.from_faces(tuple(range(n)), faces + [()])
-
-
-def _require_squarefree(K: MonomialIdeal):
-    if any(e > 1 for g in K.gens for e in g):
-        raise PreconditionError("squarefree monomial ideal required")
-
-
-def _lcm_lattice_supports(K: MonomialIdeal):
-    """All unions of generator supports (the only candidate multidegrees)."""
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in K.gens]
-    lattice = {frozenset()}
-    for s in supports:
-        lattice |= {u | s for u in lattice}
-    return sorted(lattice, key=lambda s: (len(s), tuple(sorted(s))))
+def _upper_koszul_faces(K: MonomialIdeal, b):
+    """Faces of K^b = {F ⊆ supp b : x^(b-F) ∈ K}, grouped by cardinality,
+    for x^b ∈ K; each face extends a face one smaller."""
+    supp = [i for i, e in enumerate(b) if e]
+    by_card = {0: [()]}
+    level = [()]
+    while level:
+        bigger = []
+        for F in level:
+            for j in supp:
+                if F and j <= F[-1]:
+                    continue
+                G = F + (j,)
+                if K.contains(tuple(e - (i in G) for i, e in enumerate(b))):
+                    bigger.append(G)
+        if bigger:
+            by_card[len(bigger[0])] = bigger
+        level = bigger
+    return by_card
 
 
 def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
-    """Betti numbers of R/K (K squarefree) from reduced homology of restricted
-    Stanley-Reisner complexes, over the lcm lattice of generator supports."""
+    """Betti numbers of R/K from reduced homology of the upper Koszul
+    complexes: beta_{i,b}(R/K) = dim H~_{i-2}(K^b) for b != 0 in the lcm
+    lattice of the minimal generators (Miller-Sturmfels, Thm 1.34)."""
     if K.is_unit():
         raise PreconditionError("Betti numbers require a proper ideal")
-    _require_squarefree(K)
     n = K.nvars
-    delta = stanley_reisner_complex(K)
-    entries = {}
-    for sigma in _lcm_lattice_supports(K):
-        sub = delta.restrict(sigma)
-        hdims = sub.reduced_homology_dims(char)
-        exp = tuple(1 if i in sigma else 0 for i in range(n))
-        for i in range(len(sigma) + 1):
-            h = hdims.get(len(sigma) - i - 1, 0)
+    lattice = set()
+    for g in K.gens:
+        lattice |= {tuple(map(max, g, b)) for b in lattice}
+        lattice.add(g)
+    entries = {(0, (0,) * n): 1}
+    for b in lattice:
+        for q, h in reduced_homology_dims(_upper_koszul_faces(K, b), char).items():
             if h:
-                entries[(i, exp)] = h
+                entries[(q + 2, b)] = h
     return BettiTable.from_dict(n, entries)
 
 
@@ -263,8 +222,8 @@ def polarize(K: MonomialIdeal, ring: RingSpec):
     """Split each power x_i^k into k squarefree copies; returns the enlarged
     ring, the squarefree ideal there, and the variable map.
 
-    Projective dimension is unchanged, which is how the general-exponent depth
-    computation reduces to the squarefree one.
+    Projective dimension is unchanged; no depth computation relies on this,
+    the depth-cross suite checks it.
     """
     if K.is_unit():
         raise PreconditionError("cannot polarize the unit ideal")
@@ -298,10 +257,7 @@ def polarize(K: MonomialIdeal, ring: RingSpec):
 # -- depth --------------------------------------------------------------------
 
 def projective_dimension(K: MonomialIdeal, ring: RingSpec) -> int:
-    if K.is_zero():
-        return 0
-    big, sq, _ = polarize(K, ring)
-    return hochster_betti(sq, ring.char).pd()
+    return hochster_betti(K, ring.char).pd()
 
 
 def depth_quotient(K: MonomialIdeal, ring: RingSpec):

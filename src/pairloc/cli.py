@@ -22,7 +22,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import betti as betti_mod
 from .betti import INFINITY, depth_at_face, depth_quotient, hochster_betti, koszul_tor
 from .cech import build_cech, collapse, position_zero_kernel
 from .errors import PairlocError, ParseError, PreconditionError
@@ -259,8 +258,7 @@ def cmd_betti(session, args):
     if args.route == "koszul":
         table = koszul_tor(K, session.ring.char)
     else:
-        big, sq, _ = betti_mod.polarize(K, session.ring)
-        table = hochster_betti(sq, session.ring.char)
+        table = hochster_betti(K, session.ring.char)
     entries = [{"i": i, "degree": list(d), "value": v}
                for (i, d), v in table.entries]
     return {"entries": entries, "pd": table.pd(), "route": args.route}, {}

@@ -66,7 +66,8 @@ def test_criterion_6_torsion_free_quotient():
 
 def test_criterion_7_depth_cross_validation():
     ok, report = _suite_ok("depth-cross", 50)
-    # the suite runs both halves: simplicial-vs-Koszul and polarization pd
+    # both halves compare the engine with Koszul entry by entry; the second
+    # half also checks the polarization pd and depth + pd = n
     _line(7, "Betti engines cross-validate, 50+50 ideals",
           ok and report["passed"] >= 100)
 

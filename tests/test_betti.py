@@ -1,17 +1,19 @@
 import random
 
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pairloc.betti import (INFINITY, SimplicialComplex, depth_at_face,
-                           depth_quotient, hochster_betti, koszul_tor,
-                           polarize, projective_dimension,
-                           stanley_reisner_complex)
-from pairloc.errors import PreconditionError
-from pairloc.ideals import FacePrime, MonomialIdeal
-from pairloc.samples import (random_monomial_ideal, random_squarefree_ideal,
-                             standard_ring)
+from pairloc.betti import (INFINITY, depth_at_face, depth_quotient,
+                           hochster_betti, koszul_tor, polarize,
+                           projective_dimension, reduced_homology_dims,
+                           restrict_to_face)
+from pairloc.ideals import FacePrime, Ideal, MonomialIdeal
+from pairloc.invariants import all_face_primes, pair_depth
+from pairloc.samples import random_monomial_ideal, standard_ring
+from pairloc.support import PairSpec, w_member
+from pairloc.torsion import PairContext
 
-from conftest import ring
+from conftest import pp, ring, variables
 
 
 def test_koszul_principal_monomial():
@@ -30,24 +32,25 @@ def test_hochster_matches_koszul_on_squarefree():
     assert hochster_betti(K).as_dict() == koszul_tor(K).as_dict()
 
 
-def test_hochster_rejects_non_squarefree():
-    with pytest.raises(PreconditionError):
-        hochster_betti(MonomialIdeal.from_exps(2, [(2, 0)]))
+@st.composite
+def _monomial_ideals(draw):
+    n = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return MonomialIdeal.from_exps(n, draw(st.lists(exps, min_size=1, max_size=5)))
 
 
-def test_stanley_reisner_complex():
-    # K = (xy): Δ is two disjoint vertices
-    K = MonomialIdeal.from_exps(2, [(1, 1)])
-    delta = stanley_reisner_complex(K)
-    assert delta.reduced_homology_dims(0)[0] == 1  # H~_0 = one gap
+@settings(max_examples=80, deadline=None)
+@given(_monomial_ideals(), st.sampled_from([0, 2, 32003]))
+@example(MonomialIdeal.from_exps(2, [(1, 1)]), 0)
+def test_hochster_matches_koszul_on_any_exponents(K, char):
+    assert hochster_betti(K, char).as_dict() == koszul_tor(K, char).as_dict()
 
 
 def test_reduced_homology_of_circle():
     # hollow triangle: H~_1 = 1
-    delta = SimplicialComplex.from_faces((0, 1, 2),
-                                         [(0, 1), (1, 2), (0, 2)])
-    dims = delta.reduced_homology_dims(0)
-    assert dims.get(1, 0) == 1 and dims.get(0, 0) == 0
+    by_card = {0: [()], 1: [(0,), (1,), (2,)], 2: [(0, 1), (0, 2), (1, 2)]}
+    dims = reduced_homology_dims(by_card, 0)
+    assert dims.get(1, 0) == 1 and dims.get(0, 0) == 0 and dims[-1] == 0
 
 
 def test_polarize_example():
@@ -100,3 +103,19 @@ def test_depth_at_face():
     assert depth_at_face(K, r, FacePrime(frozenset({2}))) is None
     # at (x,y,z) the localization is R/K itself
     assert depth_at_face(K, r, FacePrime(frozenset({0, 1, 2}))) == 2
+
+
+def test_pair_depth_without_polarization():
+    # polarized, this K has 16 variables; the engine works in x, y, z
+    r = ring("xyz")
+    x, y, z = variables(r)
+    K = Ideal(r, (pp(r, "x^4*y^4"), pp(r, "x^7*z"), pp(r, "x*z^5")))
+    pair = PairSpec(Ideal(r, (x, y, z)), Ideal(r, (x * y * z,)))
+    Km = K.as_monomial()
+    koszul_depths = []
+    for face in all_face_primes(3):
+        restricted = restrict_to_face(Km, r, face)
+        if restricted is not None and w_member(face.to_ideal(r), pair):
+            sub, KS = restricted
+            koszul_depths.append(sub.nvars - koszul_tor(KS, 0).pd())
+    assert pair_depth(PairContext(pair, K)).value == min(koszul_depths)

@@ -163,6 +163,21 @@ def test_pair_depth_command(session_file):
     assert isinstance(report["result"]["value"], int)
 
 
+def test_betti_routes_agree_in_the_session_ring(tmp_path):
+    # both routes print multidegrees in the three variables of the session
+    path = tmp_path / "session.txt"
+    path.write_text(SESSION + "ideal A = x*y, y^2*z\n")
+    results = {}
+    for route in ("koszul", "simplicial"):
+        code, out, _ = run(["betti", "--session", str(path), "--K", "A",
+                            "--route", route, "--no-timings"])
+        assert code == 0
+        results[route] = json.loads(out)["result"]
+    assert results["simplicial"]["entries"] == results["koszul"]["entries"]
+    assert results["simplicial"]["pd"] == results["koszul"]["pd"] == 2
+    assert {len(e["degree"]) for e in results["simplicial"]["entries"]} == {3}
+
+
 def test_exponent_overflow_exit_code(tmp_path):
     path = tmp_path / "session.txt"
     path.write_text(SESSION + "ideal B = x^99999999999999999999\n")
