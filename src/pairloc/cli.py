@@ -33,7 +33,7 @@ from .ring import GREVLEX, LEX, Polynomial, RingSpec, parse_polynomial
 from .samples import DEFAULT_SEED
 from .suites import SUITES, run_suite
 from .support import PairSpec, s_certificate, w_member, wtilde_member
-from .torsion import PairContext, gamma_member, gamma_monomial, is_torsion
+from .torsion import PairContext, _box, gamma_member, gamma_monomial, is_torsion
 
 SCHEMA_VERSION = 1
 
@@ -143,13 +143,14 @@ def depth_json(d):
     return d
 
 
-def gamma_json(result, ring):
-    return {
-        "generators": mono_json(result.L, ring),
-        "wholeModule": result.is_whole_module,
-        "witnesses": {str(Polynomial.monomial(ring, e)): kind
-                      for e, kind in result.witnesses},
-    }
+def torsion_witnesses(K: Ideal, L, ring):
+    """The monomials of K's exponent box that lie in the torsion lift L but
+    not in K, each labelled with the test that puts it in the torsion part;
+    divisibility tests only, since L is already known."""
+    Km = K.as_monomial()
+    return {str(Polynomial.monomial(ring, b)): "radical-membership"
+            for b in _box(Km.max_exponents())
+            if L.contains(b) and not Km.contains(b)}
 
 
 def _parse_face(session, var_list) -> FacePrime:
@@ -225,10 +226,11 @@ def cmd_s_certificate(session, args):
 
 
 def cmd_gamma(session, args):
-    result = gamma_monomial(_ctx(session, args))
-    payload = gamma_json(result, session.ring)
-    witnesses = payload.pop("witnesses")
-    return payload, witnesses
+    ctx = _ctx(session, args)
+    result = gamma_monomial(ctx)
+    return ({"generators": mono_json(result.L, session.ring),
+             "wholeModule": result.is_whole_module},
+            torsion_witnesses(ctx.K, result.L, session.ring))
 
 
 def cmd_gamma_member(session, args):
@@ -313,10 +315,10 @@ def cmd_cech(session, args):
     }
     witnesses = {}
     if args.K is not None:
-        kernel = position_zero_kernel(elements, J, session.ideal(args.K))
+        K = session.ideal(args.K)
+        kernel = position_zero_kernel(elements, J, K)
         result["positionZeroKernel"] = mono_json(kernel.L, ring)
-        witnesses = {str(Polynomial.monomial(ring, e)): kind
-                     for e, kind in kernel.witnesses}
+        witnesses = torsion_witnesses(K, kernel.L, ring)
     return result, witnesses
 
 

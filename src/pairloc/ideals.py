@@ -3,12 +3,13 @@
 `Ideal` is the general carrier (sum, product, intersection, colon, saturation,
 radical membership, Krull dimension of the quotient).  `MonomialIdeal` stores
 exponent-vector generators as a divisibility antichain and answers colon,
-radical, minimal primes, Assh, and dimension combinatorially.  Saturation is
-one elimination per generator b of B: A : b^∞ = (A + (1 − t·b)) ∩ k[x], the
-same auxiliary-variable basis the Rabinowitsch test reads.  `in_radical`
-(I ⊆ √A) and `radical_member` answer monomial A by the support rule and any
-other A by `radical_member_groebner`, the Rabinowitsch reference that tests and
-the minimal-prime torsion route check the support rule against.
+radical, minimal primes, Assh, irreducible decomposition, and dimension
+combinatorially.  Saturation is one elimination per generator b of B:
+A : b^∞ = (A + (1 − t·b)) ∩ k[x], the same auxiliary-variable basis the
+Rabinowitsch test reads.  `in_radical` (I ⊆ √A) and `radical_member` answer
+monomial A by the support rule and any other A by `radical_member_groebner`,
+the Rabinowitsch reference that tests and the minimal-prime torsion oracle
+check the support rule against.
 """
 
 from __future__ import annotations
@@ -441,6 +442,38 @@ class MonomialIdeal:
         primes = self.min_primes()
         least = min(len(p.vars) for p in primes)
         return tuple(p for p in primes if len(p.vars) == least)
+
+    def irreducible_components(self):
+        """Irredundant irreducible decomposition: the ideals Q_i generated by
+        pure powers with self = ∩ Q_i, none containing another, sorted by
+        generators; () for the unit ideal, (0) for the zero ideal.
+
+        Generators are added one at a time to the decomposition of (0).  A
+        component Q that misses the new generator m = x_i^a·m′ splits into
+        Q + (x_i^a) and Q + (m′), which intersect to Q + (m) since x_i^a and m′
+        are coprime; repeating the split down to pure powers leaves the components
+        Q + (x_i^{m_i}), one per variable of m, and those that contain another
+        component are dropped."""
+        if self.is_unit():
+            return ()
+        n = self.nvars
+
+        def within(a, b):
+            # the component with pure-power exponents a contains the one with b
+            return all(0 < a[i] <= b[i] for i in range(n) if b[i])
+
+        components = {(0,) * n}  # pure-power exponents, 0 for a variable absent
+        for m in self.gens:
+            kept = {q for q in components if any(q[i] and m[i] >= q[i] for i in range(n))}
+            split = {q[:i] + (e,) + q[i + 1:]
+                     for q in components - kept for i, e in enumerate(m) if e}
+            # the components were irredundant, so a kept one contains no other
+            pool = kept | split
+            components = kept | {a for a in split
+                                 if not any(b != a and within(a, b) for b in pool)}
+        return tuple(sorted((MonomialIdeal.from_exps(
+            n, [tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(a) if e])
+            for a in components), key=lambda Q: Q.gens))
 
     def to_ideal(self, ring: RingSpec) -> Ideal:
         if ring.nvars != self.nvars:

@@ -124,7 +124,8 @@ def suite_prop17(samples=200, seed=DEFAULT_SEED):
 
 
 def suite_gamma_triangle(samples=200, seed=DEFAULT_SEED):
-    """The three torsion-submodule algorithms agree exactly."""
+    """The decomposition route to the torsion submodule agrees exactly with
+    both box oracles."""
     rng = random.Random(seed)
     ring = standard_ring(3)
     failures = []

@@ -3,12 +3,17 @@
 Membership is decided for arbitrary ideals through the annihilator
 characterization: x is torsion iff every generator of I lies in the radical of
 (K : x) + J; when K and the remainder of x modulo K are monomial, (K : x) is
-the monomial colon, otherwise an intersection.  For monomial data the whole submodule is computed three times by
-genuinely different routes — per-monomial radical membership over the exponent
-box, minimal-prime support tests, and a directed union of saturations — which
-must agree; the triangle is the correctness argument.  The minimal-prime route
-decides support by the Rabinowitsch reference, so the monomial support rule
-that answers the other two routes is never the only thing checking itself.
+the monomial colon, otherwise an intersection.
+
+For monomial data the whole submodule comes from one irredundant irreducible
+decomposition K = ∩ Q_i.  The support family W(I, J) is stable under
+specialization, so the torsion submodule is (∩ of the Q_i whose radical lies
+outside W)/K and its associated primes are the radicals of the Q_i lying in
+W; each distinct radical is tested once.  Two box routes stay as oracles,
+walking every monomial of K's exponent box: minimal-prime support tests decided
+by the Rabinowitsch reference, and a directed union of saturations.  Tests
+and property suites hold the decomposition route to both, so the monomial
+support rule that answers it is never the only thing checking itself.
 """
 
 from __future__ import annotations
@@ -45,11 +50,10 @@ class PairContext:
 
 @dataclass(frozen=True)
 class GammaResult:
-    """Lift L ⊇ K of the torsion submodule of R/K, with per-monomial witnesses."""
+    """Lift L ⊇ K of the torsion submodule of R/K."""
 
     L: MonomialIdeal
     is_whole_module: bool
-    witnesses: tuple  # sorted (exponent, kind) pairs for box monomials in L
 
 
 def gamma_member(x: Polynomial, ctx: PairContext) -> bool:
@@ -66,25 +70,43 @@ def gamma_member(x: Polynomial, ctx: PairContext) -> bool:
 
 
 def _box(e):
+    """The exponent vectors b ≤ e componentwise, in lexicographic order."""
     return sorted(product(*[range(b + 1) for b in e]))
 
 
-def _box_route(Km, torsion_at, kind):
+def _box_route(Km, torsion_at):
     """Lift L ⊇ K generated by K and the box monomials outside K whose
-    annihilator (K : m) satisfies torsion_at, each witnessed by kind."""
+    annihilator (K : m) satisfies torsion_at."""
     members = [b for b in _box(Km.max_exponents())
                if not Km.contains(b) and torsion_at(Km.colon_monomial(b))]
     L = MonomialIdeal.from_exps(Km.nvars, Km.gens + tuple(members))
-    return GammaResult(L, L.is_unit(), tuple((b, kind) for b in members))
+    return GammaResult(L, L.is_unit())
+
+
+def _components(ctx: PairContext):
+    """(Q, √Q, √Q ∈ W(I, J)) for each irreducible component Q of K; each
+    distinct radical is tested once."""
+    Im, Jm, Km = ctx.monomial_data()
+    ring, pair = ctx.ring, ctx.pair
+    in_w = {}
+    out = []
+    for Q in Km.irreducible_components():
+        p = _as_face_prime(Q.radical())
+        if p not in in_w:
+            in_w[p] = in_radical(pair.I, pair.J + p.to_ideal(ring))
+        out.append((Q, p, in_w[p]))
+    return out
 
 
 def gamma_monomial(ctx: PairContext) -> GammaResult:
-    """Torsion submodule lift by per-monomial radical membership over the box
-    bounded by the componentwise maximum exponent of K's minimal generators."""
-    Im, Jm, Km = ctx.monomial_data()
-    ring, pair = ctx.ring, ctx.pair
-    return _box_route(Km, lambda ann: in_radical(pair.I, ann.to_ideal(ring) + pair.J),
-                      "radical-membership")
+    """Torsion submodule lift: the intersection of the irreducible components
+    of K whose radical lies outside the support family (the unit ideal when
+    none does)."""
+    L = MonomialIdeal.unit(ctx.ring.nvars)
+    for Q, _, supported in _components(ctx):
+        if not supported:
+            L = L.intersect(Q)
+    return GammaResult(L, L.is_unit())
 
 
 def gamma_minprime_oracle(ctx: PairContext) -> GammaResult:
@@ -102,7 +124,7 @@ def gamma_minprime_oracle(ctx: PairContext) -> GammaResult:
             in_w[p] = all(radical_member_groebner(g, target) for g in pair.I.gens)
         return all(in_w[p] for p in primes)
 
-    return _box_route(Km, supported, "min-primes-in-support")
+    return _box_route(Km, supported)
 
 
 def gamma_colimit_oracle(ctx: PairContext) -> GammaResult:
@@ -112,15 +134,10 @@ def gamma_colimit_oracle(ctx: PairContext) -> GammaResult:
     ring = ctx.ring
     candidates = {Km.colon_monomial(b) for b in _box(Km.max_exponents())}
     L = Km
-    used = {}
     for a in sorted(candidates, key=lambda c: c.gens):
         if wtilde_member(a.to_ideal(ring), ctx.pair):
-            kernel = Km.saturation(a)
-            L = L + kernel
-            for g in kernel.gens:
-                used.setdefault(g, "saturation-kernel")
-    witnesses = {g: kind for g, kind in used.items() if not Km.contains(g)}
-    return GammaResult(L, L.is_unit(), tuple(sorted(witnesses.items())))
+            L = L + Km.saturation(a)
+    return GammaResult(L, L.is_unit())
 
 
 def is_torsion(ctx: PairContext) -> bool:
@@ -166,19 +183,8 @@ def ass_monomial(K: MonomialIdeal):
     return tuple(sorted(found, key=lambda p: p.sort_token()))
 
 
-def ass_gamma(ctx: PairContext, result: GammaResult = None):
-    """Associated primes of the torsion submodule of R/K (monomial data)."""
-    Km = ctx.K.as_monomial()
-    if result is None:
-        result = gamma_monomial(ctx)
-    L = result.L
-    found = set()
-    # the box must bound both K (colon stability) and L (reaching a generator)
-    box = tuple(max(a, b) for a, b in zip(Km.max_exponents(), L.max_exponents()))
-    for b in _box(box):
-        if not L.contains(b) or Km.contains(b):
-            continue
-        p = _as_face_prime(Km.colon_monomial(b))
-        if p is not None:
-            found.add(p)
+def ass_gamma(ctx: PairContext):
+    """Associated primes of the torsion submodule of R/K (monomial data): the
+    radicals of K's irreducible components that lie in the support family."""
+    found = {p for _, p, supported in _components(ctx) if supported}
     return tuple(sorted(found, key=lambda p: p.sort_token()))

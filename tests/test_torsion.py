@@ -1,9 +1,12 @@
 import random
+from functools import reduce
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairloc.ideals import Ideal, MonomialIdeal, colon, in_radical
+import pairloc.torsion
+from pairloc.cli import torsion_witnesses
+from pairloc.ideals import FacePrime, Ideal, MonomialIdeal, colon, in_radical
 from pairloc.ring import Polynomial
 from pairloc.samples import random_monomial_context, standard_ring
 from pairloc.support import PairSpec, w_member
@@ -132,11 +135,12 @@ def test_gamma_member_splits_over_terms():
 def test_witness_kinds_present():
     r = ring("xyz")
     x, y, z = variables(r)
-    res = gamma_monomial(_ctx(r, (x,), (y,), (x * x * y,)))
-    assert all(kind == "radical-membership" for _, kind in res.witnesses)
+    ctx = _ctx(r, (x,), (y,), (x * x * y,))
+    res = gamma_monomial(ctx)
+    witnesses = torsion_witnesses(ctx.K, res.L, r)
+    assert set(witnesses.values()) == {"radical-membership"}
     # every minimal generator of L carries a witness
-    witnessed = {e for e, _ in res.witnesses}
-    assert set(res.L.gens) <= witnessed
+    assert {str(Polynomial.monomial(r, g)) for g in res.L.gens} <= set(witnesses)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,3 +160,79 @@ def test_gamma_member_monomial_annihilator_matches_colon(seed):
     ann = colon(ctx.K, Ideal(r, (rem,)))
     assert ann == ctx.K.as_monomial().colon_monomial(rem.leading_exp()).to_ideal(r)
     assert gamma_member(x, ctx) == in_radical(ctx.pair.I, ann + ctx.pair.J)
+
+
+def _monomial_ctx(r, I, J, K):
+    n = r.nvars
+    return PairContext(PairSpec(MonomialIdeal.from_exps(n, I).to_ideal(r),
+                                MonomialIdeal.from_exps(n, J).to_ideal(r)),
+                       MonomialIdeal.from_exps(n, K).to_ideal(r))
+
+
+def _ass_in_w(ctx):
+    return tuple(p for p in ass_monomial(ctx.K.as_monomial())
+                 if w_member(p.to_ideal(ctx.ring), ctx.pair))
+
+
+@st.composite
+def _monomial_data(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    exps = st.lists(st.tuples(*[st.integers(min_value=0, max_value=4)] * n), max_size=3)
+    return n, draw(exps.filter(bool)), draw(exps), draw(exps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_data())
+@example((3, [(1, 0, 0)], [(0, 1, 0)], []))                          # K = 0
+@example((3, [(1, 0, 0)], [(0, 1, 0)], [(0, 0, 0)]))                 # K = (1)
+@example((3, [(1, 1, 0)], [], [(2, 1, 0), (0, 2, 3)]))               # J = 0
+@example((3, [(2, 1, 0), (0, 0, 3)], [(1, 0, 0), (0, 0, 2)], [(1, 2, 0)]))  # I ⊆ √J
+def test_decomposition_route_matches_box_oracles(data):
+    n, I, J, K = data
+    r = standard_ring(n)
+    ctx = _monomial_ctx(r, I, J, K)
+    Km = ctx.K.as_monomial()
+    L = gamma_monomial(ctx).L
+    assert L == gamma_minprime_oracle(ctx).L == gamma_colimit_oracle(ctx).L
+    assert ass_gamma(ctx) == _ass_in_w(ctx)
+
+    components = Km.irreducible_components()
+    assert reduce(MonomialIdeal.intersect, components, MonomialIdeal.unit(n)) == Km
+    for Q in components:
+        assert all(sum(1 for e in g if e) == 1 for g in Q.gens)
+        assert not any(P != Q and all(Q.contains(g) for g in P.gens) for P in components)
+    radicals = {p for Q in components for p in Q.min_primes()}
+    assert tuple(sorted(radicals, key=FacePrime.sort_token)) == ass_monomial(Km)
+
+
+def test_production_routes_walk_no_box(monkeypatch):
+    # x, y, z -> x^2, y^2, z^2 is flat and keeps every support, so it maps the
+    # torsion lift onto the lift of the image and keeps Ass and torsion-ness:
+    # the box oracles answer the small context, and the doubled one is checked
+    # against the image of those answers
+    r = standard_ring(5)
+    I, J = [(1, 0, 0, 0, 0), (0, 0, 0, 1, 0)], [(0, 1, 0, 0, 0)]
+    small = [(4, 1, 0, 0, 1), (0, 4, 2, 0, 0), (1, 0, 4, 3, 0),
+             (0, 0, 1, 2, 4), (3, 0, 0, 0, 2)]
+
+    def double(e):
+        return tuple(2 * a if i < 3 else a for i, a in enumerate(e))
+
+    ctx_small = _monomial_ctx(r, I, J, small)
+    ctx = _monomial_ctx(r, I, J, [double(g) for g in small])
+    want_L = MonomialIdeal.from_exps(
+        5, [double(g) for g in gamma_minprime_oracle(ctx_small).L.gens])
+    want_ass = _ass_in_w(ctx_small)
+    want_torsion = is_torsion(ctx_small)
+    box = 1
+    for e in ctx.K.as_monomial().max_exponents():
+        box *= e + 1
+    assert box >= 14580
+
+    def walk(e):
+        raise AssertionError("a production route walked the exponent box")
+
+    monkeypatch.setattr(pairloc.torsion, "_box", walk)
+    assert gamma_monomial(ctx).L == want_L
+    assert ass_gamma(ctx) == want_ass
+    assert is_torsion(ctx) == want_torsion
