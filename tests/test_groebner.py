@@ -206,6 +206,17 @@ _SYSTEMS = {
                             "2*a*b + 2*b*c + 2*c*d + 2*d*e - b",
                             "b^2 + 2*a*c + 2*b*d + 2*c*e - c",
                             "2*b*c + 2*a*d + 2*b*e - d"]),
+    "cyclic-5": ("abcde", ["a + b + c + d + e",
+                           "a*b + b*c + c*d + d*e + a*e",
+                           "a*b*c + b*c*d + c*d*e + a*d*e + a*b*e",
+                           "a*b*c*d + b*c*d*e + a*c*d*e + a*b*d*e + a*b*c*e",
+                           "a*b*c*d*e - 1"]),
+    "katsura-5": ("abcdef", ["a + 2*b + 2*c + 2*d + 2*e + 2*f - 1",
+                             "a^2 + 2*b^2 + 2*c^2 + 2*d^2 + 2*e^2 + 2*f^2 - a",
+                             "2*a*b + 2*b*c + 2*c*d + 2*d*e + 2*e*f - b",
+                             "b^2 + 2*a*c + 2*b*d + 2*c*e + 2*d*f - c",
+                             "2*b*c + 2*a*d + 2*b*e + 2*c*f - d",
+                             "c^2 + 2*b*d + 2*a*e + 2*b*f - e"]),
 }
 
 
