@@ -1,23 +1,37 @@
 """Polynomial reduction and Buchberger's algorithm.
 
 `normal_form` reduces into one mutable term dict whose terms are visited
-greatest first through a heap; each polynomial's leading exponent is computed
-once (`Polynomial.leading_exp`).  Buchberger pops S-pairs from a heap keyed
-by (sort key of the lcm of the leading monomials, pair), which is the normal
-strategy with ties broken by the pair; the coprime and chain criteria prune
-pairs, and the final basis is interreduced in one pass.  Inputs are sorted
-before processing and every iteration order is fixed, so output is
-deterministic for a fixed ring, order, and generator set.
+greatest first through a heap; each polynomial's leading exponent and
+reducer entry are computed once (`Polynomial.leading_exp`,
+`Polynomial.reducer`).  Over QQ the reduction runs on primitive integer
+polynomials: a term is cancelled by pseudo-reduction (the live terms are
+multiplied by the divisor's leading coefficient over a gcd, never divided
+by it) and the content is divided out after each such step (Becker and
+Weispfenning, *Groebner Bases*, §5.3 and §10.1).  One rational scale, kept
+as two integers, turns each remainder term back into its exact Fraction.
+Over GF(p) the same loop runs with monic divisors and no rescaling.
+
+Buchberger pops S-pairs from a heap keyed by (sort key of the lcm of the
+leading monomials, pair), which is the normal strategy with ties broken by
+the pair; the coprime and chain criteria prune pairs, and the final basis is
+interreduced in one pass.  It keeps its basis as primitive integer
+polynomials over QQ (monic ones over GF(p)) and makes only the reduced basis
+it returns monic.  So every basis it returns, and every `normal_form` and
+`s_polynomial` of Fraction polynomials, holds Fraction coefficients.  Inputs
+are sorted before processing and every iteration order is fixed, so output
+is deterministic for a fixed ring, order, and generator set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import add, le, sub
 
 from .errors import RingMismatchError
-from .ring import Polynomial, RingSpec, _check_exp
+from .ring import Polynomial, RingSpec, _check_exp, integer_terms
 
 
 def _divides(a, b):
@@ -41,22 +55,29 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     leading term divides it; terms live in one dict, ordered by a heap over
     the ring's descending key, and a cancelled term's heap entry is skipped
     when it surfaces.
+
+    Each basis element reduces through its `Polynomial.reducer` entry
+    (e, a, tail).  Over QQ the live terms are integers, num/den times those
+    of the exact remainder: a term c*x^s is reduced by d = gcd(a, c), which
+    multiplies the live terms by a/d, adds (c/d)*x^(s-e)*tail and then
+    divides out their content.  A term that reaches the remainder is scaled
+    back then, so the result is the exact remainder, with Fraction
+    coefficients.  Over GF(p), a = 1 and no term is ever rescaled.
     """
     basis = [g for g in basis if not g.is_zero()]
     for g in basis:
         if g.ring != f.ring:
             raise RingMismatchError("basis over a different ring")
-    if not basis:
+    if not basis or not f.terms:
         return f
     ring = f.ring
     char = ring.char
     key = ring.desc_key
-    divisors = []  # (leading exponent, inverse leading coefficient, other terms)
-    for g in basis:
-        lexp = g.leading_exp()
-        divisors.append((lexp, ring.coeff_inv(g.terms[lexp]),
-                         [(e, c) for e, c in g.terms.items() if e != lexp]))
-    terms = dict(f.terms)
+    divisors = [g.reducer() for g in basis]
+    if char:
+        terms = dict(f.terms)
+    else:
+        terms, num, den = integer_terms(f.terms)
     heap = [(key(e), e) for e in terms]
     heapify(heap)
     remainder = {}
@@ -65,43 +86,59 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         c = terms.pop(exp, None)
         if c is None:
             continue
-        for lexp, inv, tail in divisors:
+        for lexp, a, tail in divisors:
             if _divides(lexp, exp):
                 break
         else:
-            remainder[exp] = c
+            remainder[exp] = c if char else Fraction(c * den, num)
             continue
-        # terms -= (c / lc) * x^(exp - lexp) * g; its leading term cancels c
+        # a * terms - c * x^(exp - lexp) * g, over gcd(a, c); its leading term cancels c
+        scale = 1
+        if a != 1:
+            d = gcd(a, c)
+            scale, c = a // d, c // d
+            if scale != 1:
+                num *= scale
+                for e in terms:
+                    terms[e] *= scale
         shift = _exp_sub(exp, lexp)
-        m = (-c * inv) % char if char else -c * inv
         for e, gc in tail:
             e = _check_exp(tuple(map(add, e, shift)))
             old = terms.get(e)
             if old is None:
-                terms[e] = gc * m % char if char else gc * m
+                terms[e] = gc * c % char if char else gc * c
                 heappush(heap, (key(e), e))
             else:
-                s = (old + gc * m) % char if char else old + gc * m
+                s = (old + gc * c) % char if char else old + gc * c
                 if s:
                     terms[e] = s
                 else:
                     del terms[e]
+        if scale != 1:
+            content = gcd(*terms.values())
+            if content > 1:
+                den *= content
+                for e in terms:
+                    terms[e] //= content
+                common = gcd(num, den)
+                num //= common
+                den //= common
     return Polynomial(ring, remainder, _normalized=True)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """x^(L - lead f) f / lc(f) - x^(L - lead g) g / lc(g), L the lcm of the
-    leading monomials; the leading terms cancel and are never formed."""
+    """lc(g) x^(L - lead f) f - lc(f) x^(L - lead g) g, L the lcm of the
+    leading monomials; the leading terms cancel and are never formed.  For
+    monic f and g this is the usual S-polynomial; it holds Fractions over QQ
+    when f and g do, and integers when they do."""
     if g.ring != f.ring:
         raise RingMismatchError("operands over different rings")
-    ring = f.ring
-    char = ring.char
+    char = f.ring.char
     ef, eg = f.leading_exp(), g.leading_exp()
     lcm = _exp_lcm(ef, eg)
     terms = {}
-    for p, lead, sign in ((f, ef, 1), (g, eg, -1)):
+    for p, lead, m in ((f, ef, g.terms[eg]), (g, eg, -f.terms[ef])):
         shift = _exp_sub(lcm, lead)
-        m = sign * ring.coeff_inv(p.terms[lead])
         for e, c in p.terms.items():
             if e != lead:
                 e = _check_exp(tuple(map(add, e, shift)))
@@ -112,7 +149,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
                     terms[e] = s
                 else:
                     del terms[e]
-    return Polynomial(ring, terms, _normalized=True)
+    return Polynomial(f.ring, terms, _normalized=True)
 
 
 @dataclass(frozen=True)
@@ -135,23 +172,37 @@ class GroebnerBasis:
         return not self.generators
 
 
+def _primitive(p):
+    """Over QQ, the multiple of nonzero p with coprime integer coefficients
+    (ints) and a positive leading coefficient; over GF(p), the monic one."""
+    if p.ring.char:
+        return p.monic()
+    terms = integer_terms(p.terms)[0]
+    if terms[p.leading_exp()] < 0:
+        terms = {e: -c for e, c in terms.items()}
+    return Polynomial(p.ring, terms, _normalized=True)
+
+
 def _interreduce(basis):
-    """The reduced Groebner basis from a monic Groebner basis, in one pass.
+    """The reduced Groebner basis from a Groebner basis, in one pass.
 
     Elements whose leading exponent is divisible by another's (the earlier
     one, on a tie) are dropped; each remaining element is then reduced once
-    against the others, which leaves its leading term alone."""
+    against the others, which leaves its leading term alone, and made
+    monic."""
     leads = [g.leading_exp() for g in basis]
     kept = [g for i, g in enumerate(basis)
             if not any(j != i and _divides(lj, leads[i]) and (j < i or lj != leads[i])
                        for j, lj in enumerate(leads))]
-    return [normal_form(g, kept[:i] + kept[i + 1:]) for i, g in enumerate(kept)]
+    return [normal_form(g, kept[:i] + kept[i + 1:]).monic() for i, g in enumerate(kept)]
 
 
 def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    The zero ideal yields an empty basis.
+    The zero ideal yields an empty basis.  While it runs, the basis is kept
+    as `_primitive` polynomials: primitive integer ones over QQ, monic ones
+    over GF(p).  Only the reduced basis it returns is made monic.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -167,6 +218,7 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
     # ties go by the terms, not by the set's order, which follows string hashing
     G = sorted({g.monic() for g in gens},
                key=lambda p: (key(p.leading_exp()), sorted(p.terms.items())))
+    G = [_primitive(g) for g in G]
     leads = [g.leading_exp() for g in G]
 
     # live pairs, and the same pairs in a heap by (sort key of lcm, pair)
@@ -202,7 +254,7 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
         r = normal_form(s_polynomial(G[i], G[j]), G)
         if r.is_zero():
             continue
-        r = r.monic()
+        r = _primitive(r)
         G.append(r)
         leads.append(r.leading_exp())
         add_pairs(len(G) - 1)

@@ -15,11 +15,13 @@ check the support rule against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add
 
-from .errors import PreconditionError, RingMismatchError
+from .errors import InternalError, PreconditionError, RingMismatchError
 from .groebner import GroebnerBasis, buchberger, normal_form, _divides, _exp_sub, _exp_lcm
-from .ring import Polynomial, RingSpec, elimination
+from .ring import Polynomial, RingSpec, _check_exp, elimination, integer_terms
 
 _gb_cache = {}
 _radical_cache = {}
@@ -208,19 +210,47 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
 
 
 def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient f/b; a nonzero remainder signals an internal bug upstream."""
+    """Quotient f/b, by long division on one term dict through b's reducer
+    entry (integers over QQ); a nonzero remainder is a bug upstream and
+    raises `InternalError`."""
     ring = f.ring
-    q = Polynomial.zero(ring)
-    lb, cb = b.leading_term()
-    p = f
-    while not p.is_zero():
-        exp, c = p.leading_term()
-        if not _divides(lb, exp):
-            raise ArithmeticError("exact division failed; inexact dividend")
-        t = Polynomial.monomial(ring, _exp_sub(exp, lb), c * ring.coeff_inv(cb))
-        q = q + t
-        p = p - t * b
-    return q
+    char = ring.char
+    if f.is_zero():
+        return f
+    lead, a, tail = b.reducer()
+    # live terms are num/den times those of f - q*b; b is lc(b)/a times a*x^lead - tail
+    if char:
+        terms, num, den = dict(f.terms), 1, 1
+    else:
+        terms, num, den = integer_terms(f.terms)
+    key = ring.desc_key
+    heap = [(key(e), e) for e in terms]
+    heapify(heap)
+    quotient = {}
+    while heap:
+        exp = heappop(heap)[1]
+        c = terms.pop(exp, None)
+        if c is None:
+            continue
+        if not _divides(lead, exp) or c % a:
+            raise InternalError("exact division failed; inexact dividend")
+        c //= a
+        shift = _exp_sub(exp, lead)
+        quotient[shift] = c
+        for e, bc in tail:
+            e = _check_exp(tuple(map(add, e, shift)))
+            s = terms.get(e, 0) + bc * c
+            if char:
+                s %= char
+            if s:
+                if e not in terms:
+                    heappush(heap, (key(e), e))
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    factor = ring.coeff(a * den) * ring.coeff_inv(b.terms[lead] * num)
+    return Polynomial(ring, {e: c * factor % char if char else c * factor
+                             for e, c in quotient.items()}, _normalized=True)
 
 
 def _over_generators(A: Ideal, B: Ideal, part) -> Ideal:

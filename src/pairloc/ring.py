@@ -3,6 +3,12 @@
 Polynomials are immutable maps from exponent vectors (tuples of checked
 nonnegative machine integers) to nonzero field scalars.  Coefficients over QQ
 are `fractions.Fraction` (always reduced); over GF(p) they are ints in [0, p).
+Reduction over QQ runs on integers instead: `integer_terms` clears
+denominators and content, and `Polynomial.reducer` keeps a polynomial's
+primitive integer multiple for `groebner.normal_form`.  The only polynomials
+over QQ with int coefficients are the primitive basis elements that
+`groebner.buchberger` keeps while it runs, and their S-polynomials; every
+basis it returns and every normal form holds Fractions.
 Monomial orders (lex, grevlex, elimination blocks) are attached to the ring
 and realized as sort keys, so "greater monomial" means "greater sort key".
 """
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
+from math import gcd, lcm
 from operator import neg
 
 from .errors import ExponentOverflowError, ParseError, PreconditionError, RingMismatchError
@@ -150,13 +157,26 @@ def _check_exp(exp):
     return exp
 
 
+def integer_terms(terms):
+    """(P, num, den) for a nonempty map from exponents to rationals (Fractions
+    or ints): P = terms * num/den maps the same exponents to integers whose
+    gcd is 1, and num, den are positive."""
+    common = lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (common // c.denominator) for e, c in terms.items()}
+    content = gcd(*ints.values())
+    if content != 1:
+        ints = {e: v // content for e, v in ints.items()}
+    return ints, common, content
+
+
 class Polynomial:
     """An exact polynomial: immutable, hashable, canonical (no zero terms).
 
-    The leading exponent is computed at most once and kept in `_lead`.
+    The leading exponent is computed at most once and kept in `_lead`; the
+    reducer entry likewise in `_entry`.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lead")
+    __slots__ = ("ring", "terms", "_hash", "_lead", "_entry")
 
     def __init__(self, ring: RingSpec, terms: dict, _normalized=False):
         self.ring = ring
@@ -171,6 +191,7 @@ class Polynomial:
             self.terms = clean
         self._hash = None
         self._lead = None
+        self._entry = None
 
     # -- constructors ------------------------------------------------------
 
@@ -233,6 +254,28 @@ class Polynomial:
                 raise ValueError("zero polynomial has no leading term")
             exp = self._lead = min(self.terms, key=self.ring.desc_key)
         return exp
+
+    def reducer(self):
+        """(e, a, tail), computed once, with which `groebner.normal_form`
+        reduces by this nonzero polynomial: e is the leading exponent, and the
+        polynomial is a scalar multiple of a*x^e - sum(c*x^t for t, c in tail).
+        Over GF(p), a = 1 (the tail is scaled by the inverse leading
+        coefficient); over QQ, a > 0 and a and the c are integers with gcd 1."""
+        entry = self._entry
+        if entry is None:
+            lead = self.leading_exp()
+            char = self.ring.char
+            if char:
+                m = char - pow(self.terms[lead], -1, char)
+                terms, a = self.terms, 1
+            else:
+                terms = integer_terms(self.terms)[0]
+                a = terms[lead]
+                m = -1 if a > 0 else 1
+                a = abs(a)
+            tail = [(e, c * m % char if char else c * m) for e, c in terms.items() if e != lead]
+            entry = self._entry = (lead, a, tail)
+        return entry
 
     def monic(self):
         if not self.terms:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,52 @@ def test_normal_form_matches_copying_reference(seed, char, order):
                    for exp in nf.terms for lead in leads)
     if nf:
         assert nf.leading_exp() == max(nf.terms, key=r.sort_key)
+
+
+def _rational_polynomial(rng, r, max_degree, max_terms, min_degree=0):
+    """Nonzero, with coefficients p/q for |p| <= 10^6 and 2 <= q <= 97, so
+    that most are not integers and the leading one is far from 1."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        degree = rng.randint(min_degree, max_degree)
+        exp = [0] * r.nvars
+        for _ in range(degree):
+            exp[rng.randrange(r.nvars)] += 1
+        terms[tuple(exp)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6),
+                                     rng.randint(2, 97))
+    return Polynomial(r, terms)
+
+
+def _all_fractions(p):
+    return all(type(c) is Fraction for c in p.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([LEX, GREVLEX, elimination(1, 2)]))
+def test_integer_reduction_over_qq_is_exact(seed, order):
+    rng = random.Random(seed)
+    r = RingSpec(0, ("x", "y", "z"), order)
+    basis = [_rational_polynomial(rng, r, 3, 3) for _ in range(rng.randint(1, 4))]
+    f = _rational_polynomial(rng, r, 5, 8)
+    if rng.random() < 0.5:  # give f a part that lies in the ideal
+        f = f + basis[0] * _rational_polynomial(rng, r, 2, 3)
+    nf = normal_form(f, basis)
+    assert nf == _reference_normal_form(f, basis)
+    assert _all_fractions(nf)
+    assert _all_fractions(s_polynomial(basis[0], basis[-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_integer_buchberger_over_qq_matches_sympy(seed):
+    rng = random.Random(seed)
+    r = standard_ring(3)
+    # no constant terms, so that the ideal is proper
+    gens = [_rational_polynomial(rng, r, 3, 4, min_degree=1) for _ in range(rng.randint(2, 3))]
+    gb = buchberger(gens).generators
+    assert all(map(_all_fractions, gb))
+    assert set(gb) == _sympy_groebner(gens, r)
 
 
 def test_reduction_past_the_exponent_limit_raises():

@@ -1,15 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairloc.errors import PreconditionError
+from pairloc.errors import InternalError, PreconditionError
 from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, colon,
-                            dim_quotient, in_radical, intersect,
+                            dim_quotient, exact_divide, in_radical, intersect,
                             radical_member, radical_member_groebner, saturate)
 from pairloc.ring import Polynomial
-from pairloc.samples import random_monomial_ideal, standard_ring
+from pairloc.samples import random_monomial_ideal, random_polynomial, standard_ring
 
 from conftest import pp, ring, variables
 
@@ -25,6 +26,31 @@ def test_colon_example():
     r = ring("xyz")
     x, y, z = variables(r)
     assert colon(Ideal(r, (x * x * y,)), Ideal(r, (y,))) == Ideal(r, (x * x,))
+
+
+def test_exact_divide_of_an_inexact_dividend_is_an_internal_error():
+    r = ring("x")
+    (x,) = variables(r)
+    with pytest.raises(InternalError):
+        exact_divide(x + Polynomial.one(r), x)
+    with pytest.raises(InternalError):  # x^3 is divisible by x^2, not by 2*x^2 + x
+        exact_divide(x ** 3, pp(r, "2*x^2 + x"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([0, 32003]))
+def test_exact_divide_recovers_a_factor(seed, char):
+    rng = random.Random(seed)
+    r = standard_ring(3, char)
+    a, b = (random_polynomial(rng, r, max_degree=3, max_terms=4) for _ in range(2))
+    if b.is_zero():
+        return
+    if char == 0:  # non-integral coefficients, and a leading one far from 1
+        b = b.scale(Fraction(rng.randint(1, 10 ** 6), rng.randint(2, 97)))
+    assert exact_divide(a * b, b) == a
+    if b.total_degree() > 0:  # then b does not divide a*b + 1
+        with pytest.raises(InternalError):
+            exact_divide(a * b + Polynomial.one(r), b)
 
 
 def test_saturate_example():
