@@ -57,18 +57,15 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     when it surfaces.
 
     Each basis element reduces through its `Polynomial.reducer` entry
-    (e, a, tail).  Over QQ the live terms are integers, num/den times those
-    of the exact remainder: a term c*x^s is reduced by d = gcd(a, c), which
-    multiplies the live terms by a/d, adds (c/d)*x^(s-e)*tail and then
-    divides out their content.  A term that reaches the remainder is scaled
-    back then, so the result is the exact remainder, with Fraction
-    coefficients.  Over GF(p), a = 1 and no term is ever rescaled.
+    (e, a, tail).  Over QQ the live terms are integers, num/den times the
+    exact ones, and each term that reaches the remainder is scaled back to
+    its exact Fraction.
     """
     basis = [g for g in basis if not g.is_zero()]
     for g in basis:
         if g.ring != f.ring:
             raise RingMismatchError("basis over a different ring")
-    if not basis or not f.terms:
+    if not f.terms:
         return f
     ring = f.ring
     char = ring.char
@@ -172,17 +169,6 @@ class GroebnerBasis:
         return not self.generators
 
 
-def _primitive(p):
-    """Over QQ, the multiple of nonzero p with coprime integer coefficients
-    (ints) and a positive leading coefficient; over GF(p), the monic one."""
-    if p.ring.char:
-        return p.monic()
-    terms = integer_terms(p.terms)[0]
-    if terms[p.leading_exp()] < 0:
-        terms = {e: -c for e, c in terms.items()}
-    return Polynomial(p.ring, terms, _normalized=True)
-
-
 def _interreduce(basis):
     """The reduced Groebner basis from a Groebner basis, in one pass.
 
@@ -201,8 +187,8 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     The zero ideal yields an empty basis.  While it runs, the basis is kept
-    as `_primitive` polynomials: primitive integer ones over QQ, monic ones
-    over GF(p).  Only the reduced basis it returns is made monic.
+    as `Polynomial.primitive` polynomials: primitive integer ones over QQ,
+    monic ones over GF(p).  Only the reduced basis it returns is made monic.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -218,7 +204,7 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
     # ties go by the terms, not by the set's order, which follows string hashing
     G = sorted({g.monic() for g in gens},
                key=lambda p: (key(p.leading_exp()), sorted(p.terms.items())))
-    G = [_primitive(g) for g in G]
+    G = [g.primitive() for g in G]
     leads = [g.leading_exp() for g in G]
 
     # live pairs, and the same pairs in a heap by (sort key of lcm, pair)
@@ -254,7 +240,7 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
         r = normal_form(s_polynomial(G[i], G[j]), G)
         if r.is_zero():
             continue
-        r = _primitive(r)
+        r = r.primitive()
         G.append(r)
         leads.append(r.leading_exp())
         add_pairs(len(G) - 1)

@@ -277,10 +277,27 @@ class Polynomial:
             entry = self._entry = (lead, a, tail)
         return entry
 
+    def primitive(self):
+        """The polynomial a*x^e - sum(c*x^t for t, c in tail) that this
+        nonzero one's `reducer` entry (e, a, tail) describes: the monic
+        multiple over GF(p); over QQ the multiple with coprime integer
+        coefficients and a > 0.  Over QQ those coefficients are ints, not
+        Fractions: it is the form `groebner.buchberger` keeps its basis in
+        while it runs, and never returns."""
+        lead, a, tail = entry = self.reducer()
+        char = self.ring.char
+        terms = {lead: a}
+        terms.update((e, char - c if char else -c) for e, c in tail)
+        out = Polynomial(self.ring, terms, _normalized=True)
+        out._lead, out._entry = lead, entry
+        return out
+
     def monic(self):
         if not self.terms:
             return self
         lead = self.leading_exp()
+        if self.terms[lead] == 1:
+            return self
         inv = self.ring.coeff_inv(self.terms[lead])
         char = self.ring.char
         out = Polynomial(self.ring, {e: (v * inv) % char if char else v * inv
