@@ -10,6 +10,9 @@ Every subcommand prints a single JSON object with the fields schemaVersion,
 command, inputs (echoed in canonical form), result, witnesses, citations, and
 timings (suppressed by --no-timings so output is byte-reproducible).
 Exit codes: 0 success, 2 precondition/parse error, 1 internal error.
+
+A subcommand is one row of `COMMANDS`: its handler, the citation tag its
+reports carry and its argparse arguments; adding a subcommand adds one row.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .betti import INFINITY, depth_at_face, depth_quotient, hochster_betti, koszul_tor
 from .cech import build_cech, collapse, position_zero_kernel
@@ -36,32 +40,6 @@ from .support import PairSpec, s_certificate, w_member, wtilde_member
 from .torsion import PairContext, _box, gamma_member, gamma_monomial, is_torsion
 
 SCHEMA_VERSION = 1
-
-CITATIONS = {
-    "gb": ["groebner-basis"],
-    "member": ["ideal-membership"],
-    "radical-member": ["radical-membership-by-auxiliary-variable"],
-    "intersect": ["ideal-intersection-by-elimination"],
-    "colon": ["ideal-quotient"],
-    "saturate": ["ideal-saturation"],
-    "dim": ["krull-dimension-of-quotient"],
-    "w-member": ["support-family-membership"],
-    "wtilde-member": ["ideal-family-membership"],
-    "s-certificate": ["multiplicative-set-witness"],
-    "gamma": ["pair-torsion-submodule"],
-    "gamma-member": ["pair-torsion-membership"],
-    "is-torsion": ["minimal-primes-support-criterion"],
-    "depth": ["depth-via-projective-dimension"],
-    "depth-at-face": ["depth-at-face-prime"],
-    "betti": ["multigraded-betti-numbers"],
-    "pair-depth": ["depth-infimum-over-support"],
-    "bounds": ["vanishing-dimension-bounds"],
-    "top-degree": ["top-nonvanishing-degree"],
-    "lh": ["generalized-lichtenbaum-hartshorne"],
-    "ara-bound": ["arithmetic-rank-bound"],
-    "cech": ["generalized-cech-skeleton"],
-    "check": ["property-suite"],
-}
 
 
 @dataclass
@@ -119,11 +97,6 @@ def parse_session(text: str) -> Session:
     return Session(ring, bindings)
 
 
-def load_session(path) -> Session:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_session(fh.read())
-
-
 # -- serialization ------------------------------------------------------------
 
 def ideal_json(A: Ideal):
@@ -153,11 +126,6 @@ def torsion_witnesses(K: Ideal, L, ring):
             if L.contains(b) and not Km.contains(b)}
 
 
-def _parse_face(session, var_list) -> FacePrime:
-    names = [v.strip() for v in var_list.split(",") if v.strip()]
-    return FacePrime(frozenset(session.ring.var_index(v) for v in names))
-
-
 # -- command implementations --------------------------------------------------
 
 def _ctx(session, args) -> PairContext:
@@ -171,45 +139,39 @@ def cmd_gb(session, args):
     return {"generators": [str(g) for g in gb.generators]}, {}
 
 
-def cmd_member(session, args):
-    A = session.ideal(args.ideal)
-    f = parse_polynomial(session.ring, args.f)
-    return {"member": A.member(f)}, {}
+def _element_test(test):
+    """Handler printing whether test(f, A) holds for -f and the ideal A = --ideal."""
+    def handler(session, args):
+        A = session.ideal(args.ideal)
+        return {"member": test(parse_polynomial(session.ring, args.f), A)}, {}
+    return handler
 
 
-def cmd_radical_member(session, args):
-    A = session.ideal(args.ideal)
-    f = parse_polynomial(session.ring, args.f)
-    return {"member": radical_member(f, A)}, {}
+def _ideal_op(op):
+    """Handler printing the generators of op(a, b)."""
+    def handler(session, args):
+        A, B = session.ideal(args.a), session.ideal(args.b)
+        return {"generators": ideal_json(op(A, B))}, {}
+    return handler
 
 
-def cmd_intersect(session, args):
-    return {"generators": ideal_json(intersect(session.ideal(args.a),
-                                               session.ideal(args.b)))}, {}
-
-
-def cmd_colon(session, args):
-    return {"generators": ideal_json(colon(session.ideal(args.a),
-                                           session.ideal(args.b)))}, {}
-
-
-def cmd_saturate(session, args):
-    return {"generators": ideal_json(saturate(session.ideal(args.a),
-                                              session.ideal(args.b)))}, {}
+def _pair_query(query, key):
+    """Handler printing query(context) under result key `key`."""
+    def handler(session, args):
+        return {key: query(_ctx(session, args))}, {}
+    return handler
 
 
 def cmd_dim(session, args):
     return {"dim": dim_quotient(session.ideal(args.ideal))}, {}
 
 
-def cmd_w_member(session, args):
-    pair = PairSpec(session.ideal(args.I), session.ideal(args.J))
-    return {"member": w_member(session.ideal(args.p), pair)}, {}
-
-
-def cmd_wtilde_member(session, args):
-    pair = PairSpec(session.ideal(args.I), session.ideal(args.J))
-    return {"member": wtilde_member(session.ideal(args.a), pair)}, {}
+def _family_test(test, name):
+    """Handler printing whether test(A, (I, J)) holds for the ideal A = --name."""
+    def handler(session, args):
+        pair = PairSpec(session.ideal(args.I), session.ideal(args.J))
+        return {"member": test(session.ideal(getattr(args, name)), pair)}, {}
+    return handler
 
 
 def cmd_s_certificate(session, args):
@@ -238,10 +200,6 @@ def cmd_gamma_member(session, args):
     return {"member": gamma_member(f, _ctx(session, args))}, {}
 
 
-def cmd_is_torsion(session, args):
-    return {"torsion": is_torsion(_ctx(session, args))}, {}
-
-
 def cmd_depth(session, args):
     K = session.ideal(args.K).as_monomial()
     return {"depth": depth_json(depth_quotient(K, session.ring))}, {}
@@ -249,7 +207,8 @@ def cmd_depth(session, args):
 
 def cmd_depth_at_face(session, args):
     K = session.ideal(args.K).as_monomial()
-    face = _parse_face(session, args.vars)
+    face = FacePrime(frozenset(session.ring.var_index(v.strip())
+                               for v in args.vars.split(",") if v.strip()))
     d = depth_at_face(K, session.ring, face)
     return {"depth": depth_json(d),
             "inSupport": d is not None}, {}
@@ -287,18 +246,6 @@ def cmd_bounds(session, args):
     return {"localBound": local, "nonLocalBound": non_local}, {}
 
 
-def cmd_top_degree(session, args):
-    return {"topDegree": top_nonvanishing(_ctx(session, args))}, {}
-
-
-def cmd_lh(session, args):
-    return {"vanishes": lh_vanishes(_ctx(session, args))}, {}
-
-
-def cmd_ara_bound(session, args):
-    return {"bound": ara_upper_bound(_ctx(session, args))}, {}
-
-
 def cmd_cech(session, args):
     ring = session.ring
     elements = [parse_polynomial(ring, piece)
@@ -322,7 +269,19 @@ def cmd_cech(session, args):
     return result, witnesses
 
 
+def _env_seed():
+    value = os.environ.get("PAIRLOC_SEED")
+    if value is None:
+        return DEFAULT_SEED
+    try:
+        return int(value)
+    except ValueError:
+        raise PreconditionError(f"PAIRLOC_SEED must be an integer, got {value!r}") from None
+
+
 def cmd_check(session, args):
+    if args.seed is None:
+        args.seed = _env_seed()  # set on args so the report echoes it
     if args.samples is not None and args.samples < 1:
         raise PreconditionError(f"--samples must be at least 1, got {args.samples}")
     if args.suite == "all":
@@ -333,31 +292,65 @@ def cmd_check(session, args):
     return report, {}
 
 
+class Command(NamedTuple):
+    handler: Callable      # (session, args) -> (result, witnesses)
+    citation: str          # the statement the report rests on
+    arguments: dict        # flag -> argparse keyword arguments
+
+
+_REQUIRED = {"required": True}
+_TWO_IDEALS = {"--a": _REQUIRED, "--b": _REQUIRED}
+_ELEMENT_OF_IDEAL = {"--ideal": _REQUIRED, "-f": _REQUIRED}
+_PAIR = {"--I": _REQUIRED, "--J": _REQUIRED, "--K": {}}
+
+# One row per subcommand, in the order `pairloc --help` lists them.
 COMMANDS = {
-    "gb": cmd_gb,
-    "member": cmd_member,
-    "radical-member": cmd_radical_member,
-    "intersect": cmd_intersect,
-    "colon": cmd_colon,
-    "saturate": cmd_saturate,
-    "dim": cmd_dim,
-    "w-member": cmd_w_member,
-    "wtilde-member": cmd_wtilde_member,
-    "s-certificate": cmd_s_certificate,
-    "gamma": cmd_gamma,
-    "gamma-member": cmd_gamma_member,
-    "is-torsion": cmd_is_torsion,
-    "depth": cmd_depth,
-    "depth-at-face": cmd_depth_at_face,
-    "betti": cmd_betti,
-    "pair-depth": cmd_pair_depth,
-    "bounds": cmd_bounds,
-    "top-degree": cmd_top_degree,
-    "lh": cmd_lh,
-    "ara-bound": cmd_ara_bound,
-    "cech": cmd_cech,
-    "check": cmd_check,
+    "gb": Command(cmd_gb, "groebner-basis", {"--ideal": _REQUIRED}),
+    "member": Command(_element_test(lambda f, A: A.member(f)), "ideal-membership",
+                      _ELEMENT_OF_IDEAL),
+    "radical-member": Command(_element_test(radical_member),
+                              "radical-membership-by-auxiliary-variable", _ELEMENT_OF_IDEAL),
+    "intersect": Command(_ideal_op(intersect), "ideal-intersection-by-elimination", _TWO_IDEALS),
+    "colon": Command(_ideal_op(colon), "ideal-quotient", _TWO_IDEALS),
+    "saturate": Command(_ideal_op(saturate), "ideal-saturation", _TWO_IDEALS),
+    "dim": Command(cmd_dim, "krull-dimension-of-quotient", {"--ideal": _REQUIRED}),
+    "w-member": Command(_family_test(w_member, "p"), "support-family-membership",
+                        {"--p": _REQUIRED, "--I": _REQUIRED, "--J": _REQUIRED}),
+    "wtilde-member": Command(_family_test(wtilde_member, "a"), "ideal-family-membership",
+                             {"--a": _REQUIRED, "--I": _REQUIRED, "--J": _REQUIRED}),
+    "s-certificate": Command(cmd_s_certificate, "multiplicative-set-witness",
+                             {"--p": _REQUIRED, "--element": _REQUIRED, "--J": _REQUIRED,
+                              "--n-max": {"type": int, "default": 4},
+                              "--degree-cap": {"type": int, "default": 2}}),
+    "gamma": Command(cmd_gamma, "pair-torsion-submodule", _PAIR),
+    "is-torsion": Command(_pair_query(is_torsion, "torsion"),
+                          "minimal-primes-support-criterion", _PAIR),
+    "bounds": Command(cmd_bounds, "vanishing-dimension-bounds", _PAIR),
+    "top-degree": Command(_pair_query(top_nonvanishing, "topDegree"),
+                          "top-nonvanishing-degree", _PAIR),
+    "lh": Command(_pair_query(lh_vanishes, "vanishes"),
+                  "generalized-lichtenbaum-hartshorne", _PAIR),
+    "ara-bound": Command(_pair_query(ara_upper_bound, "bound"), "arithmetic-rank-bound", _PAIR),
+    "gamma-member": Command(cmd_gamma_member, "pair-torsion-membership",
+                            {**_PAIR, "-f": _REQUIRED}),
+    "depth": Command(cmd_depth, "depth-via-projective-dimension", {"--K": _REQUIRED}),
+    "depth-at-face": Command(cmd_depth_at_face, "depth-at-face-prime",
+                             {"--K": _REQUIRED, "--vars": _REQUIRED}),
+    "betti": Command(cmd_betti, "multigraded-betti-numbers",
+                     {"--K": _REQUIRED, "--route": {"choices": ["koszul", "simplicial"],
+                                                    "default": "simplicial"}}),
+    "pair-depth": Command(cmd_pair_depth, "depth-infimum-over-support",
+                          {**_PAIR, "--extra": {"action": "append"}}),
+    "cech": Command(cmd_cech, "generalized-cech-skeleton",
+                    {"--elements": {"required": True, "help": "';'-separated polynomials"},
+                     "--J": _REQUIRED, "--K": {}}),
+    "check": Command(cmd_check, "property-suite",
+                     {"--suite": {"required": True, "choices": sorted(SUITES) + ["all"]},
+                      "--samples": {"type": int}, "--seed": {"type": int}}),
 }
+
+# Arguments that name an ideal of the session; the report echoes its generators.
+_IDEAL_ARGUMENTS = ("ideal", "a", "b", "p", "I", "J", "K")
 
 
 def build_parser():
@@ -372,101 +365,47 @@ def build_parser():
         description="Symbolic kernel for torsion functors and local cohomology "
                     "invariants of a pair of ideals.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **arguments):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        for flag, kwargs in arguments.items():
+        for flag, kwargs in command.arguments.items():
             p.add_argument(flag, **kwargs)
-        return p
-
-    add("gb", **{"--ideal": {"required": True}})
-    add("member", **{"--ideal": {"required": True}, "-f": {"required": True, "dest": "f"}})
-    add("radical-member", **{"--ideal": {"required": True}, "-f": {"required": True, "dest": "f"}})
-    for name in ("intersect", "colon", "saturate"):
-        add(name, **{"--a": {"required": True}, "--b": {"required": True}})
-    add("dim", **{"--ideal": {"required": True}})
-    add("w-member", **{"--p": {"required": True}, "--I": {"required": True, "dest": "I"},
-                       "--J": {"required": True, "dest": "J"}})
-    add("wtilde-member", **{"--a": {"required": True}, "--I": {"required": True, "dest": "I"},
-                            "--J": {"required": True, "dest": "J"}})
-    add("s-certificate", **{"--p": {"required": True},
-                            "--element": {"required": True},
-                            "--J": {"required": True, "dest": "J"},
-                            "--n-max": {"type": int, "default": 4, "dest": "n_max"},
-                            "--degree-cap": {"type": int, "default": 2, "dest": "degree_cap"}})
-    for name in ("gamma", "is-torsion", "bounds", "top-degree", "lh", "ara-bound"):
-        add(name, **{"--I": {"required": True, "dest": "I"},
-                     "--J": {"required": True, "dest": "J"},
-                     "--K": {"dest": "K"}})
-    add("gamma-member", **{"--I": {"required": True, "dest": "I"},
-                           "--J": {"required": True, "dest": "J"},
-                           "--K": {"dest": "K"},
-                           "-f": {"required": True, "dest": "f"}})
-    add("depth", **{"--K": {"required": True, "dest": "K"}})
-    add("depth-at-face", **{"--K": {"required": True, "dest": "K"},
-                            "--vars": {"required": True}})
-    add("betti", **{"--K": {"required": True, "dest": "K"},
-                    "--route": {"choices": ["koszul", "simplicial"],
-                                "default": "simplicial"}})
-    add("pair-depth", **{"--I": {"required": True, "dest": "I"},
-                         "--J": {"required": True, "dest": "J"},
-                         "--K": {"dest": "K"},
-                         "--extra": {"action": "append"}})
-    add("cech", **{"--elements": {"required": True,
-                                  "help": "';'-separated polynomials"},
-                   "--J": {"required": True, "dest": "J"},
-                   "--K": {"dest": "K"}})
-    add("check", **{"--suite": {"required": True, "choices": sorted(SUITES) + ["all"]},
-                    "--samples": {"type": int},
-                    "--seed": {"type": int}})
     return parser
 
 
 def _echo_inputs(session, args):
     echoed = {}
-    for key in ("ideal", "a", "b", "p", "I", "J", "K"):
-        name = getattr(args, key, None)
-        if name and session is not None and name in session.bindings:
-            echoed[key] = {"name": name,
-                           "generators": ideal_json(session.bindings[name])}
-    for key in ("f", "element", "elements", "vars", "suite", "samples", "seed",
-                "n_max", "degree_cap", "route", "extra"):
-        value = getattr(args, key, None)
-        if value is not None:
-            echoed[key] = value
+    for flag in COMMANDS[args.command].arguments:
+        key = flag.lstrip("-").replace("-", "_")
+        value = getattr(args, key)
+        if key not in _IDEAL_ARGUMENTS:
+            if value is not None:
+                echoed[key] = value
+        elif value:  # the command has looked every named ideal up
+            echoed[key] = {"name": value, "generators": ideal_json(session.ideal(value))}
     if session is not None:
         echoed["ring"] = str(session.ring)
     return echoed
 
 
-def _env_seed():
-    value = os.environ.get("PAIRLOC_SEED")
-    if value is None:
-        return DEFAULT_SEED
-    try:
-        return int(value)
-    except ValueError:
-        raise PreconditionError(f"PAIRLOC_SEED must be an integer, got {value!r}") from None
-
-
 def main(argv=None, stdout=None, stderr=None):
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
 
     started = time.monotonic()
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _env_seed()
-        session = load_session(args.session) if args.session else None
+        session = None
+        if args.session:
+            with open(args.session, "r", encoding="utf-8") as fh:
+                session = parse_session(fh.read())
         if args.command != "check" and session is None:
             raise PreconditionError("--session is required for this command")
-        result, witnesses = COMMANDS[args.command](session, args)
+        result, witnesses = command.handler(session, args)
     except PairlocError as exc:
         payload = {"schemaVersion": SCHEMA_VERSION, "command": args.command,
                    "error": str(exc),
-                   "citations": CITATIONS.get(args.command, [])}
+                   "citations": [command.citation]}
         print(json.dumps(payload, sort_keys=True), file=stderr)
         return 2
     except Exception as exc:  # internal error
@@ -482,7 +421,7 @@ def main(argv=None, stdout=None, stderr=None):
         "inputs": _echo_inputs(session, args),
         "result": result,
         "witnesses": witnesses,
-        "citations": CITATIONS[args.command],
+        "citations": [command.citation],
     }
     if not args.no_timings:
         report["timings"] = {"seconds": round(time.monotonic() - started, 6)}

@@ -310,19 +310,10 @@ def in_radical(I: Ideal, A: Ideal) -> bool:
 
 
 def dim_quotient(A: Ideal) -> int:
-    """Krull dimension of R/A via a maximal independent set of variables
-    against the leading-term ideal; the unit ideal has dimension -1."""
-    gb = A.groebner()
-    if gb.contains_one():
-        return -1
-    n = A.ring.nvars
-    supports = [frozenset(i for i, e in enumerate(g.leading_exp()) if e) for g in gb]
-    for size in range(n, -1, -1):
-        for S in combinations(range(n), size):
-            sset = set(S)
-            if not any(sup <= sset for sup in supports):
-                return size
-    return 0
+    """Krull dimension of R/A, which is that of R modulo the leading-term
+    ideal of A; the unit ideal has dimension -1."""
+    leading = [g.leading_exp() for g in A.groebner()]
+    return MonomialIdeal.from_exps(A.ring.nvars, leading).dim()
 
 
 # -- monomial combinatorics ---------------------------------------------------
@@ -461,11 +452,18 @@ class MonomialIdeal:
         return tuple(FacePrime(c) for c in _min_covers(self._edges()))
 
     def dim(self) -> int:
+        """Krull dimension of R/self: the size of a largest set of variables
+        containing the support of no generator; -1 for the unit ideal."""
         if self.is_unit():
             return -1
-        if self.is_zero():
-            return self.nvars
-        return self.nvars - min(len(c.vars) for c in self.min_primes())
+        n = self.nvars
+        supports = [frozenset(i for i, e in enumerate(g) if e) for g in self.gens]
+        for size in range(n, 0, -1):
+            for S in combinations(range(n), size):
+                sset = set(S)
+                if not any(sup <= sset for sup in supports):
+                    return size
+        return 0
 
     def assh(self):
         """Minimal primes of maximal dimension (= minimal cover size)."""

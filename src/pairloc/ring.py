@@ -124,9 +124,15 @@ class RingSpec:
     # -- coefficient field -------------------------------------------------
 
     def coeff(self, c):
-        """Normalize an int/Fraction into the coefficient field."""
+        """Normalize an int/Fraction into the coefficient field.  Over GF(p) a
+        Fraction n/d maps to n·d⁻¹, which needs p not to divide d."""
         if self.char == 0:
             return Fraction(c)
+        if isinstance(c, Fraction):
+            if c.denominator % self.char == 0:
+                raise PreconditionError(
+                    f"{c} has no image in GF({self.char}): {self.char} divides its denominator")
+            return c.numerator * pow(c.denominator, -1, self.char) % self.char
         return int(c) % self.char
 
     def coeff_inv(self, c):

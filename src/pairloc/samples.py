@@ -16,24 +16,24 @@ from .torsion import PairContext
 DEFAULT_SEED = 20240917
 
 
-def standard_ring(nvars=3, char=0, names="xyzwvuts"):
-    return RingSpec(char, tuple(names[:nvars]), GREVLEX)
+def standard_ring(nvars=3, char=0):
+    return RingSpec(char, tuple("xyzwvuts"[:nvars]), GREVLEX)
 
 
 def random_exponent(rng: random.Random, nvars, max_exp):
     return tuple(rng.randint(0, max_exp) for _ in range(nvars))
 
 
-def random_monomial_ideal(rng, nvars, max_exp=3, max_gens=3, allow_zero=False,
-                          proper=True) -> MonomialIdeal:
+def random_monomial_ideal(rng, nvars, max_exp=3, max_gens=3,
+                          allow_zero=False) -> MonomialIdeal:
+    """A proper monomial ideal; (0) with probability 0.15 when allow_zero."""
     if allow_zero and rng.random() < 0.15:
         return MonomialIdeal.zero(nvars)
     gens = []
     for _ in range(rng.randint(1, max_gens)):
         e = random_exponent(rng, nvars, max_exp)
-        if proper and not any(e):
-            continue
-        gens.append(e)
+        if any(e):
+            gens.append(e)
     if not gens:
         gens = [tuple(1 if i == 0 else 0 for i in range(nvars))]
     return MonomialIdeal.from_exps(nvars, gens)
@@ -79,15 +79,12 @@ def random_homogeneous_ideal(rng, ring, degree_range=(1, 3), max_gens=3) -> Idea
     return Ideal(ring, gens)
 
 
-def random_monomial_context(rng, ring, max_exp=3, zero_k=False) -> PairContext:
+def random_monomial_context(rng, ring, max_exp=3) -> PairContext:
     n = ring.nvars
     I = random_monomial_ideal(rng, n, max_exp).to_ideal(ring)
     J = (MonomialIdeal.zero(n) if rng.random() < 0.2
          else random_monomial_ideal(rng, n, max_exp)).to_ideal(ring)
-    if zero_k:
-        K = Ideal.zero(ring)
-    else:
-        K = random_monomial_ideal(rng, n, max_exp, allow_zero=True).to_ideal(ring)
+    K = random_monomial_ideal(rng, n, max_exp, allow_zero=True).to_ideal(ring)
     return PairContext(PairSpec(I, J), K)
 
 

@@ -18,6 +18,9 @@ from .errors import InternalError, PreconditionError
 from .ideals import Ideal, in_radical, radical_member
 from .ring import Polynomial
 
+# Combinations `s_certificate` tries, over all powers, before it gives up.
+MAX_COMBINATIONS = 200000
+
 
 @dataclass(frozen=True)
 class PairSpec:
@@ -69,19 +72,18 @@ class SCertificate:
 
 
 def s_certificate(p: Ideal, a: Polynomial, J: Ideal, n_max: int = 4,
-                  coeff_pool=(), degree_cap: int = 2,
-                  max_combinations: int = 200000):
+                  degree_cap: int = 2):
     """Bounded search for an element of the multiplicative set of (a, J)
     lying in p.  Returns the first certificate found in a deterministic scan
     over powers n ≤ n_max and combinations j = Σ c_k·g_k with c_k drawn from
-    {0, ±1} ∪ coeff_pool ∪ monomials of total degree ≤ degree_cap, or None.
+    {0, ±1} ∪ monomials of total degree ≤ degree_cap, or None once the scan
+    has tried MAX_COMBINATIONS combinations.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
     ring = p.ring
     one = Polynomial.one(ring)
     candidates = [Polynomial.zero(ring), one, -one]
-    candidates.extend(coeff_pool)
     for exp in sorted(_exponents_up_to(ring.nvars, degree_cap)):
         if any(exp):
             candidates.append(Polynomial.monomial(ring, exp))
@@ -98,7 +100,7 @@ def s_certificate(p: Ideal, a: Polynomial, J: Ideal, n_max: int = 4,
         a_n = a ** n
         for coeffs in product(pool, repeat=len(gens)):
             combos += 1
-            if combos > max_combinations:
+            if combos > MAX_COMBINATIONS:
                 return None
             j = Polynomial.zero(ring)
             for c, g in zip(coeffs, gens):

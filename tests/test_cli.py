@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -7,6 +8,8 @@ from pairloc import cech
 from pairloc.cli import main, parse_session
 from pairloc.errors import ParseError
 from pairloc.suites import SUITES, run_suite
+
+from test_acceptance import CLI_SCRIPT, HERE
 
 SESSION = """\
 ring QQ[x,y,z] order grevlex
@@ -219,3 +222,24 @@ def test_internal_error_exit_code(session_file, monkeypatch):
     assert code == 1
     assert out == ""
     assert json.loads(err)["internalError"].startswith("InternalError")
+
+
+def test_error_reports_carry_the_golden_citations(tmp_path):
+    # the golden transcript pins successful runs only; in a session without
+    # ideals every scripted command but `check` fails on its first lookup
+    with open(os.path.join(HERE, "golden", "cli_session.jsonl"), encoding="utf-8") as fh:
+        golden = [json.loads(line) for line in fh]
+    assert [report["command"] for report in golden] == [argv[0] for argv in CLI_SCRIPT]
+    path = tmp_path / "session.txt"
+    path.write_text("ring QQ[x,y,z] order grevlex\n")
+    failed = []
+    for argv, report in zip(CLI_SCRIPT, golden):
+        if argv[0] == "check":
+            continue
+        code, out, err = run([*argv, "--session", str(path), "--no-timings"])
+        assert (code, out) == (2, ""), argv
+        payload = json.loads(err)
+        assert "undefined ideal name" in payload["error"], argv
+        assert payload["citations"] == report["citations"], argv
+        failed.append(argv[0])
+    assert len(failed) == len(CLI_SCRIPT) - 1

@@ -164,6 +164,22 @@ def test_monomial_paths_match_groebner_paths(A, B):
     assert A.dim() == dim_quotient(Ai)
 
 
+def _any_monomial_ideals(n):
+    # the empty list is (0); a zero exponent vector makes (1)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    return st.lists(exps, max_size=4).map(lambda gens: MonomialIdeal.from_exps(n, gens))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(_any_monomial_ideals))
+@example(MonomialIdeal.zero(3))
+@example(MonomialIdeal.unit(3))
+@example(MonomialIdeal.from_exps(4, [(1, 0, 1, 0), (0, 1, 0, 2), (0, 0, 3, 1)]))
+def test_monomial_dim_is_nvars_minus_the_smallest_minimal_prime(K):
+    expected = -1 if K.is_unit() else K.nvars - min(len(p.vars) for p in K.min_primes())
+    assert K.dim() == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(mono_ideals, mono)
 def test_radical_membership_matches_support_rule(A, exp):

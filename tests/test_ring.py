@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairloc.errors import ExponentOverflowError, ParseError
+from pairloc.errors import ExponentOverflowError, ParseError, PreconditionError
 from pairloc.ring import (GREVLEX, LEX, Polynomial, RingSpec, elimination,
                           parse_polynomial)
 
@@ -64,6 +64,23 @@ def test_gf_p_arithmetic():
     x, = variables(r)
     assert (x.scale(3) + x.scale(2)).is_zero()
     assert (x * x * x).scale(7) == (x ** 3).scale(2)
+
+
+def test_gf_p_maps_a_fraction_through_the_inverse_denominator():
+    r = ring("x", char=32003)
+    x, = variables(r)
+    assert x.scale(Fraction(3, 7)) == x.scale(13716)  # 7 * 13716 = 3 + 3 * 32003
+    assert Polynomial.constant(r, Fraction(1, 2)) == Polynomial.constant(r, 16002)
+    assert Polynomial.constant(r, Fraction(-5, 1)) == Polynomial.constant(r, 31998)
+
+
+def test_gf_p_refuses_a_fraction_whose_denominator_it_divides():
+    r = ring("x", char=5)
+    x, = variables(r)
+    with pytest.raises(PreconditionError, match="divides its denominator"):
+        x.scale(Fraction(1, 10))
+    with pytest.raises(PreconditionError, match="divides its denominator"):
+        Polynomial.constant(r, Fraction(3, 5))
 
 
 def test_char_must_be_prime():
