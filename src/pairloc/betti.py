@@ -4,11 +4,21 @@ One engine computes every Betti table, projective dimension and depth:
 `hochster_betti` reads the multigraded Betti numbers of R/K from the reduced
 homology of the upper Koszul simplicial complexes K^b, for b in the lcm
 lattice of the minimal generators, in the n variables of the ring and for
-any exponents.  `koszul_tor`, a brute-force Tor computation assembling
-multigraded strands of the Koszul complex on all variables, is the
-independent oracle it is checked against, entry by entry; its homological
-index convention is pinned by that equality, not trusted from transcription.
-`polarize` is kept only to be checked: it must preserve projective dimension.
+any exponents (Miller-Sturmfels, Combinatorial Commutative Algebra,
+Thm 1.34).  Each K^b is generated by one face per generator dividing x^b,
+so its faces are the submasks of a few integer bitmasks.  By Dowker's
+theorem (C. H. Dowker, "Homology groups of relations", Ann. of Math. 56,
+1952) the transposed relation, on the generators, gives a complex with the
+same reduced homology; the engine builds whichever has fewer vertices.  Its
+boundary ranks come from `matrix_rank`, one sparse exact elimination over QQ
+and GF(p).
+
+`koszul_tor`, a brute-force Tor computation assembling multigraded strands
+of the Koszul complex on all variables, is the independent oracle the engine
+is checked against, entry by entry, with its own dense elimination
+(`_dense_rank`); its homological index convention is pinned by that
+equality, not trusted from transcription.  `polarize` is kept only to be
+checked: it must preserve projective dimension.
 
 Depth of the zero module is the infinite sentinel INFINITY; over the graded
 model depth + projective dimension equals the number of variables.
@@ -18,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import gcd
+from operator import le
 
 from .errors import PreconditionError
 from .ideals import FacePrime, MonomialIdeal
@@ -31,7 +43,60 @@ _BOX_LIMIT = 2**20
 # -- exact rank ---------------------------------------------------------------
 
 def matrix_rank(rows, char: int) -> int:
-    """Exact rank of an integer matrix over QQ (char 0) or GF(char)."""
+    """Exact rank over QQ (char 0) or GF(char) of an integer matrix given by
+    sparse rows {column: nonzero int}.
+
+    Each row is reduced against the pivot rows kept so far, by the pivot
+    whose leading (least) column it shares, until it vanishes or leads in a
+    new column and becomes a pivot row itself.  Over GF(char) pivot rows are
+    scaled to lead with 1.  Over QQ the elimination is fraction-free: a
+    pivot leading with -1 or 1 is subtracted as it is; for any other pivot
+    the row is first multiplied by the pivot's leading entry and then
+    divided by its content, so the entries stay small integers.
+    """
+    pivots = {}  # leading column -> pivot row
+    for row in rows:
+        row = {j: v % char for j, v in row.items() if v % char} if char else dict(row)
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                if char:
+                    inv = pow(row[c], -1, char)
+                    row = {j: v * inv % char for j, v in row.items()}
+                pivots[c] = row
+                break
+            _eliminate(row, pivot, c, char)
+    return len(pivots)
+
+
+def _eliminate(row, pivot, c, char):
+    """Clear column c of row with the pivot row leading there, in place."""
+    f, p = row[c], pivot[c]
+    scaled = not char and p != 1 and p != -1
+    if scaled:
+        for j in row:
+            row[j] *= p
+    elif p == -1:
+        f = -f
+    for j, v in pivot.items():
+        x = row.get(j, 0) - f * v
+        if char:
+            x %= char
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    if scaled and row:
+        g = gcd(*row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
+
+
+def _dense_rank(rows, char: int) -> int:
+    """Exact rank of a dense integer matrix over QQ (char 0) or GF(char),
+    the Koszul oracle's own elimination: no production path calls it."""
     A = [list(r) for r in rows]
     A = [r for r in A if any(r)]
     if not A:
@@ -148,7 +213,7 @@ def koszul_tor(K: MonomialIdeal, char: int = 0) -> BettiTable:
                     if T in index:
                         row[index[T]] = -1 if pos % 2 else 1
                 rows.append(row)
-            ranks[i] = matrix_rank(rows, char) if basis[i] and basis[i - 1] else 0
+            ranks[i] = _dense_rank(rows, char) if basis[i] and basis[i - 1] else 0
         for i in range(n + 1):
             beta = len(basis[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0)
             if beta:
@@ -158,49 +223,61 @@ def koszul_tor(K: MonomialIdeal, char: int = 0) -> BettiTable:
 
 # -- upper Koszul complexes (the Betti engine) --------------------------------
 
-def reduced_homology_dims(by_card, char: int = 0):
-    """dim of reduced homology per dimension q >= -1 of a simplicial complex
-    given by its faces grouped by cardinality (the empty face under 0)."""
+def reduced_homology_dims(masks, char: int = 0):
+    """dim of reduced homology per dimension q >= -1 of the simplicial
+    complex generated by the faces `masks`, vertex sets as integer bitmasks
+    ([0] alone generates the complex {∅})."""
+    facets = set(masks)
+    facets = [m for m in facets if not any(m != f and m & f == m for f in facets)]
+    faces = set()
+    for m in facets:
+        sub = m
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & m
+    faces.add(0)
+    by_card = {}
+    for f in faces:
+        by_card.setdefault(f.bit_count(), []).append(f)
     top = max(by_card)
     ranks = {}
     for k in range(1, top + 1):
-        lower = {f: i for i, f in enumerate(by_card.get(k - 1, []))}
         rows = []
-        for f in by_card.get(k, []):
-            row = [0] * len(lower)
-            for pos in range(len(f)):
-                row[lower[f[:pos] + f[pos + 1:]]] = -1 if pos % 2 else 1
+        for f in by_card[k]:
+            row, sign, rest = {}, 1, f
+            while rest:
+                bit = rest & -rest
+                row[f ^ bit] = sign
+                sign, rest = -sign, rest ^ bit
             rows.append(row)
-        ranks[k] = matrix_rank(rows, char) if rows and lower else 0
-    return {k - 1: len(by_card.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        ranks[k] = matrix_rank(rows, char)
+    return {k - 1: len(by_card[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
             for k in range(top + 1)}
 
 
-def _upper_koszul_faces(K: MonomialIdeal, b):
-    """Faces of K^b = {F ⊆ supp b : x^(b-F) ∈ K}, grouped by cardinality,
-    for x^b ∈ K; each face extends a face one smaller."""
+def _upper_koszul_masks(gens, b):
+    """Generating faces of a complex with the reduced homology of K^b, for
+    x^b in K.  With G the generators dividing x^b, K^b is generated by the
+    sets {i in supp b : g_i < b_i} for g in G; by Dowker's theorem the
+    transposed relation, {g in G : g_i < b_i} for i in supp b, generates
+    {S ⊆ G : lcm(S) != b}, which has the same reduced homology.  The side
+    with fewer vertices is returned."""
+    below = [g for g in gens if all(map(le, g, b))]
     supp = [i for i, e in enumerate(b) if e]
-    by_card = {0: [()]}
-    level = [()]
-    while level:
-        bigger = []
-        for F in level:
-            for j in supp:
-                if F and j <= F[-1]:
-                    continue
-                G = F + (j,)
-                if K.contains(tuple(e - (i in G) for i, e in enumerate(b))):
-                    bigger.append(G)
-        if bigger:
-            by_card[len(bigger[0])] = bigger
-        level = bigger
-    return by_card
+    if len(below) < len(supp):
+        return [sum(1 << k for k, g in enumerate(below) if g[i] < b[i]) for i in supp]
+    return [sum(1 << i for i in supp if g[i] < b[i]) for g in below]
 
 
 def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
     """Betti numbers of R/K from reduced homology of the upper Koszul
     complexes: beta_{i,b}(R/K) = dim H~_{i-2}(K^b) for b != 0 in the lcm
-    lattice of the minimal generators (Miller-Sturmfels, Thm 1.34)."""
+    lattice of the minimal generators (Miller-Sturmfels, Thm 1.34).
+
+    K^b = {F ⊆ supp b : x^(b-F) in K} is taken from its generating faces,
+    on supp b or, by Dowker's theorem, on the generators dividing x^b,
+    whichever side has fewer vertices (`_upper_koszul_masks`); its boundary
+    matrices are ranked by the sparse exact `matrix_rank`."""
     if K.is_unit():
         raise PreconditionError("Betti numbers require a proper ideal")
     n = K.nvars
@@ -210,7 +287,7 @@ def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
         lattice.add(g)
     entries = {(0, (0,) * n): 1}
     for b in lattice:
-        for q, h in reduced_homology_dims(_upper_koszul_faces(K, b), char).items():
+        for q, h in reduced_homology_dims(_upper_koszul_masks(K.gens, b), char).items():
             if h:
                 entries[(q + 2, b)] = h
     return BettiTable.from_dict(n, entries)

@@ -387,6 +387,18 @@ def _echo_inputs(session, args):
     return echoed
 
 
+def read_session(path) -> Session:
+    """Parse the session file at path; a file that cannot be read or is not
+    UTF-8 text is a fault in user input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise PreconditionError(f"cannot read session file {path}: {reason}") from exc
+    return parse_session(text)
+
+
 def main(argv=None, stdout=None, stderr=None):
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -397,8 +409,7 @@ def main(argv=None, stdout=None, stderr=None):
     try:
         session = None
         if args.session:
-            with open(args.session, "r", encoding="utf-8") as fh:
-                session = parse_session(fh.read())
+            session = read_session(args.session)
         if args.command != "check" and session is None:
             raise PreconditionError("--session is required for this command")
         result, witnesses = command.handler(session, args)

@@ -1,14 +1,18 @@
 import random
+from itertools import combinations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairloc.betti import (INFINITY, depth_at_face, depth_quotient,
-                           hochster_betti, koszul_tor, polarize,
+from pairloc import betti
+from pairloc.betti import (INFINITY, _dense_rank, _upper_koszul_masks,
+                           depth_at_face, depth_quotient, hochster_betti,
+                           koszul_tor, matrix_rank, polarize,
                            projective_dimension, reduced_homology_dims,
                            restrict_to_face)
 from pairloc.ideals import FacePrime, Ideal, MonomialIdeal
 from pairloc.invariants import all_face_primes, pair_depth
+from pairloc.ring import Polynomial
 from pairloc.samples import random_monomial_ideal, standard_ring
 from pairloc.support import PairSpec, w_member
 from pairloc.torsion import PairContext
@@ -47,10 +51,118 @@ def test_hochster_matches_koszul_on_any_exponents(K, char):
 
 
 def test_reduced_homology_of_circle():
-    # hollow triangle: H~_1 = 1
-    by_card = {0: [()], 1: [(0,), (1,), (2,)], 2: [(0, 1), (0, 2), (1, 2)]}
-    dims = reduced_homology_dims(by_card, 0)
+    # hollow triangle, generated by its three edges: H~_1 = 1
+    dims = reduced_homology_dims([0b011, 0b101, 0b110], 0)
     assert dims.get(1, 0) == 1 and dims.get(0, 0) == 0 and dims[-1] == 0
+
+
+def _rp2_ideal():
+    # Stanley-Reisner ideal of the 6-vertex real projective plane
+    facets = [{int(v) - 1 for v in f} for f in
+              "124 126 135 136 145 234 235 256 346 456".split()]
+    nonfaces = [S for k in range(1, 7) for S in combinations(range(6), k)
+                if not any(set(S) <= F for F in facets)]
+    return MonomialIdeal.from_exps(6, [tuple(int(i in S) for i in range(6))
+                                       for S in nonfaces])
+
+
+def test_rp2_betti_table_depends_on_the_characteristic():
+    # H~_1(RP^2; Z) = Z/2: the table over GF(2) differs, so an inexact rank
+    # over QQ would show here
+    K = _rp2_ideal()
+    assert [hochster_betti(K, char).pd() for char in (0, 3, 2)] == [3, 3, 4]
+    for char in (0, 2):
+        assert hochster_betti(K, char).as_dict() == koszul_tor(K, char).as_dict()
+
+
+def _lcm_lattice(K):
+    lattice = set()
+    for g in K.gens:
+        lattice |= {tuple(map(max, g, b)) for b in lattice}
+        lattice.add(g)
+    return lattice
+
+
+def _all_faces(vertices, is_face):
+    return [sum(1 << v for v in F) for k in range(len(vertices) + 1)
+            for F in combinations(vertices, k) if is_face(F)]
+
+
+def _nonzero(dims):
+    return {q: h for q, h in dims.items() if h}
+
+
+@st.composite
+def _any_monomial_ideals(draw):
+    n = draw(st.integers(1, 6))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return MonomialIdeal.from_exps(n, draw(st.lists(exps, min_size=1, max_size=9)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_any_monomial_ideals())
+@example(MonomialIdeal.from_exps(2, [(1, 1)]))
+def test_both_dowker_sides_have_the_same_reduced_homology(K):
+    # K^b on supp b by its definition, and {S : lcm(S) != b} on the
+    # generators dividing x^b, each listed face by face
+    for b in _lcm_lattice(K):
+        supp = [i for i, e in enumerate(b) if e]
+        below = [g for g in K.gens if all(x <= y for x, y in zip(g, b))]
+        on_supp = _all_faces(supp, lambda F: K.contains(
+            tuple(e - (i in F) for i, e in enumerate(b))))
+        on_gens = _all_faces(range(len(below)), lambda S: tuple(
+            max((below[k][i] for k in S), default=0) for i in range(K.nvars)) != b)
+        if b in K.gens:
+            assert on_supp == on_gens == [0]
+        for char in (0, 2):
+            dims = _nonzero(reduced_homology_dims(on_supp, char))
+            assert _nonzero(reduced_homology_dims(on_gens, char)) == dims
+            assert _nonzero(reduced_homology_dims(_upper_koszul_masks(K.gens, b), char)) == dims
+            if b in K.gens:
+                assert dims == {-1: 1}
+
+
+@st.composite
+def _integer_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                         max_size=6))
+    # rows that cancel to zero against the earlier ones
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices(), st.sampled_from([0, 2, 32003]))
+@example([[2, 3], [3, 2], [1, -1]], 0)
+@example([[2, 3], [3, 2], [1, -1]], 2)
+def test_sparse_rank_matches_the_dense_oracle(rows, char):
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert matrix_rank(sparse, char) == _dense_rank(rows, char)
+
+
+def test_production_path_reaches_no_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle was called")
+
+    for name in ("koszul_tor", "polarize", "_dense_rank", "_rank_bareiss", "_rank_mod"):
+        monkeypatch.setattr(betti, name, refuse)
+    r = ring("xyz")
+    x, y, z = variables(r)
+    rng = random.Random(9)
+    for _ in range(4):
+        Km = random_monomial_ideal(rng, 3, max_exp=3)
+        hochster_betti(Km, 0)
+        hochster_betti(Km, 2)
+        depth_quotient(Km, r)
+        for face in all_face_primes(3):
+            depth_at_face(Km, r, face)
+        K = Ideal(r, tuple(Polynomial.monomial(r, g) for g in Km.gens))
+        pair = PairSpec(Ideal(r, (x, y, z)), Ideal(r, (x * y * z,)))
+        pair_depth(PairContext(pair, K))
 
 
 def test_polarize_example():

@@ -107,6 +107,20 @@ def test_missing_session_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_session_exit_code(tmp_path, kind):
+    path = {"missing": tmp_path / "absent" / "s.txt", "directory": tmp_path,
+            "not utf-8": tmp_path / "s.txt"}[kind]
+    if kind == "not utf-8":
+        path.write_bytes(b"ring QQ[x] order grevlex\nideal I = x\xff\n")
+    code, out, err = run(["gb", "--session", str(path), "--ideal", "I", "--no-timings"])
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert "cannot read session file" in payload["error"]
+    assert str(path) in payload["error"]
+    assert payload["citations"] == ["groebner-basis"]
+
+
 def test_check_command_seeded():
     code, out, _ = run(["check", "--suite", "groebner", "--samples", "10",
                         "--seed", "5", "--no-timings"])
