@@ -13,12 +13,9 @@ same reduced homology; the engine builds whichever has fewer vertices.  Its
 boundary ranks come from `matrix_rank`, one sparse exact elimination over QQ
 and GF(p).
 
-`koszul_tor`, a brute-force Tor computation assembling multigraded strands
-of the Koszul complex on all variables, is the independent oracle the engine
-is checked against, entry by entry, with its own dense elimination
-(`_dense_rank`); its homological index convention is pinned by that
-equality, not trusted from transcription.  `polarize` is kept only to be
-checked: it must preserve projective dimension.
+The engine is checked entry by entry against `oracles.koszul_tor`, which
+shares no rank code with it.  `polarize` is kept only to be checked: it must
+preserve projective dimension.
 
 Depth of the zero module is the infinite sentinel INFINITY; over the graded
 model depth + projective dimension equals the number of variables.
@@ -27,7 +24,6 @@ model depth + projective dimension equals the number of variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from math import gcd
 from operator import le
 
@@ -36,8 +32,6 @@ from .ideals import FacePrime, MonomialIdeal
 from .ring import GREVLEX, RingSpec
 
 INFINITY = float("inf")
-
-_BOX_LIMIT = 2**20
 
 
 # -- exact rank ---------------------------------------------------------------
@@ -94,61 +88,6 @@ def _eliminate(row, pivot, c, char):
                 row[j] //= g
 
 
-def _dense_rank(rows, char: int) -> int:
-    """Exact rank of a dense integer matrix over QQ (char 0) or GF(char),
-    the Koszul oracle's own elimination: no production path calls it."""
-    A = [list(r) for r in rows]
-    A = [r for r in A if any(r)]
-    if not A:
-        return 0
-    if char:
-        return _rank_mod(A, char)
-    return _rank_bareiss(A)
-
-
-def _rank_bareiss(A):
-    m, n = len(A), len(A[0])
-    rank = 0
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        p = A[rank][c]
-        for i in range(rank + 1, m):
-            aic = A[i][c]
-            for j in range(c + 1, n):
-                A[i][j] = (A[i][j] * p - aic * A[rank][j]) // prev
-            A[i][c] = 0
-        prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _rank_mod(A, p):
-    m, n = len(A), len(A[0])
-    A = [[x % p for x in row] for row in A]
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = pow(A[rank][c], -1, p)
-        A[rank] = [(x * inv) % p for x in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 # -- Betti tables -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -168,57 +107,6 @@ class BettiTable:
 
     def pd(self) -> int:
         return max((i for (i, _), _ in self.entries), default=0)
-
-
-# -- Koszul-complex Tor (brute-force oracle) ----------------------------------
-
-def koszul_tor(K: MonomialIdeal, char: int = 0) -> BettiTable:
-    """Betti numbers of R/K from multigraded strands of the Koszul complex on
-    all variables, assembled as explicit scalar matrices."""
-    if K.is_unit():
-        raise PreconditionError("Betti numbers require a proper ideal")
-    n = K.nvars
-    limits = tuple(e + 1 for e in K.max_exponents())
-    size = 1
-    for lim in limits:
-        size *= lim + 1
-    if size > _BOX_LIMIT:
-        raise PreconditionError(f"multidegree box of size {size} is too large")
-
-    entries = {}
-    subsets = [tuple(sorted(c)) for i in range(n + 1) for c in combinations(range(n), i)]
-    for d in product(*[range(lim + 1) for lim in limits]):
-        basis = {i: [] for i in range(n + 2)}
-        index = {}
-        for S in subsets:
-            u = list(d)
-            ok = True
-            for j in S:
-                u[j] -= 1
-                if u[j] < 0:
-                    ok = False
-                    break
-            if not ok or K.contains(tuple(u)):
-                continue
-            index[S] = len(basis[len(S)])
-            basis[len(S)].append(S)
-        ranks = {}
-        for i in range(1, n + 1):
-            rows = []
-            for S in basis[i]:
-                row = [0] * len(basis[i - 1])
-                for pos in range(len(S)):
-                    T = S[:pos] + S[pos + 1:]
-                    # absent T means the image monomial already lies in K
-                    if T in index:
-                        row[index[T]] = -1 if pos % 2 else 1
-                rows.append(row)
-            ranks[i] = _dense_rank(rows, char) if basis[i] and basis[i - 1] else 0
-        for i in range(n + 1):
-            beta = len(basis[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0)
-            if beta:
-                entries[(i, d)] = beta
-    return BettiTable.from_dict(n, entries)
 
 
 # -- upper Koszul complexes (the Betti engine) --------------------------------

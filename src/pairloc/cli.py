@@ -24,20 +24,22 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, NamedTuple
 
-from .betti import INFINITY, depth_at_face, depth_quotient, hochster_betti, koszul_tor
+from .betti import INFINITY, depth_at_face, depth_quotient, hochster_betti
 from .cech import build_cech, collapse, position_zero_kernel
 from .errors import PairlocError, ParseError, PreconditionError
 from .ideals import (FacePrime, Ideal, colon, dim_quotient, intersect,
                      radical_member, saturate)
 from .invariants import (ara_upper_bound, lh_vanishes, pair_depth,
                          top_nonvanishing, vanishing_bounds)
+from .oracles import koszul_tor
 from .ring import GREVLEX, LEX, Polynomial, RingSpec, parse_polynomial
 from .samples import DEFAULT_SEED
 from .suites import SUITES, run_suite
 from .support import PairSpec, s_certificate, w_member, wtilde_member
-from .torsion import PairContext, _box, gamma_member, gamma_monomial, is_torsion
+from .torsion import PairContext, gamma_member, gamma_monomial, is_torsion
 
 SCHEMA_VERSION = 1
 
@@ -69,7 +71,10 @@ def parse_session(text: str) -> Session:
         if m:
             if ring is not None:
                 raise ParseError("ring declared twice", lineno)
-            char = int(m.group(2)) if m.group(2) else 0
+            # RingSpec reads char 0 as QQ, so GF(0) must be refused here
+            char = 0 if m.group(1) == "QQ" else int(m.group(2))
+            if m.group(1) != "QQ" and char == 0:
+                raise ParseError(f"characteristic must be a prime, got {char}", lineno)
             names = tuple(v.strip() for v in m.group(3).split(",") if v.strip())
             if not names:
                 raise ParseError("ring needs at least one variable", lineno)
@@ -122,7 +127,7 @@ def torsion_witnesses(K: Ideal, L, ring):
     divisibility tests only, since L is already known."""
     Km = K.as_monomial()
     return {str(Polynomial.monomial(ring, b)): "radical-membership"
-            for b in _box(Km.max_exponents())
+            for b in product(*[range(e + 1) for e in Km.max_exponents()])
             if L.contains(b) and not Km.contains(b)}
 
 

@@ -8,7 +8,7 @@ combinatorially.  Saturation is one elimination per generator b of B:
 A : b^∞ = (A + (1 − t·b)) ∩ k[x], the same auxiliary-variable basis the
 Rabinowitsch test reads.  `in_radical` (I ⊆ √A) and `radical_member` answer
 monomial A by the support rule and any other A by `radical_member_groebner`,
-the Rabinowitsch reference that tests and the minimal-prime torsion oracle
+the Rabinowitsch reference that tests and `oracles.gamma_minprime_oracle`
 check the support rule against.
 """
 

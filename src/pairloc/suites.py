@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import random
 
-from .betti import depth_quotient, hochster_betti, koszul_tor, polarize
+from .betti import depth_quotient, hochster_betti, polarize
 from .cech import build_cech, collapse, position_zero_kernel
 from .groebner import spoly_certificate
 from .ideals import Ideal, MonomialIdeal, in_radical
 from .invariants import ara_upper_bound, pair_depth
+from .oracles import ass_monomial, gamma_colimit_oracle, gamma_minprime_oracle, koszul_tor
 from .ring import Polynomial
 from .samples import (DEFAULT_SEED, random_homogeneous_ideal, random_monomial_context,
                       random_monomial_ideal, random_polynomial, random_squarefree_ideal,
                       shifted_primes, standard_ring)
 from .support import PairSpec, w_member
-from .torsion import (PairContext, ass_gamma, ass_monomial, gamma_colimit_oracle,
-                      gamma_member, gamma_minprime_oracle, gamma_monomial)
+from .torsion import PairContext, ass_gamma, gamma_member, gamma_monomial
 
 
 def _report(name, samples, failures):

@@ -12,7 +12,8 @@ semi-decision, "none" means not found within the bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from math import comb
 
 from .errors import InternalError, PreconditionError
 from .ideals import Ideal, in_radical, radical_member
@@ -82,26 +83,32 @@ def s_certificate(p: Ideal, a: Polynomial, J: Ideal, n_max: int = 4,
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
     ring = p.ring
+    # The pool is 0, ±1 (one entry over GF(2)) and the monomials x^e with
+    # 0 < |e| ≤ degree_cap in lexicographic order of e.  The scan tries at
+    # most MAX_COMBINATIONS combinations in lexicographic order of pool
+    # indices, so it never reaches past that many entries; the monomials are
+    # built only when the scan first asks for them.
     one = Polynomial.one(ring)
-    candidates = [Polynomial.zero(ring), one, -one]
-    for exp in sorted(_exponents_up_to(ring.nvars, degree_cap)):
-        if any(exp):
-            candidates.append(Polynomial.monomial(ring, exp))
-    seen = set()
-    pool = []
-    for c in candidates:
-        if c not in seen:
-            seen.add(c)
-            pool.append(c)
+    pool = list(dict.fromkeys((Polynomial.zero(ring), one, -one)))
+    monomials = (Polynomial.monomial(ring, exp)
+                 for exp in _exponents_up_to(ring.nvars, degree_cap) if any(exp))
+    size = len(pool) - 1 + comb(max(degree_cap, 0) + ring.nvars, ring.nvars)
+    size = min(size, MAX_COMBINATIONS)
+
+    def entry(i):
+        if i >= len(pool):
+            pool.extend(islice(monomials, i + 1 - len(pool)))
+        return pool[i]
 
     gens = [g for g in J.gens if not g.is_zero()]
     combos = 0
     for n in range(1, n_max + 1):
         a_n = a ** n
-        for coeffs in product(pool, repeat=len(gens)):
+        for index in product(range(size), repeat=len(gens)):
             combos += 1
             if combos > MAX_COMBINATIONS:
                 return None
+            coeffs = tuple(map(entry, index))
             j = Polynomial.zero(ring)
             for c, g in zip(coeffs, gens):
                 j = j + c * g
@@ -115,10 +122,11 @@ def s_certificate(p: Ideal, a: Polynomial, J: Ideal, n_max: int = 4,
 
 
 def _exponents_up_to(nvars, cap):
+    """The exponent vectors of total degree at most cap, generated lazily in
+    lexicographic order."""
     if nvars == 0:
-        return [()]
-    out = []
+        yield ()
+        return
     for head in range(cap + 1):
         for tail in _exponents_up_to(nvars - 1, cap - head):
-            out.append((head,) + tail)
-    return out
+            yield (head,) + tail

@@ -102,6 +102,17 @@ def test_undefined_ideal_exit_code(session_file):
     assert "undefined ideal" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("field", ["GF(0)", "GF(00)"])
+def test_zero_characteristic_exit_code(tmp_path, field):
+    # characteristic 0 is QQ inside RingSpec; GF(0) must not be read as QQ
+    path = tmp_path / "session.txt"
+    path.write_text(f"ring {field}[x,y]\nideal I = x^2, x*y\n")
+    code, out, err = run(["gb", "--session", str(path), "--ideal", "I", "--no-timings"])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert "line 1" in error and "characteristic" in error and "got 0" in error
+
+
 def test_missing_session_exit_code():
     code, _, err = run(["gb", "--ideal", "I", "--no-timings"])
     assert code == 2

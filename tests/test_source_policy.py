@@ -1,14 +1,57 @@
 import ast
+from importlib.util import find_spec
 from pathlib import Path
 
-import pairloc
+# located without importing pairloc, so an import cycle cannot hide a finding
+PACKAGE = Path(find_spec("pairloc").origin).parent
+
+# module -> the names it may import from pairloc.oracles (None: any name);
+# __init__ re-exports the oracles, suites compares against them, and the CLI
+# serves `betti --route koszul`
+ORACLE_IMPORTERS = {
+    "__init__.py": None,
+    "suites.py": None,
+    "cli.py": {"koszul_tor"},
+}
+
+
+def _sources():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        yield path.relative_to(PACKAGE).as_posix(), tree
+
+
+def _oracle_imports(tree):
+    """(line, imported name) for each import of pairloc.oracles or of a name
+    from it; the name is "oracles" when the module itself is imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, "oracles") for alias in node.names
+                        if alias.name == "pairloc.oracles")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # the package has no subpackages
+                module = "pairloc" + ("." + module if module else "")
+            if module == "pairloc.oracles":
+                yield from ((node.lineno, alias.name) for alias in node.names)
+            elif module == "pairloc":
+                yield from ((node.lineno, "oracles") for alias in node.names
+                            if alias.name == "oracles")
 
 
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so a cross-check must raise InternalError instead
     found = []
-    for path in sorted(Path(pairloc.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+    for name, tree in _sources():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_oracles_stay_off_the_production_path():
+    found = []
+    for module, tree in _sources():
+        allowed = ORACLE_IMPORTERS.get(module, set())
+        found += [f"{module}:{line} imports {name}" for line, name in _oracle_imports(tree)
+                  if allowed is not None and name not in allowed]
     assert found == []
