@@ -11,15 +11,26 @@ Weispfenning, *Groebner Bases*, §5.3 and §10.1).  One rational scale, kept
 as two integers, turns each remainder term back into its exact Fraction.
 Over GF(p) the same loop runs with monic divisors and no rescaling.
 
-Buchberger pops S-pairs from a heap keyed by (sort key of the lcm of the
-leading monomials, pair), which is the normal strategy with ties broken by
-the pair; the coprime and chain criteria prune pairs, and the final basis is
-interreduced in one pass.  It keeps its basis as primitive integer
-polynomials over QQ (monic ones over GF(p)) and makes only the reduced basis
-it returns monic.  So every basis it returns, and every `normal_form` and
-`s_polynomial` of Fraction polynomials, holds Fraction coefficients.  Inputs
-are sorted before processing and every iteration order is fixed, so output
-is deterministic for a fixed ring, order, and generator set.
+Buchberger's completion loop (`_complete`) pops S-pairs from a heap keyed
+by (sugar, sort key of the lcm of the leading monomials, pair): the sugar
+strategy of Giovini et al. (ISSAC 1991), which keeps the work degree by
+degree also in the block orders of eliminations, where the normal strategy
+alone would take the pairs of high degree in t first.  The coprime and chain
+criteria prune pairs.  The loop stops at the first nonzero constant, since
+the ideal is then (1).  It keeps its basis as primitive integer polynomials
+over QQ (monic ones over GF(p)).  `buchberger` interreduces that basis in
+one pass and makes only the reduced basis it returns monic; generators that
+are all monomials form a Groebner basis already, so it returns their
+minimal elements without forming an S-pair.  `eliminate`, the one
+elimination primitive, interreduces only the elements free of the
+eliminated variables.  So every basis returned, and every `normal_form`
+and `s_polynomial` of Fraction polynomials, holds Fraction coefficients.
+Inputs are sorted before processing and every iteration order is fixed, so
+output is deterministic for a fixed ring, order, and generator set.
+
+Each reduction step checks exponents against `EXP_LIMIT` once, from the
+largest exponent in the divisor's tail and the shift; the terms are formed
+unchecked unless that sum reaches the limit.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from math import gcd
 from operator import add, le, sub
 
 from .errors import RingMismatchError
-from .ring import Polynomial, RingSpec, _check_exp, integer_terms
+from .ring import EXP_LIMIT, Polynomial, RingSpec, check_shifted, integer_terms
 
 
 def _divides(a, b):
@@ -46,6 +57,12 @@ def _exp_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def _minimalize(exps):
+    """The exponents none of the others divides, sorted, without repeats."""
+    exps = sorted(set(map(tuple, exps)))
+    return tuple(m for m in exps if not any(g != m and _divides(g, m) for g in exps))
+
+
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Fully reduce f modulo a list of nonzero polynomials.
 
@@ -57,17 +74,17 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     when it surfaces.
 
     Each basis element reduces through its `Polynomial.reducer` entry
-    (e, a, tail).  Over QQ the live terms are integers, num/den times the
+    (e, a, tail, top).  Over QQ the live terms are integers, num/den times the
     exact ones, and each term that reaches the remainder is scaled back to
     its exact Fraction.
     """
+    ring = f.ring
     basis = [g for g in basis if not g.is_zero()]
     for g in basis:
-        if g.ring != f.ring:
+        if g.ring is not ring and g.ring != ring:
             raise RingMismatchError("basis over a different ring")
     if not f.terms:
         return f
-    ring = f.ring
     char = ring.char
     key = ring.desc_key
     divisors = [g.reducer() for g in basis]
@@ -83,8 +100,8 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         c = terms.pop(exp, None)
         if c is None:
             continue
-        for lexp, a, tail in divisors:
-            if _divides(lexp, exp):
+        for lexp, a, tail, top in divisors:
+            if all(map(le, lexp, exp)):
                 break
         else:
             remainder[exp] = c if char else Fraction(c * den, num)
@@ -99,8 +116,10 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 for e in terms:
                     terms[e] *= scale
         shift = _exp_sub(exp, lexp)
+        if top + max(shift, default=0) >= EXP_LIMIT:
+            check_shifted(tail, shift)
         for e, gc in tail:
-            e = _check_exp(tuple(map(add, e, shift)))
+            e = tuple(map(add, e, shift))
             old = terms.get(e)
             if old is None:
                 terms[e] = gc * c % char if char else gc * c
@@ -136,9 +155,12 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     terms = {}
     for p, lead, m in ((f, ef, g.terms[eg]), (g, eg, -f.terms[ef])):
         shift = _exp_sub(lcm, lead)
+        _, _, tail, top = p.reducer()
+        if top + max(shift, default=0) >= EXP_LIMIT:
+            check_shifted(tail, shift)
         for e, c in p.terms.items():
             if e != lead:
-                e = _check_exp(tuple(map(add, e, shift)))
+                e = tuple(map(add, e, shift))
                 s = terms.get(e, 0) + c * m
                 if char:
                     s %= char
@@ -170,7 +192,8 @@ class GroebnerBasis:
 
 
 def _interreduce(basis):
-    """The reduced Groebner basis from a Groebner basis, in one pass.
+    """The reduced Groebner basis from a Groebner basis, in one pass, sorted
+    by leading monomial.
 
     Elements whose leading exponent is divisible by another's (the earlier
     one, on a tie) are dropped; each remaining element is then reduced once
@@ -180,46 +203,62 @@ def _interreduce(basis):
     kept = [g for i, g in enumerate(basis)
             if not any(j != i and _divides(lj, leads[i]) and (j < i or lj != leads[i])
                        for j, lj in enumerate(leads))]
-    return [normal_form(g, kept[:i] + kept[i + 1:]).monic() for i, g in enumerate(kept)]
+    reduced = [normal_form(g, kept[:i] + kept[i + 1:]).monic() for i, g in enumerate(kept)]
+    if reduced:
+        key = reduced[0].ring.sort_key
+        reduced.sort(key=lambda p: key(p.leading_exp()))
+    return reduced
 
 
-def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
-
-    The zero ideal yields an empty basis.  While it runs, the basis is kept
-    as `Polynomial.primitive` polynomials: primitive integer ones over QQ,
-    monic ones over GF(p).  Only the reduced basis it returns is made monic.
-    """
+def _nonzero(gens, ring):
+    """(the nonzero generators, their ring), checking that they share it."""
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        if ring is None:
-            raise ValueError("cannot infer ring from an empty generator list")
-        return GroebnerBasis((), ring.order)
-    ring = gens[0].ring
+    if gens:
+        ring = gens[0].ring
+    elif ring is None:
+        raise ValueError("cannot infer ring from an empty generator list")
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators over different rings")
-    key = ring.sort_key
+    return gens, ring
 
+
+def _complete(gens, ring):
+    """A Groebner basis of the ideal of the nonzero gens, not interreduced,
+    as `Polynomial.primitive` polynomials; None when the ideal is (1), which
+    is known as soon as a nonzero constant turns up.
+
+    S-pairs are taken by sugar (Giovini et al., ISSAC 1991): a generator's
+    sugar is its total degree and an S-polynomial's is the larger of its two
+    parents' sugars shifted by the degree of the lcm, the normal form keeping
+    it.  The heap holds (sugar, sort key of the lcm, pair), so equal sugars
+    fall back to the normal strategy and then to the pair."""
+    key = ring.sort_key
     # ties go by the terms, not by the set's order, which follows string hashing
     G = sorted({g.monic() for g in gens},
                key=lambda p: (key(p.leading_exp()), sorted(p.terms.items())))
     G = [g.primitive() for g in G]
     leads = [g.leading_exp() for g in G]
+    if not any(leads[0]):
+        return None
+    # sugar minus the degree of the leading monomial, per element
+    ecart = [g.total_degree() - sum(lead) for g, lead in zip(G, leads)]
 
-    # live pairs, and the same pairs in a heap by (sort key of lcm, pair)
+    # live pairs, and the same pairs in a heap by (sugar, sort key of lcm, pair)
     pairs = set()
     heap = []
 
     def add_pairs(new):
         for k in range(new):
+            lcm = _exp_lcm(leads[k], leads[new])
+            sugar = max(ecart[k], ecart[new]) + sum(lcm)
             pairs.add((k, new))
-            heappush(heap, (key(_exp_lcm(leads[k], leads[new])), (k, new)))
+            heappush(heap, (sugar, key(lcm), (k, new)))
 
     for new in range(1, len(G)):
         add_pairs(new)
     while heap:
-        i, j = heappop(heap)[1]
+        sugar, _, (i, j) = heappop(heap)
         pairs.discard((i, j))
         li, lj = leads[i], leads[j]
         lcm = _exp_lcm(li, lj)
@@ -241,13 +280,62 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
         if r.is_zero():
             continue
         r = r.primitive()
+        lead = r.leading_exp()
+        if not any(lead):
+            return None
         G.append(r)
-        leads.append(r.leading_exp())
+        leads.append(lead)
+        ecart.append(sugar - sum(lead))
         add_pairs(len(G) - 1)
+    return G
 
-    reduced = _interreduce(G)
-    reduced.sort(key=lambda p: key(p.leading_exp()))
-    return GroebnerBasis(tuple(reduced), ring.order)
+
+def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    The zero ideal yields an empty basis.  When every nonzero generator is a
+    monomial, they already form a Groebner basis, and the reduced one is
+    their minimal elements made monic: no S-pair is formed.  Otherwise
+    `_complete` keeps the basis as `Polynomial.primitive` polynomials
+    (primitive integer ones over QQ, monic ones over GF(p)) and only the
+    reduced basis returned is made monic.
+    """
+    gens, ring = _nonzero(gens, ring)
+    if all(g.is_monomial() for g in gens):
+        one = ring.coeff(1)
+        minimal = sorted(_minimalize(g.leading_exp() for g in gens), key=ring.sort_key)
+        return GroebnerBasis(tuple(Polynomial(ring, {e: one}, _normalized=True)
+                                   for e in minimal), ring.order)
+    G = _complete(gens, ring)
+    if G is None:
+        return GroebnerBasis((Polynomial.one(ring),), ring.order)
+    return GroebnerBasis(tuple(_interreduce(G)), ring.order)
+
+
+def eliminate(gens, ring: RingSpec) -> tuple:
+    """The reduced basis of (gens) ∩ k[ring's variables], in the order of
+    the gens' ring, for gens over a ring whose variables are some leading
+    ones followed by those of `ring`, and whose order is an elimination order
+    for the leading ones (`ideals.extended_ring`).  The result lies in `ring`.
+
+    In an elimination order a polynomial is free of the leading variables
+    iff its leading monomial is, so the elements of a Groebner basis of
+    (gens) that are free of them form a Groebner basis of the intersection
+    (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, §3.1); only
+    those are interreduced.  The unit ideal gives (1) as soon as `_complete`
+    meets a constant."""
+    gens, big = _nonzero(gens, ring)
+    if not gens:
+        return ()
+    k = big.nvars - ring.nvars
+    if big.char != ring.char or k < 0 or big.variables[k:] != ring.variables:
+        raise RingMismatchError("the generators' ring does not end in the target ring")
+    G = _complete(gens, big)
+    if G is None:
+        return (Polynomial.one(ring),)
+    kept = [g for g in G if not any(g.leading_exp()[:k])]
+    return tuple(Polynomial(ring, {e[k:]: c for e, c in g.terms.items()}, _normalized=True)
+                 for g in _interreduce(kept))
 
 
 def spoly_certificate(basis: GroebnerBasis) -> bool:

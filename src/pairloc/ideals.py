@@ -4,12 +4,15 @@
 radical membership, Krull dimension of the quotient).  `MonomialIdeal` stores
 exponent-vector generators as a divisibility antichain and answers colon,
 radical, minimal primes, Assh, irreducible decomposition, and dimension
-combinatorially.  Saturation is one elimination per generator b of B:
-A : b^∞ = (A + (1 − t·b)) ∩ k[x], the same auxiliary-variable basis the
-Rabinowitsch test reads.  `in_radical` (I ⊆ √A) and `radical_member` answer
-monomial A by the support rule and any other A by `radical_member_groebner`,
-the Rabinowitsch reference that tests and `oracles.gamma_minprime_oracle`
-check the support rule against.
+combinatorially.  Every question that adjoins an auxiliary variable t is
+one call of the one elimination primitive, `groebner.eliminate`, which
+completes a basis over k[t, x] and interreduces only its t-free part:
+intersection eliminates t from t·A + (1 − t)·B, saturation by each
+generator b of B is A : b^∞ = (A + (1 − t·b)) ∩ k[x], and the Rabinowitsch
+test asks whether that same elimination for f is (1).  `in_radical`
+(I ⊆ √A) and `radical_member` answer monomial A by the support rule and any
+other A by `radical_member_groebner`, the Rabinowitsch reference that tests
+and `oracles.gamma_minprime_oracle` check the support rule against.
 """
 
 from __future__ import annotations
@@ -20,27 +23,31 @@ from itertools import combinations
 from operator import add
 
 from .errors import InternalError, PreconditionError, RingMismatchError
-from .groebner import GroebnerBasis, buchberger, normal_form, _divides, _exp_sub, _exp_lcm
-from .ring import Polynomial, RingSpec, _check_exp, elimination, integer_terms
+from .groebner import (GroebnerBasis, buchberger, eliminate, normal_form, _divides, _exp_sub,
+                       _exp_lcm, _minimalize)
+from .ring import EXP_LIMIT, Polynomial, RingSpec, check_shifted, elimination, integer_terms
 
 _gb_cache = {}
 _radical_cache = {}
+_generation = 0  # bumped by clear_caches; an Ideal's own basis is kept for one generation
 
 
 def clear_caches():
-    """Empty the module caches of Groebner bases and radical memberships.
-
-    Only the module caches: an `Ideal` keeps the basis it has computed in its
-    own `_gb`, so an existing Ideal answers from that basis afterwards; build
-    a new Ideal to start cold."""
+    """Forget every Groebner basis and radical membership computed so far:
+    empty the module caches and start a new generation, so that each
+    existing `Ideal` also drops the basis it keeps in `_gb` and computes it
+    again on its next use."""
+    global _generation
     _gb_cache.clear()
     _radical_cache.clear()
+    _generation += 1
 
 
 class Ideal:
-    """An ideal given by generators, with a write-once cached reduced GB."""
+    """An ideal given by generators, with its reduced GB cached until the
+    next `clear_caches`."""
 
-    __slots__ = ("ring", "gens", "_gb", "_hash")
+    __slots__ = ("ring", "gens", "_gb", "_gb_generation", "_hash")
 
     def __init__(self, ring: RingSpec, gens):
         self.ring = ring
@@ -52,6 +59,7 @@ class Ideal:
             gens = (Polynomial.zero(ring),)
         self.gens = gens
         self._gb = None
+        self._gb_generation = None
         self._hash = None
 
     @staticmethod
@@ -63,13 +71,13 @@ class Ideal:
         return Ideal(ring, (Polynomial.one(ring),))
 
     def groebner(self) -> GroebnerBasis:
-        if self._gb is None:
+        if self._gb is None or self._gb_generation != _generation:
             key = (self.ring, frozenset(self.gens))
             gb = _gb_cache.get(key)
             if gb is None:
                 gb = buchberger(self.gens, self.ring)
                 _gb_cache[key] = gb
-            self._gb = gb
+            self._gb, self._gb_generation = gb, _generation
         return self._gb
 
     def member(self, f: Polynomial) -> bool:
@@ -173,30 +181,14 @@ def lift_poly(f: Polynomial, big: RingSpec) -> Polynomial:
     return Polynomial(big, {(0,) + e: c for e, c in f.terms.items()}, _normalized=True)
 
 
-def drop_first_var(f: Polynomial, small: RingSpec) -> Polynomial:
-    terms = {}
-    for e, c in f.terms.items():
-        if e[0] != 0:
-            raise ValueError("polynomial still involves the dropped variable")
-        terms[e[1:]] = c
-    return Polynomial(small, terms, _normalized=True)
-
-
 # -- elimination-backed operations --------------------------------------------
 
-def _t_free(gb: GroebnerBasis, ring: RingSpec) -> Ideal:
-    """The elements of a basis over `extended_ring` that do not involve t: a
-    basis of its intersection with the ring, since t comes first."""
-    return Ideal(ring, [drop_first_var(g, ring) for g in gb
-                        if all(e[0] == 0 for e in g.terms)])
-
-
-def _rabinowitsch(A: Ideal, f: Polynomial) -> GroebnerBasis:
-    """Reduced basis of A + (1 − t·f) over `extended_ring`, t first."""
+def _localized(A: Ideal, f: Polynomial) -> tuple:
+    """The reduced basis of (A + (1 − t·f)) ∩ k[x], which is A : f^∞."""
     big, t = _adjoin_t(A.ring)
     gens = [lift_poly(g, big) for g in A.gens]
     gens.append(Polynomial.one(big) - t * lift_poly(f, big))
-    return buchberger(gens, big)
+    return eliminate(gens, A.ring)
 
 
 def intersect(A: Ideal, B: Ideal) -> Ideal:
@@ -206,7 +198,7 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
     one_minus_t = Polynomial.one(big) - t
     gens = [t * lift_poly(g, big) for g in A.gens]
     gens += [one_minus_t * lift_poly(g, big) for g in B.gens]
-    return _t_free(buchberger(gens, big), A.ring)
+    return Ideal(A.ring, eliminate(gens, A.ring))
 
 
 def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
@@ -217,7 +209,7 @@ def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
     char = ring.char
     if f.is_zero():
         return f
-    lead, a, tail = b.reducer()
+    lead, a, tail, top = b.reducer()
     # live terms are num/den times those of f - q*b; b is lc(b)/a times a*x^lead - tail
     if char:
         terms, num, den = dict(f.terms), 1, 1
@@ -237,8 +229,10 @@ def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
         c //= a
         shift = _exp_sub(exp, lead)
         quotient[shift] = c
+        if top + max(shift, default=0) >= EXP_LIMIT:
+            check_shifted(tail, shift)
         for e, bc in tail:
-            e = _check_exp(tuple(map(add, e, shift)))
+            e = tuple(map(add, e, shift))
             s = terms.get(e, 0) + bc * c
             if char:
                 s %= char
@@ -276,7 +270,7 @@ def colon(A: Ideal, B: Ideal) -> Ideal:
 def saturate(A: Ideal, B: Ideal) -> Ideal:
     """(A : B^∞), intersected over the generators b of B, each part
     A : b^∞ = (A + (1 − t·b)) ∩ k[x] found by one elimination."""
-    return _over_generators(A, B, lambda b: _t_free(_rabinowitsch(A, b), A.ring))
+    return _over_generators(A, B, lambda b: Ideal(A.ring, _localized(A, b)))
 
 
 def radical_member(f: Polynomial, A: Ideal) -> bool:
@@ -300,8 +294,10 @@ def radical_member(f: Polynomial, A: Ideal) -> bool:
 
 
 def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
-    """f ∈ √A, by adjoining t and testing 1 ∈ A + (1 − t·f); uncached."""
-    return _rabinowitsch(A, f).contains_one()
+    """f ∈ √A, by adjoining t and testing whether A + (1 − t·f) is (1), that
+    is whether A : f^∞ is; uncached."""
+    basis = _localized(A, f)
+    return len(basis) == 1 and basis[0].is_one()
 
 
 def in_radical(I: Ideal, A: Ideal) -> bool:
@@ -339,11 +335,6 @@ class FacePrime:
 
     def label(self, ring: RingSpec) -> str:
         return "(" + ",".join(ring.variables[i] for i in sorted(self.vars)) + ")"
-
-
-def _minimalize(exps):
-    exps = sorted(set(map(tuple, exps)))
-    return tuple(m for m in exps if not any(g != m and _divides(g, m) for g in exps))
 
 
 def _min_covers(edges):

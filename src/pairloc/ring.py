@@ -6,9 +6,10 @@ are `fractions.Fraction` (always reduced); over GF(p) they are ints in [0, p).
 Reduction over QQ runs on integers instead: `integer_terms` clears
 denominators and content, and `Polynomial.reducer` keeps a polynomial's
 primitive integer multiple for `groebner.normal_form`.  The only polynomials
-over QQ with int coefficients are the primitive basis elements that
-`groebner.buchberger` keeps while it runs, and their S-polynomials; every
-basis it returns and every normal form holds Fractions.
+over QQ with int coefficients are the primitive basis elements that the
+Groebner completion loop keeps while it runs, and their S-polynomials; every
+basis `groebner.buchberger` or `groebner.eliminate` returns and every normal
+form holds Fractions.
 Monomial orders (lex, grevlex, elimination blocks) are attached to the ring
 and realized as sort keys, so "greater monomial" means "greater sort key".
 """
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import gcd, lcm
-from operator import neg
+from operator import add, neg
 
 from .errors import ExponentOverflowError, ParseError, PreconditionError, RingMismatchError
 
@@ -65,8 +66,22 @@ def _lex_key_desc(exp):
     return tuple(map(neg, exp))
 
 
-def _block_key(block_key, bounds, exp):
-    return tuple(block_key(exp[a:b]) for a, b in bounds)
+def _block_key(bounds, exp):
+    """grevlex keys of the blocks, concatenated into one flat tuple; each
+    block's part has a fixed length, so it compares as the tuple of parts."""
+    key = ()
+    for a, b in bounds:
+        block = exp[a:b]
+        key += (sum(block),) + tuple(map(neg, block[::-1]))
+    return key
+
+
+def _block_key_desc(bounds, exp):
+    key = ()
+    for a, b in bounds:
+        block = exp[a:b]
+        key += (-sum(block),) + block[::-1]
+    return key
 
 
 def _order_keys(order):
@@ -79,8 +94,7 @@ def _order_keys(order):
         return _grevlex_key, _grevlex_key_desc
     ends = list(accumulate(order[1]))
     bounds = tuple(zip([0] + ends[:-1], ends))
-    return (partial(_block_key, _grevlex_key, bounds),
-            partial(_block_key, _grevlex_key_desc, bounds))
+    return partial(_block_key, bounds), partial(_block_key_desc, bounds)
 
 
 @dataclass(frozen=True)
@@ -161,6 +175,15 @@ def _check_exp(exp):
         if min(exp) < 0:
             raise ValueError("negative exponent")
     return exp
+
+
+def check_shifted(tail, shift):
+    """Raise `ExponentOverflowError` if x^shift times some term of a reducer
+    tail (`Polynomial.reducer`) has an exponent past `EXP_LIMIT`.  Callers
+    run it only when the entry's top exponent plus max(shift) reaches the
+    limit; every exponent involved is nonnegative."""
+    for e, _ in tail:
+        _check_exp(tuple(map(add, e, shift)))
 
 
 def integer_terms(terms):
@@ -262,11 +285,13 @@ class Polynomial:
         return exp
 
     def reducer(self):
-        """(e, a, tail), computed once, with which `groebner.normal_form`
+        """(e, a, tail, top), computed once, with which `groebner.normal_form`
         reduces by this nonzero polynomial: e is the leading exponent, and the
         polynomial is a scalar multiple of a*x^e - sum(c*x^t for t, c in tail).
         Over GF(p), a = 1 (the tail is scaled by the inverse leading
-        coefficient); over QQ, a > 0 and a and the c are integers with gcd 1."""
+        coefficient); over QQ, a > 0 and a and the c are integers with gcd 1.
+        top is the largest single exponent in the tail (0 if there is none):
+        a tail shifted by x^s stays below `EXP_LIMIT` when top + max(s) does."""
         entry = self._entry
         if entry is None:
             lead = self.leading_exp()
@@ -280,17 +305,18 @@ class Polynomial:
                 m = -1 if a > 0 else 1
                 a = abs(a)
             tail = [(e, c * m % char if char else c * m) for e, c in terms.items() if e != lead]
-            entry = self._entry = (lead, a, tail)
+            top = max((max(e, default=0) for e, _ in tail), default=0)
+            entry = self._entry = (lead, a, tail, top)
         return entry
 
     def primitive(self):
         """The polynomial a*x^e - sum(c*x^t for t, c in tail) that this
-        nonzero one's `reducer` entry (e, a, tail) describes: the monic
+        nonzero one's `reducer` entry (e, a, tail, top) describes: the monic
         multiple over GF(p); over QQ the multiple with coprime integer
         coefficients and a > 0.  Over QQ those coefficients are ints, not
-        Fractions: it is the form `groebner.buchberger` keeps its basis in
-        while it runs, and never returns."""
-        lead, a, tail = entry = self.reducer()
+        Fractions: it is the form the Groebner completion loop keeps its
+        basis in while it runs, and no returned basis has."""
+        lead, a, tail, _ = entry = self.reducer()
         char = self.ring.char
         terms = {lead: a}
         terms.update((e, char - c if char else -c) for e, c in tail)

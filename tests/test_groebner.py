@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairloc import groebner
 from pairloc.errors import ExponentOverflowError
-from pairloc.groebner import (buchberger, normal_form, s_polynomial,
+from pairloc.groebner import (buchberger, eliminate, normal_form, s_polynomial,
                               spoly_certificate)
+from pairloc.ideals import exact_divide, extended_ring, lift_poly
 from pairloc.ring import EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.samples import random_polynomial, standard_ring
 
@@ -37,6 +39,37 @@ def test_buchberger_unit_ideal():
     gb = buchberger([pp(r, "x"), pp(r, "x - 1")])
     assert gb.contains_one()
     assert [str(g) for g in gb.generators] == ["1"]
+
+
+def test_a_constant_ends_the_completion_with_the_unit_ideal(monkeypatch):
+    r = ring("xy")
+    x, y = variables(r)
+
+    def refuse(basis):
+        raise AssertionError("the unit ideal is not interreduced")
+
+    monkeypatch.setattr(groebner, "_interreduce", refuse)
+    # the S-polynomial of x and x - 1 is the constant 1
+    assert buchberger([x, x - Polynomial.one(r)]).generators == (Polynomial.one(r),)
+    big = extended_ring(r, "t")
+    t, x_big = Polynomial.variable(big, "t"), lift_poly(x, big)
+    # x is in the radical of (x), so (x, 1 - t*x) is (1)
+    assert eliminate([x_big, Polynomial.one(big) - t * x_big], r) == (Polynomial.one(r),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3).filter(any),
+                min_size=1, max_size=5),
+       st.sampled_from([0, 32003]), st.sampled_from([LEX, GREVLEX, elimination(1, 2)]))
+def test_monomial_generators_form_no_s_pair(exps, char, order):
+    r = RingSpec(char, ("x", "y", "z"), order)
+    gens = [Polynomial.monomial(r, e, 2) for e in exps]
+    general = tuple(groebner._interreduce(groebner._complete(gens, r)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "s_polynomial", None)  # any S-pair would fail
+        fast = buchberger(gens).generators
+    assert fast == general
+    assert all(type(c) is type(r.coeff(1)) for g in fast for c in g.terms.values())
 
 
 def test_buchberger_zero_ideal():
@@ -243,6 +276,17 @@ def test_reduction_past_the_exponent_limit_raises():
     f = Polynomial.monomial(r, (EXP_LIMIT - 1, 2))  # x^(L-1) y^2 -> x^L
     with pytest.raises(ExponentOverflowError):
         normal_form(f, [g])
+
+
+def test_a_tail_term_past_the_exponent_limit_raises():
+    r = ring("yx", order=LEX)  # y > x, so y leads y - x^(L-1)
+    y, x = variables(r)
+    g = y - Polynomial.monomial(r, (0, EXP_LIMIT - 1))
+    f = x * y  # the tail of g shifted by x gives x^L
+    with pytest.raises(ExponentOverflowError):
+        normal_form(f, [g])
+    with pytest.raises(ExponentOverflowError):
+        exact_divide(f, g)
 
 
 _SYSTEMS = {

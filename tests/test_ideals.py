@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloc.errors import InternalError, PreconditionError
-from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, colon,
-                            dim_quotient, exact_divide, in_radical, intersect,
-                            radical_member, radical_member_groebner, saturate)
+from pairloc.groebner import buchberger
+from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, clear_caches, colon,
+                            dim_quotient, exact_divide, extended_ring, in_radical,
+                            intersect, lift_poly, radical_member,
+                            radical_member_groebner, saturate)
 from pairloc.ring import Polynomial
 from pairloc.samples import random_monomial_ideal, random_polynomial, standard_ring
 
@@ -262,3 +264,53 @@ def test_saturate_matches_colon_chain(inputs):
     # non-monomial A and B over QQ and GF(32003); B with two generators, B = 0, B = (1)
     A, B = inputs
     assert saturate(A, B) == _colon_chain_limit(A, B)
+
+
+def _t_free_reference(gens, ring):
+    """The seed route of every elimination: the full reduced basis over
+    k[t, x], then its elements that do not involve t, with t dropped."""
+    return tuple(Polynomial(ring, {e[1:]: c for e, c in g.terms.items()})
+                 for g in buchberger(gens, extended_ring(ring, "t"))
+                 if all(e[0] == 0 for e in g.terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([0, 32003]),
+       st.integers(min_value=2, max_value=4))
+def test_eliminations_match_the_t_free_part_of_the_full_basis(seed, char, nvars):
+    rng = random.Random(seed)
+    r = standard_ring(nvars, char)
+    big = extended_ring(r, "t")
+    t = Polynomial.variable(big, "t")
+    one = Polynomial.one(big)
+
+    def some_ideal():
+        return Ideal(r, [random_polynomial(rng, r, max_degree=2, max_terms=3)
+                         for _ in range(rng.randint(1, 2))])
+
+    A, B = some_ideal(), some_ideal()
+    f = random_polynomial(rng, r, max_degree=2, max_terms=2)
+    lifted_A = [lift_poly(g, big) for g in A.gens]
+    expected = _t_free_reference([t * g for g in lifted_A]
+                                 + [(one - t) * lift_poly(g, big) for g in B.gens], r)
+    assert intersect(A, B).gens == (expected or (Polynomial.zero(r),))
+    rabinowitsch = _t_free_reference(lifted_A + [one - t * lift_poly(f, big)], r)
+    if not f.is_zero():
+        assert saturate(A, Ideal(r, (f,))).gens == rabinowitsch
+    assert radical_member_groebner(f, A) == (len(rabinowitsch) == 1 and rabinowitsch[0].is_one())
+
+
+def test_clear_caches_makes_an_existing_ideal_cold(monkeypatch):
+    import pairloc.ideals as ideals
+
+    calls = []
+    monkeypatch.setattr(ideals, "buchberger",
+                        lambda gens, ring: calls.append(ring) or buchberger(gens, ring))
+    r = ring("xyz")
+    A = Ideal(r, (pp(r, "x*y - z"), pp(r, "y^2 - x")))
+    f = A.gens[0] * pp(r, "x + z") + A.gens[1]
+    assert A.member(f) and A.member(f)
+    assert len(calls) == 1
+    clear_caches()
+    assert A.member(f)
+    assert len(calls) == 2
