@@ -277,6 +277,7 @@ def _t_free_reference(gens, ring):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([0, 32003]),
        st.integers(min_value=2, max_value=4))
+@example(seed=3362, char=0, nvars=2)  # A : f^oo is the zero ideal
 def test_eliminations_match_the_t_free_part_of_the_full_basis(seed, char, nvars):
     rng = random.Random(seed)
     r = standard_ring(nvars, char)
@@ -296,7 +297,8 @@ def test_eliminations_match_the_t_free_part_of_the_full_basis(seed, char, nvars)
     assert intersect(A, B).gens == (expected or (Polynomial.zero(r),))
     rabinowitsch = _t_free_reference(lifted_A + [one - t * lift_poly(f, big)], r)
     if not f.is_zero():
-        assert saturate(A, Ideal(r, (f,))).gens == rabinowitsch
+        # an empty t-free part is the zero ideal, which Ideal writes as (0,)
+        assert saturate(A, Ideal(r, (f,))).gens == (rabinowitsch or (Polynomial.zero(r),))
     assert radical_member_groebner(f, A) == (len(rabinowitsch) == 1 and rabinowitsch[0].is_one())
 
 
