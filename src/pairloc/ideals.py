@@ -8,11 +8,21 @@ combinatorially.  Every question that adjoins an auxiliary variable t is
 one call of the one elimination primitive, `groebner.eliminate`, which
 completes a basis over k[t, x] and interreduces only its t-free part:
 intersection eliminates t from t·A + (1 − t)·B, saturation by each
-generator b of B is A : b^∞ = (A + (1 − t·b)) ∩ k[x], and the Rabinowitsch
-test asks whether that same elimination for f is (1).  `in_radical`
-(I ⊆ √A) and `radical_member` answer monomial A by the support rule and any
-other A by `radical_member_groebner`, the Rabinowitsch reference that tests
-and `oracles.gamma_minprime_oracle` check the support rule against.
+generator b of B is A : b^∞ = (A + (1 − t·b)) ∩ k[x].  The Rabinowitsch
+test, `radical_member_groebner`, asks only whether A + (1 − t·f) is (1), so it
+runs the completion loop alone and interreduces nothing.
+
+`in_radical` (I ⊆ √A) and `radical_member` answer monomial A (every
+generator a monomial or zero) by the support rule, `supports_cover`: √A is
+generated by the squarefree monomials on the supports of A's generators, and
+membership in a monomial ideal holds term by term (Miller and Sturmfels,
+*Combinatorial Commutative Algebra*, §1.1), so f ∈ √A iff the support of each
+term of f contains one of those supports.  The supports are read once per
+call as bitmasks; no basis is built and nothing is cached.  Only other A
+reach `_radical_cache` and `radical_member_groebner`, the reference that
+tests and `oracles.gamma_minprime_oracle` check the support rule against.
+`Ideal.is_unit` on monomial generators asks only whether one is a nonzero
+constant.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ from itertools import combinations
 from operator import add
 
 from .errors import InternalError, PreconditionError, RingMismatchError
-from .groebner import (GroebnerBasis, buchberger, eliminate, normal_form, _divides, _exp_sub,
-                       _exp_lcm, _minimalize)
+from .groebner import (GroebnerBasis, buchberger, eliminate, normal_form, _complete, _divides,
+                       _exp_sub, _exp_lcm, _minimalize)
 from .ring import EXP_LIMIT, Polynomial, RingSpec, check_shifted, elimination, integer_terms
 
 _gb_cache = {}
@@ -89,6 +99,10 @@ class Ideal:
         return self.groebner().is_zero_ideal()
 
     def is_unit(self):
+        exps = self.monomial_exponents()
+        if exps is not None:
+            # a monomial ideal is (1) iff a generator is a nonzero constant
+            return not all(map(any, exps))
         return self.groebner().contains_one()
 
     def is_proper(self):
@@ -144,7 +158,17 @@ class Ideal:
 
     def is_monomial(self):
         """Whether every generator is a monomial or zero."""
-        return all(g.is_zero() or g.is_monomial() for g in self.gens)
+        return self.monomial_exponents() is not None
+
+    def monomial_exponents(self):
+        """The exponents of the nonzero generators when every generator is
+        a monomial (of any coefficient) or zero, else None."""
+        exps = []
+        for g in self.gens:
+            if len(g.terms) > 1:
+                return None
+            exps += g.terms
+        return exps
 
     def as_monomial(self):
         """View as a MonomialIdeal; error if a generator is not a monomial."""
@@ -273,36 +297,59 @@ def saturate(A: Ideal, B: Ideal) -> Ideal:
     return _over_generators(A, B, lambda b: Ideal(A.ring, _localized(A, b)))
 
 
+def support_mask(exp) -> int:
+    """The variables an exponent vector involves, as a bitmask."""
+    mask = 0
+    for i, e in enumerate(exp):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def supports_cover(supports, exps) -> bool:
+    """The support rule: whether every exponent in exps lies in √A, for a
+    monomial ideal A whose generators have these supports (bitmasks).  √A is
+    generated by the squarefree monomials on those supports, so x^e lies in
+    it iff the support of e contains one of them."""
+    return all(any(s & m == s for s in supports) for m in map(support_mask, exps))
+
+
 def radical_member(f: Polynomial, A: Ideal) -> bool:
     """f ∈ √A.  When A is monomial, √A is monomial too, so f lies in it iff
-    every term of f does; otherwise `radical_member_groebner` decides."""
+    every term of f does, which the support rule decides without a cache;
+    otherwise `radical_member_groebner` decides, once per (f, A)."""
     if f.ring != A.ring:
         raise RingMismatchError("element over a different ring")
+    exps = A.monomial_exponents()
+    if exps is not None:
+        return supports_cover([support_mask(e) for e in exps], f.terms)
     if f.is_zero():
         return True
     key = (f, A.ring, frozenset(A.gens))
     hit = _radical_cache.get(key)
-    if hit is not None:
-        return hit
-    if A.is_monomial():
-        Am = A.as_monomial()
-        result = all(Am.radical_contains(e) for e in f.terms)
-    else:
-        result = radical_member_groebner(f, A)
-    _radical_cache[key] = result
-    return result
+    if hit is None:
+        hit = _radical_cache[key] = radical_member_groebner(f, A)
+    return hit
 
 
 def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
-    """f ∈ √A, by adjoining t and testing whether A + (1 − t·f) is (1), that
-    is whether A : f^∞ is; uncached."""
-    basis = _localized(A, f)
-    return len(basis) == 1 and basis[0].is_one()
+    """f ∈ √A, by adjoining t and asking the completion loop whether
+    A + (1 − t·f) is (1), that is whether A : f^∞ is; uncached."""
+    big, t = _adjoin_t(A.ring)
+    gens = [lift_poly(g, big) for g in A.gens if not g.is_zero()]
+    gens.append(Polynomial.one(big) - t * lift_poly(f, big))
+    return _complete(gens, big) is None
 
 
 def in_radical(I: Ideal, A: Ideal) -> bool:
-    """Whether every generator of I lies in √A, i.e. I ⊆ √A."""
-    return all(radical_member(g, A) for g in I.gens)
+    """Whether every generator of I lies in √A, i.e. I ⊆ √A; by the support
+    rule on all terms of I's generators when A is monomial."""
+    A._check(I)
+    exps = A.monomial_exponents()
+    if exps is None:
+        return all(radical_member(g, A) for g in I.gens)
+    return supports_cover([support_mask(e) for e in exps],
+                          (e for g in I.gens for e in g.terms))
 
 
 def dim_quotient(A: Ideal) -> int:
@@ -388,9 +435,8 @@ class MonomialIdeal:
         return any(_divides(g, exp) for g in self.gens)
 
     def radical_contains(self, exp) -> bool:
-        """exp ∈ √self iff some generator's support sits inside exp's support."""
-        supp = frozenset(i for i, e in enumerate(exp) if e)
-        return any(all(i in supp for i, e in enumerate(g) if e) for g in self.gens)
+        """exp ∈ √self, by the support rule."""
+        return supports_cover([support_mask(g) for g in self.gens], (exp,))
 
     def __add__(self, other):
         self._check(other)

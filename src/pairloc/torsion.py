@@ -2,23 +2,32 @@
 
 Membership is decided for arbitrary ideals through the annihilator
 characterization: x is torsion iff every generator of I lies in the radical of
-(K : x) + J; when K and the remainder of x modulo K are monomial, (K : x) is
-the monomial colon, otherwise an intersection.
+(K : x) + J.  For a monomial x = c·x^e over monomial K and J it is read from
+exponents alone: x ∈ K iff a generator of K divides x^e, and otherwise the
+supports {i : g_i > e_i} of (K : x^e)'s generators x^max(g − e, 0), with
+J's, go straight into the support rule of `ideals`.  Otherwise, when K and
+the remainder of x modulo K are monomial, (K : x) is the monomial colon, and
+in general an intersection.
 
 For monomial data the whole submodule comes from one irredundant irreducible
 decomposition K = ∩ Q_i.  The support family W(I, J) is stable under
 specialization, so the torsion submodule is (∩ of the Q_i whose radical lies
 outside W)/K and its associated primes are the radicals of the Q_i lying in
-W; each distinct radical is tested once.  Tests and property suites hold
-both answers to the box-walking routes of `oracles`, so the monomial support
-rule that answers them is never the only thing checking itself.
+W; each distinct radical p is tested once, by the support rule on the
+supports of J and the variables of p.  Tests and property suites hold both
+answers to the box-walking routes of `oracles`, so the monomial support rule
+that answers them is never the only thing checking itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 
-from .ideals import FacePrime, Ideal, MonomialIdeal, colon, in_radical
+from .errors import RingMismatchError
+from .groebner import _divides
+from .ideals import (FacePrime, Ideal, MonomialIdeal, colon, in_radical, support_mask,
+                     supports_cover)
 from .ring import Polynomial
 from .support import PairSpec, w_member
 
@@ -52,7 +61,19 @@ class GammaResult:
 
 
 def gamma_member(x: Polynomial, ctx: PairContext) -> bool:
-    """Membership of x + K in the torsion submodule of R/K."""
+    """Membership of x + K in the torsion submodule of R/K; read from
+    exponents when x is a monomial and K and J are monomial."""
+    if x.ring != ctx.ring:
+        raise RingMismatchError("element over a different ring")
+    if len(x.terms) == 1:
+        K, J = ctx.K.monomial_exponents(), ctx.pair.J.monomial_exponents()
+        if K is not None and J is not None:
+            (e,) = x.terms
+            if any(_divides(g, e) for g in K):
+                return True
+            supports = [support_mask(map(gt, g, e)) for g in K]
+            supports += map(support_mask, J)
+            return supports_cover(supports, (m for f in ctx.pair.I.gens for m in f.terms))
     r = ctx.K.normal_form(x)
     if r.is_zero():
         return True
@@ -68,13 +89,14 @@ def _components(ctx: PairContext):
     """(Q, √Q, √Q ∈ W(I, J)) for each irreducible component Q of K; each
     distinct radical is tested once."""
     Im, Jm, Km = ctx.monomial_data()
-    ring, pair = ctx.ring, ctx.pair
+    J = [support_mask(g) for g in Jm.gens]
     in_w = {}
     out = []
     for Q in Km.irreducible_components():
         p = _as_face_prime(Q.radical())
         if p not in in_w:
-            in_w[p] = in_radical(pair.I, pair.J + p.to_ideal(ring))
+            # I ⊆ √(J + p), where p's generators are single variables
+            in_w[p] = supports_cover(J + [1 << i for i in p.vars], Im.gens)
         out.append((Q, p, in_w[p]))
     return out
 
