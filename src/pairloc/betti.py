@@ -5,13 +5,24 @@ One engine computes every Betti table, projective dimension and depth:
 homology of the upper Koszul simplicial complexes K^b, for b in the lcm
 lattice of the minimal generators, in the n variables of the ring and for
 any exponents (Miller-Sturmfels, Combinatorial Commutative Algebra,
-Thm 1.34).  Each K^b is generated by one face per generator dividing x^b,
-so its faces are the submasks of a few integer bitmasks.  By Dowker's
-theorem (C. H. Dowker, "Homology groups of relations", Ann. of Math. 56,
-1952) the transposed relation, on the generators, gives a complex with the
-same reduced homology; the engine builds whichever has fewer vertices.  Its
-boundary ranks come from `matrix_rank`, one sparse exact elimination over QQ
-and GF(p).
+Thm 1.34).
+
+- *One bit matrix per call.*  For each variable i and exponent v, le[i][v]
+  is the bitmask of the generators g with g_i <= v.  The generators dividing
+  x^b are the AND of le[i][b_i] over i, and AND-ing in le[i][b_i - 1] gives
+  the face of i in supp b.  These faces generate a complex on the
+  generators that, by Dowker's theorem (C. H. Dowker, "Homology groups of
+  relations", Ann. of Math. 56, 1952), has the reduced homology of K^b.
+- *Fewer vertices, then shape.*  A complex is cut to its maximal facets and
+  replaced by the transposed relation of those, its nerve, while that has
+  fewer vertices.  One facet is a simplex, acyclic unless it is ∅; two are
+  S^0 when disjoint and contractible when they meet.  Only larger complexes
+  are ranked, by `matrix_rank`, one sparse exact elimination over QQ and
+  GF(p).
+- *One homology per complex per pass.*  The nonzero homology of each ranked
+  complex is kept in `_homology_cache` under (facets, characteristic), at
+  most HOMOLOGY_CACHE_LIMIT entries, emptied when full and by
+  `ideals.clear_caches`.
 
 The engine is checked entry by entry against `oracles.koszul_tor`, which
 shares no rank code with it.  `polarize` is kept only to be checked: it must
@@ -24,14 +35,19 @@ model depth + projective dimension equals the number of variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
-from operator import le
+from operator import or_
 
 from .errors import PreconditionError
-from .ideals import FacePrime, MonomialIdeal
+from .ideals import FacePrime, MonomialIdeal, module_cache
 from .ring import GREVLEX, RingSpec
 
 INFINITY = float("inf")
+
+# (frozenset of facets, char) -> ((q, nonzero dim), ...) for each ranked complex
+HOMOLOGY_CACHE_LIMIT = 1024
+_homology_cache = module_cache()
 
 
 # -- exact rank ---------------------------------------------------------------
@@ -115,10 +131,8 @@ def reduced_homology_dims(masks, char: int = 0):
     """dim of reduced homology per dimension q >= -1 of the simplicial
     complex generated by the faces `masks`, vertex sets as integer bitmasks
     ([0] alone generates the complex {∅})."""
-    facets = set(masks)
-    facets = [m for m in facets if not any(m != f and m & f == m for f in facets)]
     faces = set()
-    for m in facets:
+    for m in _maximal(masks):
         sub = m
         while sub:
             faces.add(sub)
@@ -143,18 +157,77 @@ def reduced_homology_dims(masks, char: int = 0):
             for k in range(top + 1)}
 
 
-def _upper_koszul_masks(gens, b):
-    """Generating faces of a complex with the reduced homology of K^b, for
-    x^b in K.  With G the generators dividing x^b, K^b is generated by the
-    sets {i in supp b : g_i < b_i} for g in G; by Dowker's theorem the
-    transposed relation, {g in G : g_i < b_i} for i in supp b, generates
-    {S ⊆ G : lcm(S) != b}, which has the same reduced homology.  The side
-    with fewer vertices is returned."""
-    below = [g for g in gens if all(map(le, g, b))]
-    supp = [i for i, e in enumerate(b) if e]
-    if len(below) < len(supp):
-        return [sum(1 << k for k, g in enumerate(below) if g[i] < b[i]) for i in supp]
-    return [sum(1 << i for i in supp if g[i] < b[i]) for g in below]
+def _maximal(masks):
+    """The maximal faces among the bitmasks `masks`, largest first."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for f in kept:
+            if m & f == m:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _transpose(facets):
+    """The transposed relation: for each vertex, in increasing order, the
+    bitmask of the facets that contain it (bit j for facets[j])."""
+    union = reduce(or_, facets)
+    out = []
+    while union:
+        bit = union & -union
+        out.append(sum(1 << j for j, f in enumerate(facets) if f & bit))
+        union ^= bit
+    return out
+
+
+def _homology(masks, char):
+    """The nonzero reduced homology ((q, dim), ...) of the complex generated
+    by the faces `masks`: on the side with fewer vertices, by shape for one
+    or two maximal facets, else ranked once per cache generation."""
+    facets = _maximal(masks)
+    while len(facets) > 2 and reduce(or_, facets).bit_count() > len(facets):
+        facets = _maximal(_transpose(facets))
+    if len(facets) == 1:
+        return () if facets[0] else ((-1, 1),)
+    if len(facets) == 2:
+        f, g = facets
+        return () if f & g else ((0, 1),)
+    key = (frozenset(facets), char)
+    dims = _homology_cache.get(key)
+    if dims is None:
+        if len(_homology_cache) >= HOMOLOGY_CACHE_LIMIT:
+            _homology_cache.clear()
+        dims = _homology_cache[key] = tuple(
+            (q, h) for q, h in reduced_homology_dims(facets, char).items() if h)
+    return dims
+
+
+def _threshold_masks(gens, nvars):
+    """le[i][v]: the bitmask of the generators g (bit k for gens[k]) with
+    g_i <= v, for v from 0 to the largest exponent of variable i."""
+    le = []
+    for i in range(nvars):
+        at = [0] * (max((g[i] for g in gens), default=0) + 1)
+        for k, g in enumerate(gens):
+            at[g[i]] |= 1 << k
+        for v in range(1, len(at)):
+            at[v] |= at[v - 1]
+        le.append(at)
+    return le
+
+
+def _upper_koszul_masks(le, b):
+    """Generating faces, on the generators, of a complex with the reduced
+    homology of K^b, for x^b in K.  K^b is generated by the sets
+    {i in supp b : g_i < b_i} for the generators g dividing x^b, which form
+    G = AND over i of le[i][b_i]; by Dowker's theorem the transposed
+    relation, with the face G AND le[i][b_i - 1] for each i in supp b,
+    generates {S ⊆ G : lcm(S) != b}, which has the same reduced homology."""
+    below = -1
+    for at, e in zip(le, b):
+        below &= at[e]
+    return [below & le[i][e - 1] for i, e in enumerate(b) if e]
 
 
 def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
@@ -162,10 +235,8 @@ def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
     complexes: beta_{i,b}(R/K) = dim H~_{i-2}(K^b) for b != 0 in the lcm
     lattice of the minimal generators (Miller-Sturmfels, Thm 1.34).
 
-    K^b = {F ⊆ supp b : x^(b-F) in K} is taken from its generating faces,
-    on supp b or, by Dowker's theorem, on the generators dividing x^b,
-    whichever side has fewer vertices (`_upper_koszul_masks`); its boundary
-    matrices are ranked by the sparse exact `matrix_rank`."""
+    K^b = {F ⊆ supp b : x^(b-F) in K} is read from one threshold bit matrix
+    of the generators, as the module docstring describes."""
     if K.is_unit():
         raise PreconditionError("Betti numbers require a proper ideal")
     n = K.nvars
@@ -173,11 +244,11 @@ def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
     for g in K.gens:
         lattice |= {tuple(map(max, g, b)) for b in lattice}
         lattice.add(g)
+    le = _threshold_masks(K.gens, n)
     entries = {(0, (0,) * n): 1}
     for b in lattice:
-        for q, h in reduced_homology_dims(_upper_koszul_masks(K.gens, b), char).items():
-            if h:
-                entries[(q + 2, b)] = h
+        for q, h in _homology(_upper_koszul_masks(le, b), char):
+            entries[(q + 2, b)] = h
     return BettiTable.from_dict(n, entries)
 
 

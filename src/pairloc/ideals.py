@@ -39,17 +39,27 @@ from .ring import EXP_LIMIT, Polynomial, RingSpec, check_shifted, elimination, i
 
 _gb_cache = {}
 _radical_cache = {}
+_caches = [_gb_cache, _radical_cache]  # every module cache, emptied by clear_caches
 _generation = 0  # bumped by clear_caches; an Ideal's own basis is kept for one generation
 
 
+def module_cache():
+    """A new module-level cache dict that `clear_caches` empties; modules
+    that import this one (such as `betti`) register theirs here."""
+    cache = {}
+    _caches.append(cache)
+    return cache
+
+
 def clear_caches():
-    """Forget every Groebner basis and radical membership computed so far:
-    empty the module caches and start a new generation, so that each
-    existing `Ideal` also drops the basis it keeps in `_gb` and computes it
-    again on its next use."""
+    """Forget everything computed so far: empty every module cache (the
+    Groebner bases and radical memberships here, the reduced homology of
+    `betti`'s complexes) and start a new generation, so that each existing
+    `Ideal` also drops the basis it keeps in `_gb` and computes it again on
+    its next use."""
     global _generation
-    _gb_cache.clear()
-    _radical_cache.clear()
+    for cache in _caches:
+        cache.clear()
     _generation += 1
 
 
@@ -354,8 +364,12 @@ def in_radical(I: Ideal, A: Ideal) -> bool:
 
 def dim_quotient(A: Ideal) -> int:
     """Krull dimension of R/A, which is that of R modulo the leading-term
-    ideal of A; the unit ideal has dimension -1."""
-    leading = [g.leading_exp() for g in A.groebner()]
+    ideal of A; the unit ideal has dimension -1.  Monomial A (every
+    generator a monomial or zero) is its own leading-term ideal, so its
+    exponents are read without a basis."""
+    leading = A.monomial_exponents()
+    if leading is None:
+        leading = [g.leading_exp() for g in A.groebner()]
     return MonomialIdeal.from_exps(A.ring.nvars, leading).dim()
 
 

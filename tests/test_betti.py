@@ -5,11 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloc import betti
-from pairloc.betti import (INFINITY, _upper_koszul_masks, depth_at_face,
-                           depth_quotient, hochster_betti, matrix_rank,
-                           polarize, projective_dimension,
-                           reduced_homology_dims, restrict_to_face)
-from pairloc.ideals import FacePrime, Ideal, MonomialIdeal
+from pairloc.betti import (INFINITY, _homology, _threshold_masks,
+                           _upper_koszul_masks, depth_at_face, depth_quotient,
+                           hochster_betti, matrix_rank, polarize,
+                           projective_dimension, reduced_homology_dims,
+                           restrict_to_face)
+from pairloc.ideals import FacePrime, Ideal, MonomialIdeal, clear_caches
 from pairloc.invariants import all_face_primes, pair_depth
 from pairloc.oracles import _dense_rank, koszul_tor
 from pairloc.ring import Polynomial
@@ -105,6 +106,7 @@ def _any_monomial_ideals(draw):
 def test_both_dowker_sides_have_the_same_reduced_homology(K):
     # K^b on supp b by its definition, and {S : lcm(S) != b} on the
     # generators dividing x^b, each listed face by face
+    le = _threshold_masks(K.gens, K.nvars)
     for b in _lcm_lattice(K):
         supp = [i for i, e in enumerate(b) if e]
         below = [g for g in K.gens if all(x <= y for x, y in zip(g, b))]
@@ -117,9 +119,75 @@ def test_both_dowker_sides_have_the_same_reduced_homology(K):
         for char in (0, 2):
             dims = _nonzero(reduced_homology_dims(on_supp, char))
             assert _nonzero(reduced_homology_dims(on_gens, char)) == dims
-            assert _nonzero(reduced_homology_dims(_upper_koszul_masks(K.gens, b), char)) == dims
+            assert _nonzero(reduced_homology_dims(_upper_koszul_masks(le, b), char)) == dims
             if b in K.gens:
                 assert dims == {-1: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=7), st.sampled_from([0, 2, 3]))
+@example([0], 0)                        # {∅}
+@example([0b0111, 0b0011, 0b0100], 0)   # one simplex and two of its faces
+@example([0b0011, 0b1100], 0)           # two disjoint facets: S^0
+@example([0b0011, 0b0110, 0b0010], 0)   # two facets meeting in a vertex
+@example([0b011, 0b101, 0b110], 0)      # hollow triangle: ranked
+@example([0b000111, 0b111000, 0b100001, 0b010010], 2)  # taken on its nerve
+def test_homology_by_shape_and_nerve_matches_the_ranks(masks, char):
+    clear_caches()
+    assert dict(_homology(masks, char)) == _nonzero(reduced_homology_dims(masks, char))
+
+
+def test_shortcut_shapes_need_no_rank(monkeypatch):
+    def refuse(rows, char):
+        raise AssertionError("a one- or two-facet complex was ranked")
+
+    monkeypatch.setattr(betti, "matrix_rank", refuse)
+    assert _homology([0, 0], 0) == ((-1, 1),)
+    assert _homology([0b111, 0b011, 0b100], 0) == ()
+    assert _homology([0b0011, 0b1100, 0b0001], 2) == ((0, 1),)
+    assert _homology([0b0011, 0b0110], 2) == ()
+    # three facets on five vertices: the nerve has two, which meet
+    assert _homology([0b00011, 0b00110, 0b11100], 0) == ()
+    assert not betti._homology_cache
+
+
+@settings(max_examples=40, deadline=None)
+@given(_any_monomial_ideals(), st.sampled_from([0, 2]))
+@example(_rp2_ideal(), 2)
+def test_warm_tables_equal_cold_tables(K, char):
+    clear_caches()
+    cold = hochster_betti(K, char)
+    warm = hochster_betti(K, char)
+    assert warm == cold
+    clear_caches()
+    assert not betti._homology_cache
+    assert hochster_betti(K, char) == cold
+
+
+def test_a_small_homology_cache_bound_holds_and_changes_no_answer(monkeypatch):
+    rng = random.Random(14)
+    ideals = [random_monomial_ideal(rng, n, max_exp=3) for n in (3, 4, 5) for _ in range(8)]
+    ideals.append(_rp2_ideal())
+    expected = [hochster_betti(K, char) for K in ideals for char in (0, 2)]
+    clear_caches()
+    monkeypatch.setattr(betti, "HOMOLOGY_CACHE_LIMIT", 2)
+    rank = reduced_homology_dims
+    ranked, sizes = [], []
+
+    def spy(masks, char):
+        ranked.append(masks)
+        sizes.append(len(betti._homology_cache))
+        return rank(masks, char)
+
+    monkeypatch.setattr(betti, "reduced_homology_dims", spy)
+    got = []
+    for K in ideals:
+        for char in (0, 2):
+            got.append(hochster_betti(K, char))
+            sizes.append(len(betti._homology_cache))
+    assert got == expected
+    assert len(ranked) > 2  # more complexes than the bound, so entries were evicted
+    assert max(sizes) <= 2
 
 
 @st.composite

@@ -55,3 +55,36 @@ def test_oracles_stay_off_the_production_path():
         found += [f"{module}:{line} imports {name}" for line, name in _oracle_imports(tree)
                   if allowed is not None and name not in allowed]
     assert found == []
+
+
+def _module_caches():
+    """(module name, variable) for each module-level `_*_cache` in the package."""
+    for name, tree in _sources():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            yield from ((name[:-3].replace("/", "."), t.id) for t in targets
+                        if isinstance(t, ast.Name) and t.id.startswith("_")
+                        and t.id.endswith("_cache"))
+
+
+def test_clear_caches_empties_every_module_cache():
+    # the benchmark starts each pass cold by calling ideals.clear_caches alone
+    from importlib import import_module
+
+    from pairloc.betti import hochster_betti
+    from pairloc.ideals import Ideal, MonomialIdeal, clear_caches, radical_member
+    from pairloc.ring import RingSpec, parse_polynomial
+
+    r = RingSpec(0, ("x", "y", "z"))
+    A = Ideal(r, (parse_polynomial(r, "x*y - z"), parse_polynomial(r, "y^2")))
+    A.groebner()
+    radical_member(parse_polynomial(r, "z"), A)
+    # K^b at b = (1, 1, 1, 1) is a hollow square, which is ranked
+    hochster_betti(MonomialIdeal.from_exps(4, [(1, 1, 0, 0), (0, 1, 1, 0),
+                                               (0, 0, 1, 1), (1, 0, 0, 1)]))
+    caches = {f"{module}.{var}": getattr(import_module(f"pairloc.{module}"), var)
+              for module, var in _module_caches()}
+    assert {"ideals._gb_cache", "ideals._radical_cache", "betti._homology_cache"} <= set(caches)
+    assert [name for name, cache in caches.items() if not cache] == []
+    clear_caches()
+    assert [name for name, cache in caches.items() if cache] == []

@@ -1,5 +1,6 @@
 """The support rule that answers radical containment, torsion membership and
-the unit test on monomial data, held to the Groebner routes it replaces."""
+the unit test on monomial data, and the dimension read from monomial
+exponents, held to the Groebner routes they replace."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 import pairloc.groebner as groebner
 import pairloc.ideals as ideals
-from pairloc.errors import RingMismatchError
-from pairloc.ideals import Ideal, colon, in_radical, radical_member, radical_member_groebner
+from pairloc.errors import PreconditionError, RingMismatchError
+from pairloc.ideals import (Ideal, MonomialIdeal, colon, dim_quotient, in_radical,
+                            radical_member, radical_member_groebner)
+from pairloc.invariants import lh_vanishes, top_nonvanishing, vanishing_bounds
 from pairloc.oracles import gamma_colimit_oracle
 from pairloc.ring import Polynomial
 from pairloc.samples import standard_ring
@@ -136,6 +139,44 @@ def test_monomial_paths_build_no_basis(monkeypatch):
     assert not is_torsion(ctx)
     assert not (I + K).is_unit() and (I + Ideal(r, (pp(r, "3"),))).is_unit()
     assert not ideals._radical_cache and not ideals._gb_cache
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RINGS).flatmap(_monomial_ideals))
+@example(Ideal(R3, (pp(R3, "-3*x^2*y"), pp(R3, "0"), pp(R3, "5*z"))))
+@example(Ideal.zero(R3))
+@example(Ideal.unit(R2_MOD))
+@example(Ideal(R2_MOD, (pp(R2_MOD, "7"), pp(R2_MOD, "x*y"))))
+def test_monomial_dimension_matches_the_leading_term_route(A):
+    leading = [g.leading_exp() for g in A.groebner()]
+    assert dim_quotient(A) == MonomialIdeal.from_exps(A.ring.nvars, leading).dim()
+
+
+def test_monomial_invariants_build_no_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a monomial dimension reached Groebner code")
+
+    for module in (groebner, ideals):
+        monkeypatch.setattr(module, "buchberger", refuse)
+        monkeypatch.setattr(module, "_complete", refuse)
+    r = standard_ring(3)
+
+    def ctx(I, J, K):
+        return PairContext(PairSpec(Ideal(r, [pp(r, f) for f in I]),
+                                    Ideal(r, [pp(r, f) for f in J])),
+                           Ideal(r, [pp(r, f) for f in K]))
+
+    primary = ctx(["x", "-y", "2*z"], ["2*x"], ["3*x*y"])
+    assert vanishing_bounds(primary) == (2, 2)
+    assert top_nonvanishing(primary) == 2
+    assert lh_vanishes(primary) is False  # (x) contains J and (x) + I is maximal
+    plane = ctx(["x", "y"], ["2*x", "0"], ["3*x*y"])
+    assert vanishing_bounds(plane) == (2, 2)
+    with pytest.raises(PreconditionError):  # dim R/(I + J + K) = 1
+        top_nonvanishing(plane)
+    assert lh_vanishes(plane) is True
+    assert vanishing_bounds(ctx(["x"], ["y*z"], [])) == (2, 3)
+    assert not ideals._gb_cache
 
 
 def test_mixed_rings_still_raise():
