@@ -29,7 +29,9 @@ shares no rank code with it.  `polarize` is kept only to be checked: it must
 preserve projective dimension.
 
 Depth of the zero module is the infinite sentinel INFINITY; over the graded
-model depth + projective dimension equals the number of variables.
+model depth + projective dimension equals the number of variables.  Depth at
+a face prime is the depth of K restricted to the face's variables, a
+`MonomialIdeal` in those variables, over the ring's characteristic.
 """
 
 from __future__ import annotations
@@ -292,39 +294,31 @@ def polarize(K: MonomialIdeal, ring: RingSpec):
 
 # -- depth --------------------------------------------------------------------
 
-def projective_dimension(K: MonomialIdeal, ring: RingSpec) -> int:
-    return hochster_betti(K, ring.char).pd()
-
-
 def depth_quotient(K: MonomialIdeal, ring: RingSpec):
-    """Depth of R/K at the irrelevant maximal ideal: nvars minus projective
-    dimension; the zero module has infinite depth."""
+    """Depth of R/K at the irrelevant maximal ideal, over the characteristic
+    of `ring`: K's number of variables minus the projective dimension; the
+    zero module has infinite depth."""
     if K.is_unit():
         return INFINITY
-    return ring.nvars - projective_dimension(K, ring)
+    return K.nvars - hochster_betti(K, ring.char).pd()
 
 
-def restrict_to_face(K: MonomialIdeal, ring: RingSpec, face: FacePrime):
+def restrict_to_face(K: MonomialIdeal, face: FacePrime):
     """Localization model at a face prime: variables outside the face become
-    units.  Returns (subring, restricted ideal), or None when the module
-    vanishes there (some generator restricts to a unit)."""
+    units.  Returns the restricted ideal in the face's variables, or None
+    when the module vanishes there (some generator restricts to a unit)."""
     S = sorted(face.vars)
-    sub = RingSpec(ring.char, tuple(ring.variables[i] for i in S), GREVLEX)
     exps = []
     for g in K.gens:
         r = tuple(g[i] for i in S)
         if not any(r):
             return None
         exps.append(r)
-    return sub, MonomialIdeal.from_exps(len(S), exps)
+    return MonomialIdeal.from_exps(len(S), exps)
 
 
 def depth_at_face(K: MonomialIdeal, ring: RingSpec, face: FacePrime):
     """Depth of the localization of R/K at a face prime, or None when the
     face prime is outside the support."""
-    restricted = restrict_to_face(K, ring, face)
-    if restricted is None:
-        return None
-    sub, KS = restricted
-    d = depth_quotient(KS, sub)
-    return d
+    KS = restrict_to_face(K, face)
+    return None if KS is None else depth_quotient(KS, ring)

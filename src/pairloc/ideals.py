@@ -3,10 +3,13 @@
 `Ideal` is the general carrier (sum, product, intersection, colon, saturation,
 radical membership, Krull dimension of the quotient).  `MonomialIdeal` stores
 exponent-vector generators as a divisibility antichain and answers colon,
-radical, minimal primes, Assh, irreducible decomposition, and dimension
-combinatorially.  Every question that adjoins an auxiliary variable t is
-one call of the one elimination primitive, `groebner.eliminate`, which
-completes a basis over k[t, x] and interreduces only its t-free part:
+radical and irreducible decomposition combinatorially.  Its minimal primes,
+Assh and dimension all read one routine, `MonomialIdeal._covers`: the
+minimal vertex covers of the generators' supports, as bitmasks.
+
+Every question that adjoins an auxiliary variable t is one call of the one
+elimination primitive, `groebner.eliminate`, which completes a basis over
+k[t, x] and interreduces only its t-free part:
 intersection eliminates t from t·A + (1 − t)·B, saturation by each
 generator b of B is A : b^∞ = (A + (1 − t·b)) ∩ k[x].  The Rabinowitsch
 test, `radical_member_groebner`, asks only whether A + (1 − t·f) is (1), so it
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from operator import add
 
 from .errors import InternalError, PreconditionError, RingMismatchError
@@ -316,6 +318,11 @@ def support_mask(exp) -> int:
     return mask
 
 
+def _bits(mask):
+    """The indices of the set bits of mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def supports_cover(supports, exps) -> bool:
     """The support rule: whether every exponent in exps lies in √A, for a
     monomial ideal A whose generators have these supports (bitmasks).  √A is
@@ -398,25 +405,6 @@ class FacePrime:
         return "(" + ",".join(ring.variables[i] for i in sorted(self.vars)) + ")"
 
 
-def _min_covers(edges):
-    """All inclusion-minimal vertex covers of a set of nonempty hyperedges."""
-    edges = [frozenset(e) for e in edges]
-    edges = [e for e in edges if not any(o < e for o in edges)]
-    covers = set()
-
-    def rec(chosen, remaining):
-        if not remaining:
-            covers.add(frozenset(chosen))
-            return
-        edge = remaining[0]
-        for v in sorted(edge):
-            rec(chosen | {v}, [r for r in remaining[1:] if v not in r])
-
-    rec(frozenset(), edges)
-    return sorted((c for c in covers if not any(o < c for o in covers)),
-                  key=lambda c: (len(c), tuple(sorted(c))))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Minimal monomial generators as an antichain of exponent vectors."""
@@ -447,10 +435,6 @@ class MonomialIdeal:
 
     def contains(self, exp) -> bool:
         return any(_divides(g, exp) for g in self.gens)
-
-    def radical_contains(self, exp) -> bool:
-        """exp ∈ √self, by the support rule."""
-        return supports_cover([support_mask(g) for g in self.gens], (exp,))
 
     def __add__(self, other):
         self._check(other)
@@ -490,37 +474,39 @@ class MonomialIdeal:
         return MonomialIdeal.from_exps(
             self.nvars, [tuple(min(e, 1) for e in g) for g in self.gens])
 
-    def _edges(self):
-        return [frozenset(i for i, e in enumerate(g) if e) for g in self.radical().gens]
+    def _covers(self):
+        """The minimal vertex covers of the generators' supports, as bitmasks
+        sorted by (size, variables): the variables of the minimal primes
+        (Miller and Sturmfels, Ch. 1).  The zero ideal has the one cover
+        0 and the unit ideal, whose generator has empty support, has none.
+
+        Each support in turn splits every cover that misses it into one cover
+        per variable of the support; the covers that contain another go."""
+        covers = [0]
+        for s in {support_mask(g) for g in self.gens}:
+            grown = {c if c & s else c | 1 << i for c in covers for i in _bits(s)}
+            covers = []
+            for c in sorted(grown, key=lambda c: (c.bit_count(), _bits(c))):
+                if not any(k & c == k for k in covers):
+                    covers.append(c)
+        return covers
 
     def min_primes(self):
-        """Minimal primes as face primes: minimal vertex covers of the
-        supports of the radical's generators."""
+        """Minimal primes as face primes, smallest first."""
         if self.is_unit():
             raise PreconditionError("the unit ideal has no minimal primes")
-        if self.is_zero():
-            return (FacePrime(frozenset()),)
-        return tuple(FacePrime(c) for c in _min_covers(self._edges()))
+        return tuple(FacePrime(frozenset(_bits(c))) for c in self._covers())
 
     def dim(self) -> int:
-        """Krull dimension of R/self: the size of a largest set of variables
-        containing the support of no generator; -1 for the unit ideal."""
-        if self.is_unit():
-            return -1
-        n = self.nvars
-        supports = [frozenset(i for i, e in enumerate(g) if e) for g in self.gens]
-        for size in range(n, 0, -1):
-            for S in combinations(range(n), size):
-                sset = set(S)
-                if not any(sup <= sset for sup in supports):
-                    return size
-        return 0
+        """Krull dimension of R/self: nvars minus the size of a smallest
+        minimal prime; -1 for the unit ideal."""
+        covers = self._covers()
+        return self.nvars - covers[0].bit_count() if covers else -1
 
     def assh(self):
         """Minimal primes of maximal dimension (= minimal cover size)."""
         primes = self.min_primes()
-        least = min(len(p.vars) for p in primes)
-        return tuple(p for p in primes if len(p.vars) == least)
+        return tuple(p for p in primes if len(p.vars) == len(primes[0].vars))
 
     def irreducible_components(self):
         """Irredundant irreducible decomposition: the ideals Q_i generated by

@@ -26,9 +26,9 @@ from itertools import combinations, product
 
 from .betti import BettiTable
 from .errors import PreconditionError
-from .ideals import MonomialIdeal, radical_member_groebner
+from .ideals import FacePrime, MonomialIdeal, radical_member_groebner
 from .support import wtilde_member
-from .torsion import GammaResult, PairContext, _as_face_prime
+from .torsion import GammaResult, PairContext
 
 _BOX_LIMIT = 2**20
 
@@ -184,6 +184,19 @@ def gamma_colimit_oracle(ctx: PairContext) -> GammaResult:
         if wtilde_member(a.to_ideal(ring), ctx.pair):
             L = L + Km.saturation(a)
     return GammaResult(L, L.is_unit())
+
+
+def _as_face_prime(A: MonomialIdeal):
+    """A as a face prime, or None when A is not generated by variables."""
+    if A.is_zero():
+        return FacePrime(frozenset())
+    idx = set()
+    for g in A.gens:
+        support = [i for i, e in enumerate(g) if e]
+        if len(support) != 1 or g[support[0]] != 1:
+            return None
+        idx.add(support[0])
+    return FacePrime(frozenset(idx))
 
 
 def ass_monomial(K: MonomialIdeal):

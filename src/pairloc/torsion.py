@@ -5,16 +5,16 @@ characterization: x is torsion iff every generator of I lies in the radical of
 (K : x) + J.  For a monomial x = c·x^e over monomial K and J it is read from
 exponents alone: x ∈ K iff a generator of K divides x^e, and otherwise the
 supports {i : g_i > e_i} of (K : x^e)'s generators x^max(g − e, 0), with
-J's, go straight into the support rule of `ideals`.  Otherwise, when K and
-the remainder of x modulo K are monomial, (K : x) is the monomial colon, and
-in general an intersection.
+J's, go straight into the support rule of `ideals`.  Otherwise (K : x) is
+the general `colon` of K by the remainder of x modulo K.
 
 For monomial data the whole submodule comes from one irredundant irreducible
 decomposition K = ∩ Q_i.  The support family W(I, J) is stable under
 specialization, so the torsion submodule is (∩ of the Q_i whose radical lies
 outside W)/K and its associated primes are the radicals of the Q_i lying in
-W; each distinct radical p is tested once, by the support rule on the
-supports of J and the variables of p.  Tests and property suites hold both
+W.  Each Q_i is generated by pure powers, so its radical p is read from
+their variables, and each distinct p is tested once, by the support rule on
+the supports of J and the variables of p.  Tests and property suites hold both
 answers to the box-walking routes of `oracles`, so the monomial support rule
 that answers them is never the only thing checking itself.
 """
@@ -77,11 +77,7 @@ def gamma_member(x: Polynomial, ctx: PairContext) -> bool:
     r = ctx.K.normal_form(x)
     if r.is_zero():
         return True
-    if r.is_monomial() and ctx.K.is_monomial():
-        # (K : c·x^e) = (K : x^e), and for monomial K that is monomial
-        ann = ctx.K.as_monomial().colon_monomial(r.leading_exp()).to_ideal(ctx.ring)
-    else:
-        ann = colon(ctx.K, Ideal(ctx.ring, (r,)))
+    ann = colon(ctx.K, Ideal(ctx.ring, (r,)))
     return in_radical(ctx.pair.I, ann + ctx.pair.J)
 
 
@@ -93,10 +89,11 @@ def _components(ctx: PairContext):
     in_w = {}
     out = []
     for Q in Km.irreducible_components():
-        p = _as_face_prime(Q.radical())
+        # Q is generated by pure powers, so √Q by their variables
+        powers = [support_mask(g) for g in Q.gens]
+        p = FacePrime(frozenset(m.bit_length() - 1 for m in powers))
         if p not in in_w:
-            # I ⊆ √(J + p), where p's generators are single variables
-            in_w[p] = supports_cover(J + [1 << i for i in p.vars], Im.gens)
+            in_w[p] = supports_cover(J + powers, Im.gens)  # I ⊆ √(J + p)
         out.append((Q, p, in_w[p]))
     return out
 
@@ -122,18 +119,6 @@ def is_torsion(ctx: PairContext) -> bool:
 
 
 # -- associated primes of monomial cyclic modules -----------------------------
-
-def _as_face_prime(A: MonomialIdeal):
-    if A.is_zero():
-        return FacePrime(frozenset())
-    idx = set()
-    for g in A.gens:
-        support = [i for i, e in enumerate(g) if e]
-        if len(support) != 1 or g[support[0]] != 1:
-            return None
-        idx.add(support[0])
-    return FacePrime(frozenset(idx))
-
 
 def ass_gamma(ctx: PairContext):
     """Associated primes of the torsion submodule of R/K (monomial data): the

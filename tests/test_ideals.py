@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -182,11 +183,57 @@ def test_monomial_dim_is_nvars_minus_the_smallest_minimal_prime(K):
     assert K.dim() == expected
 
 
+def _subsets_by_brute_force(K):
+    """Every subset of the variables as a frozenset, and the supports of K's
+    generators, read from the exponents with no bitmask."""
+    subsets = [frozenset(S) for size in range(K.nvars + 1)
+               for S in combinations(range(K.nvars), size)]
+    supports = [frozenset(i for i, e in enumerate(g) if e) for g in K.gens]
+    return subsets, supports
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(_any_monomial_ideals))
+@example(MonomialIdeal.zero(1))
+@example(MonomialIdeal.zero(6))
+@example(MonomialIdeal.unit(1))
+@example(MonomialIdeal.unit(6))
+@example(MonomialIdeal.from_exps(6, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0),
+                                     (0, 0, 0, 0, 1, 1), (2, 0, 0, 0, 0, 0)]))
+def test_monomial_dim_is_the_largest_subset_containing_no_support(K):
+    # the variables of an independent set may all stay nonzero in R/K
+    subsets, supports = _subsets_by_brute_force(K)
+    independent = [S for S in subsets if not any(sup <= S for sup in supports)]
+    assert K.dim() == max((len(S) for S in independent), default=-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(_any_monomial_ideals))
+@example(MonomialIdeal.zero(1))
+@example(MonomialIdeal.zero(6))
+@example(MonomialIdeal.unit(6))
+@example(MonomialIdeal.from_exps(6, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0),
+                                     (0, 0, 0, 0, 1, 1), (2, 0, 0, 0, 0, 0)]))
+def test_min_primes_are_the_minimal_subsets_meeting_every_support(K):
+    subsets, supports = _subsets_by_brute_force(K)
+    covers = [S for S in subsets if all(S & sup for sup in supports)]
+    minimal = [S for S in covers if not any(T < S for T in covers)]
+    minimal.sort(key=lambda S: (len(S), sorted(S)))
+    if K.is_unit():
+        assert minimal == []
+        with pytest.raises(PreconditionError):
+            K.min_primes()
+    else:
+        assert [p.vars for p in K.min_primes()] == minimal
+        assert [p.vars for p in K.assh()] == [S for S in minimal
+                                              if len(S) == len(minimal[0])]
+
+
 @settings(max_examples=40, deadline=None)
 @given(mono_ideals, mono)
 def test_radical_membership_matches_support_rule(A, exp):
     f = Polynomial.monomial(R3, exp)
-    assert radical_member_groebner(f, A.to_ideal(R3)) == A.radical_contains(exp)
+    assert radical_member_groebner(f, A.to_ideal(R3)) == radical_member(f, A.to_ideal(R3))
 
 
 coeffs = st.integers(min_value=-2, max_value=2).filter(bool)

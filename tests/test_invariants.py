@@ -127,3 +127,14 @@ def test_build_report_cross_check_raises(monkeypatch):
     monkeypatch.setattr(invariants, "top_nonvanishing", lambda ctx: 5)
     with pytest.raises(InternalError):
         build_report(_ctx(r, (x, y), (y,)))
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, InternalError),
+                   reason="pair_depth searches face primes only, but the non-graded "
+                          "prime (x - y) lies in W(I, J) with depth 1 (ROADMAP item 6)")
+@pytest.mark.parametrize("I, J", [("x, y", "x*y"), ("x^3, y^2", "x^3*y^3")])
+def test_pair_depth_sees_non_graded_primes(I, J):
+    r = ring("xy")
+    ctx = _ctx(r, [pp(r, g) for g in I.split(", ")], (pp(r, J),))
+    assert pair_depth(ctx).value == 1
+    build_report(ctx)
