@@ -1,36 +1,39 @@
 """Polynomial reduction and Buchberger's algorithm.
 
-`normal_form` reduces into one mutable term dict whose terms are visited
-greatest first through a heap; each polynomial's leading exponent and
-reducer entry are computed once (`Polynomial.leading_exp`,
-`Polynomial.reducer`).  Over QQ the reduction runs on primitive integer
+Every reduction runs through one kernel, `_reduce`, on packed terms
+(`ring.RingSpec.pack`): one int per term, the order key above the
+exponents, so the live terms sit in one dict keyed by ints and are visited
+greatest first through a heap of the same ints.  A term times a monomial is
+one addition, a divisibility test one subtraction and one AND, and the
+`EXP_LIMIT` check one AND with `RingSpec.guard`, made on each term that
+enters the dict.  Over QQ the reduction runs on primitive integer
 polynomials: a term is cancelled by pseudo-reduction (the live terms are
-multiplied by the divisor's leading coefficient over a gcd, never divided
-by it) and the content is divided out after each such step (Becker and
+multiplied by the divisor's leading coefficient over a gcd, never divided by
+it) and the content is divided out after each such step (Becker and
 Weispfenning, *Groebner Bases*, §5.3 and §10.1).  One rational scale, kept
 as two integers, turns each remainder term back into its exact Fraction.
-Over GF(p) the same loop runs with monic divisors and no rescaling.
+Over GF(p) the same loop runs with monic divisors and no rescaling.  Each
+polynomial's reducer entry is computed once (`Polynomial.reducer`).
 
-Buchberger's completion loop (`_complete`) pops S-pairs from a heap keyed
-by (sugar, sort key of the lcm of the leading monomials, pair): the sugar
-strategy of Giovini et al. (ISSAC 1991), which keeps the work degree by
-degree also in the block orders of eliminations, where the normal strategy
-alone would take the pairs of high degree in t first.  The coprime and chain
-criteria prune pairs.  The loop stops at the first nonzero constant, since
-the ideal is then (1).  It keeps its basis as primitive integer polynomials
-over QQ (monic ones over GF(p)).  `buchberger` interreduces that basis in
-one pass and makes only the reduced basis it returns monic; generators that
-are all monomials form a Groebner basis already, so it returns their
-minimal elements without forming an S-pair.  `eliminate`, the one
-elimination primitive, interreduces only the elements free of the
-eliminated variables.  So every basis returned, and every `normal_form`
-and `s_polynomial` of Fraction polynomials, holds Fraction coefficients.
-Inputs are sorted before processing and every iteration order is fixed, so
-output is deterministic for a fixed ring, order, and generator set.
-
-Each reduction step checks exponents against `EXP_LIMIT` once, from the
-largest exponent in the divisor's tail and the shift; the terms are formed
-unchecked unless that sum reaches the limit.
+Buchberger's completion loop (`_complete`) keeps its basis as packed
+reducer entries from the generators to the end, primitive integer ones over
+QQ and monic ones over GF(p); S-polynomials are formed (`_s_terms`) and
+reduced in packed form.  It pops S-pairs from a heap keyed by (sugar, order
+key of the lcm of the leading monomials, pair): the sugar strategy of
+Giovini et al. (ISSAC 1991), which keeps the work degree by degree also in
+the block orders of eliminations, where the normal strategy alone would take
+the pairs of high degree in t first.  The coprime and chain criteria prune
+pairs.  The loop stops at the first nonzero constant, since the ideal is then
+(1).  `buchberger` interreduces that basis in one pass and turns only the
+reduced basis it returns into monic `Polynomial`s; generators that are all
+monomials form a Groebner basis already, so it returns their minimal
+elements without forming an S-pair.  `eliminate`, the one elimination
+primitive, interreduces only the elements free of the eliminated variables.
+So every basis returned holds Fraction coefficients over QQ, and so does
+every `normal_form` and `s_polynomial`, the wrappers over the packed kernel
+for `Polynomial`s.  Inputs are sorted before processing and every iteration
+order is fixed, so output is deterministic for a fixed ring, order, and
+generator set.
 """
 
 from __future__ import annotations
@@ -39,18 +42,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le, sub
+from operator import add, le
 
-from .errors import RingMismatchError
-from .ring import EXP_LIMIT, Polynomial, RingSpec, check_shifted, integer_terms
+from .errors import ExponentOverflowError, RingMismatchError
+from .ring import EXP_LIMIT, Polynomial, RingSpec, integer_terms, reducer_entry
 
 
 def _divides(a, b):
     return all(map(le, a, b))
-
-
-def _exp_sub(a, b):
-    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a, b):
@@ -63,112 +62,146 @@ def _minimalize(exps):
     return tuple(m for m in exps if not any(g != m and _divides(g, m) for g in exps))
 
 
-def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Fully reduce f modulo a list of nonzero polynomials.
+def _overflow():
+    return ExponentOverflowError(f"a product has an exponent of at least {EXP_LIMIT}")
 
-    The remainder has no term divisible by any leading term of the basis, and
-    f minus the remainder lies in the ideal generated by the basis.  The
-    greatest remaining term is reduced by the first basis element whose
-    leading term divides it; terms live in one dict, ordered by a heap over
-    the ring's descending key, and a cancelled term's heap entry is skipped
-    when it surfaces.
 
-    Each basis element reduces through its `Polynomial.reducer` entry
-    (e, a, tail, top).  Over QQ the live terms are integers, num/den times the
-    exact ones, and each term that reaches the remainder is scaled back to
-    its exact Fraction.
-    """
-    ring = f.ring
-    basis = [g for g in basis if not g.is_zero()]
-    for g in basis:
-        if g.ring is not ring and g.ring != ring:
-            raise RingMismatchError("basis over a different ring")
-    if not f.terms:
-        return f
+def _reduce(terms, divisors, ring, num=1, den=1):
+    """The remainder of the live terms modulo the reducer entries
+    (`Polynomial.reducer`) of a list of nonzero polynomials, as a map from
+    packed terms to exact coefficients (Fractions over QQ).
+
+    terms maps packed terms to coefficients, integers over QQ that are
+    num/den times the exact ones; it is consumed.  The greatest remaining
+    term is reduced by the first divisor whose leading term divides it; a
+    cancelled term's heap entry is skipped when it surfaces.  The remainder
+    has no term divisible by a divisor's leading term, and the polynomial
+    minus the remainder lies in the ideal the divisors generate."""
     char = ring.char
-    key = ring.desc_key
-    divisors = [g.reducer() for g in basis]
-    if char:
-        terms = dict(f.terms)
-    else:
-        terms, num, den = integer_terms(f.terms)
-    heap = [(key(e), e) for e in terms]
+    guard, borrow = ring.guard, ring.borrow
+    heap = list(terms)
     heapify(heap)
     remainder = {}
     while heap:
-        exp = heappop(heap)[1]
-        c = terms.pop(exp, None)
+        item = heappop(heap)
+        c = terms.pop(item, None)
         if c is None:
             continue
-        for lexp, a, tail, top in divisors:
-            if all(map(le, lexp, exp)):
+        probe = item | borrow
+        for lead, a, tail in divisors:
+            if (probe - lead) & borrow == borrow:
                 break
         else:
-            remainder[exp] = c if char else Fraction(c * den, num)
+            remainder[item] = c if char else Fraction(c * den, num)
             continue
-        # a * terms - c * x^(exp - lexp) * g, over gcd(a, c); its leading term cancels c
+        # a * terms - c * x^(item - lead) * g, over gcd(a, c); its leading term cancels c
         scale = 1
         if a != 1:
             d = gcd(a, c)
             scale, c = a // d, c // d
             if scale != 1:
                 num *= scale
-                for e in terms:
-                    terms[e] *= scale
-        shift = _exp_sub(exp, lexp)
-        if top + max(shift, default=0) >= EXP_LIMIT:
-            check_shifted(tail, shift)
-        for e, gc in tail:
-            e = tuple(map(add, e, shift))
-            old = terms.get(e)
+                for t in terms:
+                    terms[t] *= scale
+        shift = item - lead
+        for t, gc in tail:
+            t += shift
+            old = terms.get(t)
             if old is None:
-                terms[e] = gc * c % char if char else gc * c
-                heappush(heap, (key(e), e))
+                if t & guard:
+                    raise _overflow()
+                terms[t] = gc * c % char if char else gc * c
+                heappush(heap, t)
             else:
                 s = (old + gc * c) % char if char else old + gc * c
                 if s:
-                    terms[e] = s
+                    terms[t] = s
                 else:
-                    del terms[e]
+                    del terms[t]
         if scale != 1:
             content = gcd(*terms.values())
             if content > 1:
                 den *= content
-                for e in terms:
-                    terms[e] //= content
+                for t in terms:
+                    terms[t] //= content
                 common = gcd(num, den)
                 num //= common
                 den //= common
-    return Polynomial(ring, remainder, _normalized=True)
+    return remainder
+
+
+def _s_terms(f, g, lcm, ring):
+    """a_g x^(L - l_f) P_f - a_f x^(L - l_g) P_g for reducer entries
+    (l_f, a_f, T_f) and (l_g, a_g, T_g) of P_f = a_f x^(l_f) - T_f and P_g,
+    and L the packed lcm of their leading terms, as a map from packed terms to
+    coefficients; the leading terms cancel and are never formed."""
+    char, guard = ring.char, ring.guard
+    (lf, af, tf), (lg, ag, tg) = f, g
+    terms = {}
+    for tail, shift, m in ((tf, lcm - lf, char - ag if char else -ag), (tg, lcm - lg, af)):
+        for t, c in tail:
+            t += shift
+            old = terms.get(t)
+            if old is None:
+                if t & guard:
+                    raise _overflow()
+                terms[t] = c * m % char if char else c * m
+            else:
+                s = (old + c * m) % char if char else old + c * m
+                if s:
+                    terms[t] = s
+                else:
+                    del terms[t]
+    return terms
+
+
+def _check_rings(ring, polys, what):
+    for p in polys:
+        if p.ring is not ring and p.ring != ring:
+            raise RingMismatchError(f"{what} over a different ring")
+
+
+def _unpacked(ring, terms, factor=None):
+    """The `Polynomial` of a map from packed terms to coefficients, each
+    times factor if one is given."""
+    unpack, char = ring.unpack, ring.char
+    if factor is None:
+        return Polynomial(ring, {unpack(t): c for t, c in terms.items()}, _normalized=True)
+    return Polynomial(ring, {unpack(t): c * factor % char if char else c * factor
+                             for t, c in terms.items()}, _normalized=True)
+
+
+def normal_form(f: Polynomial, basis) -> Polynomial:
+    """Fully reduce f modulo a list of nonzero polynomials, by `_reduce`:
+    the remainder has no term divisible by any leading term of the basis,
+    and f minus the remainder lies in the ideal generated by the basis."""
+    ring = f.ring
+    basis = [g for g in basis if not g.is_zero()]
+    _check_rings(ring, basis, "basis")
+    if not f.terms:
+        return f
+    if ring.char:
+        terms, num, den = f.terms, 1, 1
+    else:
+        terms, num, den = integer_terms(f.terms)
+    pack = ring.pack
+    remainder = _reduce({pack(e): c for e, c in terms.items()},
+                        [g.reducer() for g in basis], ring, num, den)
+    return _unpacked(ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """lc(g) x^(L - lead f) f - lc(f) x^(L - lead g) g, L the lcm of the
-    leading monomials; the leading terms cancel and are never formed.  For
-    monic f and g this is the usual S-polynomial; it holds Fractions over QQ
-    when f and g do, and integers when they do."""
-    if g.ring != f.ring:
-        raise RingMismatchError("operands over different rings")
-    char = f.ring.char
+    leading monomials, from the packed `_s_terms` of their reducer entries
+    scaled back; for monic f and g this is the usual S-polynomial."""
+    ring = f.ring
+    _check_rings(ring, [g], "operands")
     ef, eg = f.leading_exp(), g.leading_exp()
-    lcm = _exp_lcm(ef, eg)
-    terms = {}
-    for p, lead, m in ((f, ef, g.terms[eg]), (g, eg, -f.terms[ef])):
-        shift = _exp_sub(lcm, lead)
-        _, _, tail, top = p.reducer()
-        if top + max(shift, default=0) >= EXP_LIMIT:
-            check_shifted(tail, shift)
-        for e, c in p.terms.items():
-            if e != lead:
-                e = tuple(map(add, e, shift))
-                s = terms.get(e, 0) + c * m
-                if char:
-                    s %= char
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-    return Polynomial(f.ring, terms, _normalized=True)
+    ff, fg = f.reducer(), g.reducer()
+    terms = _s_terms(ff, fg, ring.pack(_exp_lcm(ef, eg)), ring)
+    # f is lc(f)/a_f times P_f, and g is lc(g)/a_g times P_g
+    factor = ring.coeff(f.terms[ef] * g.terms[eg]) * ring.coeff_inv(ring.coeff(ff[1] * fg[1]))
+    return _unpacked(ring, terms, factor)
 
 
 @dataclass(frozen=True)
@@ -191,22 +224,29 @@ class GroebnerBasis:
         return not self.generators
 
 
-def _interreduce(basis):
-    """The reduced Groebner basis from a Groebner basis, in one pass, sorted
-    by leading monomial.
+def _interreduce(basis, ring):
+    """The reduced Groebner basis from a Groebner basis given as reducer
+    entries, in one pass, as monic `Polynomial`s sorted by leading monomial.
 
-    Elements whose leading exponent is divisible by another's (the earlier
+    Elements whose leading term is divisible by another's (the earlier
     one, on a tie) are dropped; each remaining element is then reduced once
     against the others, which leaves its leading term alone, and made
     monic."""
-    leads = [g.leading_exp() for g in basis]
+    borrow = ring.borrow
+    leads = [entry[0] for entry in basis]
     kept = [g for i, g in enumerate(basis)
-            if not any(j != i and _divides(lj, leads[i]) and (j < i or lj != leads[i])
-                       for j, lj in enumerate(leads))]
-    reduced = [normal_form(g, kept[:i] + kept[i + 1:]).monic() for i, g in enumerate(kept)]
-    if reduced:
-        key = reduced[0].ring.sort_key
-        reduced.sort(key=lambda p: key(p.leading_exp()))
+            if not any(j != i and ((leads[i] | borrow) - lj) & borrow == borrow
+                       and (j < i or lj != leads[i]) for j, lj in enumerate(leads))]
+    reduced = []
+    char, unpack = ring.char, ring.unpack
+    for i, (lead, a, tail) in enumerate(kept):
+        terms = {t: (char - c if char else -c) for t, c in tail}
+        terms[lead] = a
+        r = _reduce(terms, kept[:i] + kept[i + 1:], ring)
+        p = _unpacked(ring, r, ring.coeff_inv(r[lead]))
+        p._lead = unpack(lead)
+        reduced.append(p)
+    reduced.sort(key=lambda p: ring.sort_key(p.leading_exp()))
     return reduced
 
 
@@ -225,26 +265,26 @@ def _nonzero(gens, ring):
 
 def _complete(gens, ring):
     """A Groebner basis of the ideal of the nonzero gens, not interreduced,
-    as `Polynomial.primitive` polynomials; None when the ideal is (1), which
-    is known as soon as a nonzero constant turns up.
+    as `Polynomial.reducer` entries; None when the ideal is (1), which is
+    known as soon as a nonzero constant turns up.
 
     S-pairs are taken by sugar (Giovini et al., ISSAC 1991): a generator's
     sugar is its total degree and an S-polynomial's is the larger of its two
     parents' sugars shifted by the degree of the lcm, the normal form keeping
-    it.  The heap holds (sugar, sort key of the lcm, pair), so equal sugars
+    it.  The heap holds (sugar, order key of the lcm, pair), so equal sugars
     fall back to the normal strategy and then to the pair."""
-    key = ring.sort_key
+    key, pack, unpack, borrow = ring.sort_key, ring.pack, ring.unpack, ring.borrow
     # ties go by the terms, not by the set's order, which follows string hashing
-    G = sorted({g.monic() for g in gens},
-               key=lambda p: (key(p.leading_exp()), sorted(p.terms.items())))
-    G = [g.primitive() for g in G]
-    leads = [g.leading_exp() for g in G]
+    gens = sorted({g.monic() for g in gens},
+                  key=lambda p: (key(p.leading_exp()), sorted(p.terms.items())))
+    leads = [g.leading_exp() for g in gens]
     if not any(leads[0]):
         return None
+    G = [g.reducer() for g in gens]
     # sugar minus the degree of the leading monomial, per element
-    ecart = [g.total_degree() - sum(lead) for g, lead in zip(G, leads)]
+    ecart = [g.total_degree() - sum(lead) for g, lead in zip(gens, leads)]
 
-    # live pairs, and the same pairs in a heap by (sugar, sort key of lcm, pair)
+    # live pairs, and the same pairs in a heap by (sugar, order key of lcm, pair)
     pairs = set()
     heap = []
 
@@ -263,12 +303,14 @@ def _complete(gens, ring):
         li, lj = leads[i], leads[j]
         lcm = _exp_lcm(li, lj)
         # coprime criterion
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
+        if lcm == tuple(map(add, li, lj)):
             continue
         # chain criterion: some k with lead(k) | lcm(i,j) and both side pairs done
+        lcm = pack(lcm)
+        probe = lcm | borrow
         skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not _divides(leads[k], lcm):
+        for k, (lk, _, _) in enumerate(G):
+            if k in (i, j) or (probe - lk) & borrow != borrow:
                 continue
             a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
             if a not in pairs and b not in pairs:
@@ -276,14 +318,14 @@ def _complete(gens, ring):
                 break
         if skip:
             continue
-        r = normal_form(s_polynomial(G[i], G[j]), G)
-        if r.is_zero():
+        r = _reduce(_s_terms(G[i], G[j], lcm, ring), G, ring)
+        if not r:
             continue
-        r = r.primitive()
-        lead = r.leading_exp()
+        entry = reducer_entry(r, ring.char)
+        lead = unpack(entry[0])
         if not any(lead):
             return None
-        G.append(r)
+        G.append(entry)
         leads.append(lead)
         ecart.append(sugar - sum(lead))
         add_pairs(len(G) - 1)
@@ -296,9 +338,9 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
     The zero ideal yields an empty basis.  When every nonzero generator is a
     monomial, they already form a Groebner basis, and the reduced one is
     their minimal elements made monic: no S-pair is formed.  Otherwise
-    `_complete` keeps the basis as `Polynomial.primitive` polynomials
-    (primitive integer ones over QQ, monic ones over GF(p)) and only the
-    reduced basis returned is made monic.
+    `_complete` keeps the basis as packed reducer entries (primitive
+    integer ones over QQ, monic ones over GF(p)) and only the reduced basis
+    returned is made monic.
     """
     gens, ring = _nonzero(gens, ring)
     if all(g.is_monomial() for g in gens):
@@ -309,7 +351,7 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
     G = _complete(gens, ring)
     if G is None:
         return GroebnerBasis((Polynomial.one(ring),), ring.order)
-    return GroebnerBasis(tuple(_interreduce(G)), ring.order)
+    return GroebnerBasis(tuple(_interreduce(G, ring)), ring.order)
 
 
 def eliminate(gens, ring: RingSpec) -> tuple:
@@ -333,9 +375,9 @@ def eliminate(gens, ring: RingSpec) -> tuple:
     G = _complete(gens, big)
     if G is None:
         return (Polynomial.one(ring),)
-    kept = [g for g in G if not any(g.leading_exp()[:k])]
+    kept = [g for g in G if not any(big.unpack(g[0])[:k])]
     return tuple(Polynomial(ring, {e[k:]: c for e, c in g.terms.items()}, _normalized=True)
-                 for g in _interreduce(kept))
+                 for g in _interreduce(kept, big))
 
 
 def spoly_certificate(basis: GroebnerBasis) -> bool:

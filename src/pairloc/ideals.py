@@ -32,12 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import add
 
 from .errors import InternalError, PreconditionError, RingMismatchError
 from .groebner import (GroebnerBasis, buchberger, eliminate, normal_form, _complete, _divides,
-                       _exp_sub, _exp_lcm, _minimalize)
-from .ring import EXP_LIMIT, Polynomial, RingSpec, check_shifted, elimination, integer_terms
+                       _exp_lcm, _minimalize, _overflow, _unpacked)
+from .ring import Polynomial, RingSpec, elimination, integer_terms
 
 _gb_cache = {}
 _radical_cache = {}
@@ -238,49 +237,51 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
 
 
 def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient f/b, by long division on one term dict through b's reducer
-    entry (integers over QQ); a nonzero remainder is a bug upstream and
-    raises `InternalError`."""
+    """Quotient f/b, by long division on one dict of packed terms through
+    b's reducer entry (integers over QQ); a nonzero remainder is a bug
+    upstream and raises `InternalError`."""
     ring = f.ring
     char = ring.char
     if f.is_zero():
         return f
-    lead, a, tail, top = b.reducer()
+    lead, a, tail = b.reducer()
     # live terms are num/den times those of f - q*b; b is lc(b)/a times a*x^lead - tail
     if char:
-        terms, num, den = dict(f.terms), 1, 1
+        terms, num, den = f.terms, 1, 1
     else:
         terms, num, den = integer_terms(f.terms)
-    key = ring.desc_key
-    heap = [(key(e), e) for e in terms]
+    pack, guard, borrow = ring.pack, ring.guard, ring.borrow
+    terms = {pack(e): c for e, c in terms.items()}
+    one = pack((0,) * ring.nvars)
+    heap = list(terms)
     heapify(heap)
     quotient = {}
     while heap:
-        exp = heappop(heap)[1]
-        c = terms.pop(exp, None)
+        item = heappop(heap)
+        c = terms.pop(item, None)
         if c is None:
             continue
-        if not _divides(lead, exp) or c % a:
+        if ((item | borrow) - lead) & borrow != borrow or c % a:
             raise InternalError("exact division failed; inexact dividend")
         c //= a
-        shift = _exp_sub(exp, lead)
-        quotient[shift] = c
-        if top + max(shift, default=0) >= EXP_LIMIT:
-            check_shifted(tail, shift)
-        for e, bc in tail:
-            e = tuple(map(add, e, shift))
-            s = terms.get(e, 0) + bc * c
-            if char:
-                s %= char
-            if s:
-                if e not in terms:
-                    heappush(heap, (key(e), e))
-                terms[e] = s
+        shift = item - lead
+        quotient[shift + one] = c
+        for t, bc in tail:
+            t += shift
+            old = terms.get(t)
+            if old is None:
+                if t & guard:
+                    raise _overflow()
+                terms[t] = bc * c % char if char else bc * c
+                heappush(heap, t)
             else:
-                terms.pop(e, None)
-    factor = ring.coeff(a * den) * ring.coeff_inv(b.terms[lead] * num)
-    return Polynomial(ring, {e: c * factor % char if char else c * factor
-                             for e, c in quotient.items()}, _normalized=True)
+                s = (old + bc * c) % char if char else old + bc * c
+                if s:
+                    terms[t] = s
+                else:
+                    del terms[t]
+    factor = ring.coeff(a * den) * ring.coeff_inv(b.terms[b.leading_exp()] * num)
+    return _unpacked(ring, quotient, factor)
 
 
 def _over_generators(A: Ideal, B: Ideal, part) -> Ideal:

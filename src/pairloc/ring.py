@@ -1,17 +1,28 @@
 """Exact multivariate polynomial arithmetic over QQ or GF(p).
 
 Polynomials are immutable maps from exponent vectors (tuples of checked
-nonnegative machine integers) to nonzero field scalars.  Coefficients over QQ
-are `fractions.Fraction` (always reduced); over GF(p) they are ints in [0, p).
-Reduction over QQ runs on integers instead: `integer_terms` clears
+nonnegative ints below `EXP_LIMIT`) to nonzero field scalars.  Coefficients
+over QQ are `fractions.Fraction` (always reduced); over GF(p) they are ints in
+[0, p).  Reduction over QQ runs on integers instead: `integer_terms` clears
 denominators and content, and `Polynomial.reducer` keeps a polynomial's
-primitive integer multiple for `groebner.normal_form`.  The only polynomials
-over QQ with int coefficients are the primitive basis elements that the
-Groebner completion loop keeps while it runs, and their S-polynomials; every
-basis `groebner.buchberger` or `groebner.eliminate` returns and every normal
-form holds Fractions.
-Monomial orders (lex, grevlex, elimination blocks) are attached to the ring
-and realized as sort keys, so "greater monomial" means "greater sort key".
+primitive integer multiple for the Groebner kernel.  Every polynomial the
+package returns holds Fractions over QQ.
+
+Monomial orders (lex, grevlex, elimination blocks) are attached to the ring.
+Each is a linear map of the exponents followed by a lexicographic comparison
+(Robbiano, EUROCAL 1985), so one int per exponent vector carries it: the
+order key K = Σ e_i·w_i, whose fields are the values of the order's linear
+forms.  The Groebner kernel works on packed terms (Monagan and Pearce, CASC
+2007): ``((MAXK − K) << 64n) | E``, where E holds exponent i in bits
+[64i, 64i + 64).  Packing is affine in the exponents, so the packed product
+of two terms is the sum of their packed terms minus the packed 1, and the
+greatest monomial is the smallest packed term.  An exponent below
+`EXP_LIMIT` = 2^62 leaves its field's bits 62 (`RingSpec.guard`) and 63
+(`RingSpec.borrow`) clear, and the sum of two such exponents stays below 2^63,
+so a product can neither carry into the next field nor pass the limit
+unseen: it has passed it iff ``item & guard``.  b divides a iff
+``((a | borrow) − b) & borrow == borrow``, since no field borrows from the
+next.
 """
 
 from __future__ import annotations
@@ -19,16 +30,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate
+from functools import lru_cache
 from math import gcd, lcm
-from operator import add, neg
+from operator import mul
+from struct import Struct
 
 from .errors import ExponentOverflowError, ParseError, PreconditionError, RingMismatchError
 
 # Exponents are checked machine integers: loud failure instead of silent wrap
-# in any downstream fixed-width representation.
+# in the fixed-width fields of a packed term, whose bit 62 guards the limit.
 EXP_LIMIT = 2**62
+_FIELD = 64  # bits per exponent in a packed term
 
 LEX = ("lex",)
 GREVLEX = ("grevlex",)
@@ -54,47 +66,52 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _grevlex_key(exp):
-    return (sum(exp), tuple(map(neg, exp[::-1])))
-
-
-def _grevlex_key_desc(exp):
-    return (-sum(exp), exp[::-1])
-
-
-def _lex_key_desc(exp):
-    return tuple(map(neg, exp))
-
-
-def _block_key(bounds, exp):
-    """grevlex keys of the blocks, concatenated into one flat tuple; each
-    block's part has a fixed length, so it compares as the tuple of parts."""
-    key = ()
-    for a, b in bounds:
-        block = exp[a:b]
-        key += (sum(block),) + tuple(map(neg, block[::-1]))
-    return key
-
-
-def _block_key_desc(bounds, exp):
-    key = ()
-    for a, b in bounds:
-        block = exp[a:b]
-        key += (-sum(block),) + block[::-1]
-    return key
-
-
-def _order_keys(order):
-    """(ascending, descending) sort keys of a monomial order: the descending
-    key of exp a is below that of exp b iff a is the greater monomial."""
+def _order_forms(nvars, order):
+    """The linear forms of a monomial order, as rows of 0/1 coefficients:
+    exp a is below exp b iff the forms' values at a are lexicographically
+    below their values at b (Robbiano, EUROCAL 1985).  Each grevlex block
+    [s, s + k) gives its degree, then x_s + … + x_(s+k−2), …, x_s; lex is k
+    blocks of one variable, grevlex one block of k."""
     kind = order[0]
     if kind == "lex":
-        return tuple, _lex_key_desc
-    if kind == "grevlex":
-        return _grevlex_key, _grevlex_key_desc
-    ends = list(accumulate(order[1]))
-    bounds = tuple(zip([0] + ends[:-1], ends))
-    return partial(_block_key, bounds), partial(_block_key_desc, bounds)
+        blocks = (1,) * nvars
+    elif kind == "grevlex":
+        blocks = (nvars,) if nvars else ()
+    else:
+        blocks = order[1]
+    rows, start = [], 0
+    for size in blocks:
+        for stop in range(start + size, start, -1):
+            rows.append([int(start <= i < stop) for i in range(nvars)])
+        start += size
+    return rows, max(blocks, default=1)
+
+
+@lru_cache(maxsize=64)
+def _packing(nvars, order):
+    """(sort_key, pack, unpack, guard, borrow) of a ring: see `RingSpec`."""
+    rows, widest = _order_forms(nvars, order)
+    # a form sums at most `widest` exponents, each below 2 * EXP_LIMIT = 2^63
+    width = _FIELD - 1 + widest.bit_length()
+    weights = [sum(row[i] << width * (nvars - 1 - j) for j, row in enumerate(rows))
+               for i in range(nvars)]
+    span = _FIELD * nvars  # bits of the exponent part
+    base = ((1 << width * nvars) - 1) << span
+    deltas = [(1 << _FIELD * i) - (w << span) for i, w in enumerate(weights)]
+    mask = (1 << span) - 1
+    fields = Struct(f"<{nvars}Q")
+
+    def sort_key(exp):
+        return sum(map(mul, exp, weights))
+
+    def pack(exp):
+        return base + sum(map(mul, exp, deltas))
+
+    def unpack(item):
+        return fields.unpack((item & mask).to_bytes(8 * nvars, "little"))
+
+    guard = EXP_LIMIT * sum(1 << _FIELD * i for i in range(nvars))
+    return sort_key, pack, unpack, guard, guard << 1
 
 
 @dataclass(frozen=True)
@@ -102,8 +119,11 @@ class RingSpec:
     """A polynomial ring: coefficient field, named variables, monomial order.
 
     char == 0 means QQ; char == p (prime, < 2^31) means GF(p).  The order
-    is realized as two key functions on exponent vectors: exp a is below exp b
-    iff ``sort_key(a) < sort_key(b)``, iff ``desc_key(a) > desc_key(b)``.
+    is realized as two int-valued functions on exponent vectors below
+    `EXP_LIMIT`: exp a is below exp b iff ``sort_key(a) < sort_key(b)``, iff
+    ``pack(a) > pack(b)``.  sort_key is the linear order key K and pack the
+    packed term, which `unpack` turns back into the exponent vector; `guard`
+    and `borrow` are the packed terms' bit masks (module docstring).
     """
 
     char: int
@@ -121,9 +141,9 @@ class RingSpec:
             raise ValueError(f"unknown monomial order {self.order!r}")
         if kind == "elim" and sum(self.order[1]) != len(self.variables):
             raise ValueError("elimination block sizes must sum to the number of variables")
-        ascending, descending = _order_keys(self.order)
-        object.__setattr__(self, "sort_key", ascending)
-        object.__setattr__(self, "desc_key", descending)
+        packing = _packing(len(self.variables), self.order)
+        for name, value in zip(("sort_key", "pack", "unpack", "guard", "borrow"), packing):
+            object.__setattr__(self, name, value)
 
     @property
     def nvars(self):
@@ -177,19 +197,37 @@ def _check_exp(exp):
     return exp
 
 
-def check_shifted(tail, shift):
-    """Raise `ExponentOverflowError` if x^shift times some term of a reducer
-    tail (`Polynomial.reducer`) has an exponent past `EXP_LIMIT`.  Callers
-    run it only when the entry's top exponent plus max(shift) reaches the
-    limit; every exponent involved is nonnegative."""
-    for e, _ in tail:
-        _check_exp(tuple(map(add, e, shift)))
+def _exponent_vector(exp, nvars):
+    """exp as a checked exponent vector of a ring with nvars variables."""
+    exp = tuple(exp)
+    if len(exp) != nvars:
+        raise RingMismatchError(f"exponent vector {exp} has {len(exp)} entries, "
+                                f"the ring {nvars} variables")
+    if exp and {*map(type, exp)} != {int}:
+        bad = next(e for e in exp if type(e) is not int)
+        raise PreconditionError(f"exponent {bad!r} is not an int")
+    return _check_exp(exp)
+
+
+def reducer_entry(terms, char):
+    """The `Polynomial.reducer` entry (l, a, tail) of a nonzero polynomial
+    given as a map from packed terms to coefficients."""
+    lead = min(terms)
+    if char:
+        m = char - pow(terms[lead], -1, char)
+        a = 1
+    else:
+        terms = integer_terms(terms)[0]
+        a = terms[lead]
+        m = -1 if a > 0 else 1
+        a = abs(a)
+    return lead, a, [(t, c * m % char if char else c * m) for t, c in terms.items() if t != lead]
 
 
 def integer_terms(terms):
-    """(P, num, den) for a nonempty map from exponents to rationals (Fractions
-    or ints): P = terms * num/den maps the same exponents to integers whose
-    gcd is 1, and num, den are positive."""
+    """(P, num, den) for a nonempty map from exponent vectors or packed terms
+    to rationals (Fractions or ints): P = terms * num/den maps the same keys
+    to integers whose gcd is 1, and num, den are positive."""
     common = lcm(*(c.denominator for c in terms.values()))
     ints = {e: c.numerator * (common // c.denominator) for e, c in terms.items()}
     content = gcd(*ints.values())
@@ -213,10 +251,12 @@ class Polynomial:
             self.terms = terms
         else:
             clean = {}
+            nvars = ring.nvars
             for exp, c in terms.items():
+                exp = _exponent_vector(exp, nvars)
                 c = ring.coeff(c)
                 if c:
-                    clean[_check_exp(tuple(exp))] = c
+                    clean[exp] = c
             self.terms = clean
         self._hash = None
         self._lead = None
@@ -244,7 +284,7 @@ class Polynomial:
     def variable(ring, name):
         exp = [0] * ring.nvars
         exp[ring.var_index(name)] = 1
-        return Polynomial.monomial(ring, exp)
+        return Polynomial(ring, {tuple(exp): ring.coeff(1)}, _normalized=True)
 
     # -- predicates / views --------------------------------------------------
 
@@ -279,50 +319,29 @@ class Polynomial:
     def leading_exp(self):
         exp = self._lead
         if exp is None:
-            if not self.terms:
+            terms = self.terms
+            if not terms:
                 raise ValueError("zero polynomial has no leading term")
-            exp = self._lead = min(self.terms, key=self.ring.desc_key)
+            if len(terms) == 1:
+                (exp,) = terms
+            else:
+                exp = max(terms, key=self.ring.sort_key)
+            self._lead = exp
         return exp
 
     def reducer(self):
-        """(e, a, tail, top), computed once, with which `groebner.normal_form`
-        reduces by this nonzero polynomial: e is the leading exponent, and the
-        polynomial is a scalar multiple of a*x^e - sum(c*x^t for t, c in tail).
-        Over GF(p), a = 1 (the tail is scaled by the inverse leading
-        coefficient); over QQ, a > 0 and a and the c are integers with gcd 1.
-        top is the largest single exponent in the tail (0 if there is none):
-        a tail shifted by x^s stays below `EXP_LIMIT` when top + max(s) does."""
+        """(l, a, tail), computed once, with which the Groebner kernel
+        reduces by this nonzero polynomial, in packed terms
+        (`RingSpec.pack`): l is the packed leading term, and the polynomial
+        is a scalar multiple of a*x^l - sum(c*x^t for t, c in tail).  Over
+        GF(p), a = 1 (the tail is scaled by the inverse leading coefficient);
+        over QQ, a > 0 and a and the c are integers with gcd 1."""
         entry = self._entry
         if entry is None:
-            lead = self.leading_exp()
-            char = self.ring.char
-            if char:
-                m = char - pow(self.terms[lead], -1, char)
-                terms, a = self.terms, 1
-            else:
-                terms = integer_terms(self.terms)[0]
-                a = terms[lead]
-                m = -1 if a > 0 else 1
-                a = abs(a)
-            tail = [(e, c * m % char if char else c * m) for e, c in terms.items() if e != lead]
-            top = max((max(e, default=0) for e, _ in tail), default=0)
-            entry = self._entry = (lead, a, tail, top)
+            pack = self.ring.pack
+            entry = self._entry = reducer_entry({pack(e): c for e, c in self.terms.items()},
+                                                self.ring.char)
         return entry
-
-    def primitive(self):
-        """The polynomial a*x^e - sum(c*x^t for t, c in tail) that this
-        nonzero one's `reducer` entry (e, a, tail, top) describes: the monic
-        multiple over GF(p); over QQ the multiple with coprime integer
-        coefficients and a > 0.  Over QQ those coefficients are ints, not
-        Fractions: it is the form the Groebner completion loop keeps its
-        basis in while it runs, and no returned basis has."""
-        lead, a, tail, _ = entry = self.reducer()
-        char = self.ring.char
-        terms = {lead: a}
-        terms.update((e, char - c if char else -c) for e, c in tail)
-        out = Polynomial(self.ring, terms, _normalized=True)
-        out._lead, out._entry = lead, entry
-        return out
 
     def monic(self):
         if not self.terms:
@@ -400,6 +419,7 @@ class Polynomial:
         coeff = self.ring.coeff(coeff)
         if not coeff:
             return Polynomial.zero(self.ring)
+        exp = _exponent_vector(exp, self.ring.nvars)
         char = self.ring.char
         terms = {}
         for e, v in self.terms.items():

@@ -20,3 +20,34 @@ def pp(r, text):
 
 def variables(r):
     return tuple(Polynomial.variable(r, v) for v in r.variables)
+
+
+# The tuple order keys the package used before it packed its terms, kept as
+# an independent reference for `RingSpec.sort_key` and for reference division.
+
+def _grevlex_key(exp):
+    return (sum(exp), tuple(-e for e in exp[::-1]))
+
+
+def _block_key(bounds, exp):
+    key = ()
+    for a, b in bounds:
+        key += _grevlex_key(exp[a:b])
+    return key
+
+
+def reference_sort_key(r):
+    """Ascending tuple key of r's monomial order: lex compares the exponent
+    vectors, grevlex the degree and then the negated exponents from the last
+    variable, and an elimination order the grevlex keys of its blocks in
+    turn."""
+    kind = r.order[0]
+    if kind == "lex":
+        return tuple
+    if kind == "grevlex":
+        return _grevlex_key
+    bounds, start = [], 0
+    for size in r.order[1]:
+        bounds.append((start, start + size))
+        start += size
+    return lambda exp: _block_key(bounds, exp)

@@ -17,7 +17,7 @@ from pairloc.ideals import exact_divide, extended_ring, lift_poly
 from pairloc.ring import EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.samples import random_polynomial, standard_ring
 
-from conftest import pp, ring, variables
+from conftest import pp, reference_sort_key, ring, variables
 
 
 def test_normal_form_lex_example():
@@ -64,7 +64,7 @@ def test_a_constant_ends_the_completion_with_the_unit_ideal(monkeypatch):
 def test_monomial_generators_form_no_s_pair(exps, char, order):
     r = RingSpec(char, ("x", "y", "z"), order)
     gens = [Polynomial.monomial(r, e, 2) for e in exps]
-    general = tuple(groebner._interreduce(groebner._complete(gens, r)))
+    general = tuple(groebner._interreduce(groebner._complete(gens, r), r))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groebner, "s_polynomial", None)  # any S-pair would fail
         fast = buchberger(gens).generators
@@ -150,18 +150,19 @@ def test_constructed_members_reduce_to_zero(seed):
     assert normal_form(f, gb.generators).is_zero()
 
 
-# Counts the normal_form calls Buchberger makes on a seeded batch of ideals.
-_COUNT_NORMAL_FORMS = """
+# Counts the reductions (calls of the packed kernel) that Buchberger makes on
+# a seeded batch of ideals.
+_COUNT_REDUCTIONS = """
 import random
 from pairloc import groebner
 from pairloc.samples import random_homogeneous_ideal, standard_ring
 calls = 0
-original = groebner.normal_form
-def counted(f, basis):
+original = groebner._reduce
+def counted(*args):
     global calls
     calls += 1
-    return original(f, basis)
-groebner.normal_form = counted
+    return original(*args)
+groebner._reduce = counted
 rng = random.Random(7)
 ring = standard_ring(3)
 for _ in range(20):
@@ -175,22 +176,24 @@ def test_buchberger_work_is_independent_of_string_hashing():
     counts = set()
     for hash_seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", _COUNT_NORMAL_FORMS],
+        proc = subprocess.run([sys.executable, "-c", _COUNT_REDUCTIONS],
                               capture_output=True, text=True, env=env, check=True)
         counts.add(int(proc.stdout))
     assert len(counts) == 1, counts
+    assert counts.pop() > 0  # the count sees the completion loop's reductions
 
 
 def _reference_normal_form(f, basis):
     """Division with a fresh polynomial per step: the greatest remaining term
     is reduced by the first basis element whose leading term divides it."""
     ring = f.ring
+    key = reference_sort_key(ring)
     remainder, p = Polynomial.zero(ring), f
     while not p.is_zero():
-        exp = max(p.terms, key=ring.sort_key)
+        exp = max(p.terms, key=key)
         c = p.terms[exp]
         for g in basis:
-            lexp = max(g.terms, key=ring.sort_key)
+            lexp = max(g.terms, key=key)
             if all(a <= b for a, b in zip(lexp, exp)):
                 shift = tuple(a - b for a, b in zip(exp, lexp))
                 factor = c * ring.coeff_inv(g.terms[lexp])
@@ -202,13 +205,19 @@ def _reference_normal_form(f, basis):
     return remainder
 
 
+# (order, variables) of the normal_form reference tests
+_REFERENCE_ORDERS = [(LEX, "xyz"), (GREVLEX, "xyz"), (elimination(1, 2), "xyz"),
+                     (elimination(2, 2), "wxyz")]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.sampled_from([0, 32003]),
-       st.sampled_from([LEX, GREVLEX, elimination(1, 2)]))
+       st.sampled_from(_REFERENCE_ORDERS))
 def test_normal_form_matches_copying_reference(seed, char, order):
     rng = random.Random(seed)
-    r = RingSpec(char, ("x", "y", "z"), order)
+    order, names = order
+    r = RingSpec(char, tuple(names), order)
     basis = [g for g in (random_polynomial(rng, r, max_degree=3, max_terms=3)
                          for _ in range(rng.randint(1, 4))) if not g.is_zero()]
     f = random_polynomial(rng, r, max_degree=5, max_terms=8)
@@ -216,11 +225,12 @@ def test_normal_form_matches_copying_reference(seed, char, order):
         f = f + basis[0] * random_polynomial(rng, r, max_degree=2, max_terms=3)
     nf = normal_form(f, basis)
     assert nf == _reference_normal_form(f, basis)
-    leads = [max(g.terms, key=r.sort_key) for g in basis]
+    key = reference_sort_key(r)
+    leads = [max(g.terms, key=key) for g in basis]
     assert not any(all(a <= b for a, b in zip(lead, exp))
                    for exp in nf.terms for lead in leads)
     if nf:
-        assert nf.leading_exp() == max(nf.terms, key=r.sort_key)
+        assert nf.leading_exp() == max(nf.terms, key=key)
 
 
 def _rational_polynomial(rng, r, max_degree, max_terms, min_degree=0):
@@ -243,10 +253,11 @@ def _all_fractions(p):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
-       st.sampled_from([LEX, GREVLEX, elimination(1, 2)]))
+       st.sampled_from(_REFERENCE_ORDERS))
 def test_integer_reduction_over_qq_is_exact(seed, order):
     rng = random.Random(seed)
-    r = RingSpec(0, ("x", "y", "z"), order)
+    order, names = order
+    r = RingSpec(0, tuple(names), order)
     basis = [_rational_polynomial(rng, r, 3, 3) for _ in range(rng.randint(1, 4))]
     f = _rational_polynomial(rng, r, 5, 8)
     if rng.random() < 0.5:  # give f a part that lies in the ideal
@@ -287,6 +298,36 @@ def test_a_tail_term_past_the_exponent_limit_raises():
         normal_form(f, [g])
     with pytest.raises(ExponentOverflowError):
         exact_divide(f, g)
+
+
+def test_an_s_polynomial_past_the_exponent_limit_raises():
+    r = ring("xy")
+    x, y = variables(r)
+    f = Polynomial.monomial(r, (EXP_LIMIT - 1, 1)) + Polynomial.one(r)  # lead x^(L-1) y
+    g = y * y + x  # lead y^2; x^(L-1) times its tail x is x^L
+    with pytest.raises(ExponentOverflowError):
+        buchberger([f, g])
+    with pytest.raises(ExponentOverflowError):
+        s_polynomial(f, g)
+
+
+def test_exponents_just_below_the_limit_do_not_raise():
+    r = ring("xy")
+    x, y = variables(r)
+    top = Polynomial.monomial(r, (EXP_LIMIT - 1, 0))  # x^(L-1)
+    # reduction: x^(L-2) y^2 -> x^(L-1) by x - y^2
+    assert normal_form(Polynomial.monomial(r, (EXP_LIMIT - 2, 2)), [x - y * y]) == top
+    # an S-polynomial: y (x^(L-2) y + 1) - x^(L-2) (y^2 + x) = y - x^(L-1)
+    f = Polynomial.monomial(r, (EXP_LIMIT - 2, 1)) + Polynomial.one(r)
+    g = y * y + x
+    assert s_polynomial(f, g) == y - top
+    assert top - y in buchberger([f, g]).generators
+    # a tail term: y - x^(L-2) shifted by x, in lex with y > x
+    rl = ring("yx", order=LEX)
+    yl, xl = variables(rl)
+    h = yl - Polynomial.monomial(rl, (0, EXP_LIMIT - 2))
+    assert normal_form(xl * yl, [h]) == Polynomial.monomial(rl, (0, EXP_LIMIT - 1))
+    assert exact_divide(xl * h, h) == xl
 
 
 _SYSTEMS = {

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairloc.errors import ExponentOverflowError, ParseError, PreconditionError
-from pairloc.ring import (GREVLEX, LEX, Polynomial, RingSpec, elimination,
+from pairloc.errors import (ExponentOverflowError, ParseError, PreconditionError,
+                            RingMismatchError)
+from pairloc.groebner import normal_form
+from pairloc.ring import (EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination,
                           parse_polynomial)
 
-from conftest import pp, ring, variables
+from conftest import pp, reference_sort_key, ring, variables
 
 
 def test_grevlex_example():
@@ -138,3 +140,60 @@ def test_order_is_total_and_multiplicative(a, b, c):
     assert R3.compare(*shifted) == cmp
     # 1 is minimal
     assert R3.compare(a, (0, 0, 0)) >= 0
+
+
+# (order, number of variables): every order kind, n up to 6
+_ORDERS = ([(LEX, n) for n in range(1, 7)] + [(GREVLEX, n) for n in range(1, 7)]
+           + [(elimination(1, n), n + 1) for n in range(1, 6)]
+           + [(elimination(2, 2), 4), (elimination(1, 1, 2), 4)])
+# small exponents tie degrees and blocks; large ones reach the packed fields' top
+_EXPONENTS = st.one_of(st.integers(min_value=0, max_value=3),
+                       st.integers(min_value=0, max_value=EXP_LIMIT - 1),
+                       st.just(EXP_LIMIT - 1))
+
+
+@st.composite
+def _ring_and_exponents(draw):
+    order, n = draw(st.sampled_from(_ORDERS))
+    r = RingSpec(0, tuple(f"x{i}" for i in range(n)), order)
+    exps = draw(st.lists(st.tuples(*[_EXPONENTS] * n), min_size=2, max_size=8))
+    # the largest vector and its neighbours fill every field of the order key
+    top = (EXP_LIMIT - 1,) * n
+    exps += [top] + [top[:i] + (EXP_LIMIT - 2,) + top[i + 1:] for i in range(n)]
+    return r, exps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_and_exponents())
+def test_order_keys_match_the_tuple_reference(case):
+    r, exps = case
+    ref = reference_sort_key(r)
+    for a in exps:
+        for b in exps:
+            assert r.compare(a, b) == (ref(a) > ref(b)) - (ref(a) < ref(b))
+    assert sorted(exps, key=r.sort_key) == sorted(exps, key=ref)
+    # the packed term sorts the other way and holds the exponents
+    assert sorted(exps, key=r.pack) == sorted(exps, key=ref, reverse=True)
+    assert all(r.unpack(r.pack(a)) == a for a in exps)
+
+
+def test_exponent_vectors_of_the_wrong_length_are_refused():
+    r = ring("xyz")
+    with pytest.raises(RingMismatchError):
+        Polynomial(r, {(0, 1): 1})
+    with pytest.raises(RingMismatchError):
+        Polynomial.monomial(r, (0, 1, 0, 0))
+    with pytest.raises(RingMismatchError):
+        pp(r, "x*y").mul_term((1, 0), 1)
+    _, _, z = variables(r)
+    y = Polynomial.variable(r, "y")
+    assert normal_form(y, [z]) == y  # y is not in (z)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1", None])
+def test_exponents_that_are_not_ints_are_refused(bad):
+    r = ring("xyz")
+    with pytest.raises(PreconditionError, match="not an int"):
+        Polynomial(r, {(0, bad, 0): 1})
+    with pytest.raises(PreconditionError, match="not an int"):
+        Polynomial.monomial(r, (bad, 0, 0), 3)
