@@ -4,9 +4,12 @@ Every reduction runs through one kernel, `_reduce`, on packed terms
 (`ring.RingSpec.pack`): one int per term, the order key above the
 exponents, so the live terms sit in one dict keyed by ints and are visited
 greatest first through a heap of the same ints.  A term times a monomial is
-one addition, a divisibility test one subtraction and one AND, and the
-`EXP_LIMIT` check one AND with `RingSpec.guard`, made on each term that
-enters the dict.  Over QQ the reduction runs on primitive integer
+one addition, a divisibility test (`_lead_divides`) one subtraction and one
+AND, and the `EXP_LIMIT` check one AND with `RingSpec.guard`, made on each
+term that enters the dict.  One step, `_add_multiple`, adds a multiple of a
+reducer entry's tail to the live terms and makes that check; the kernel, the
+S-polynomials (`_s_terms`) and exact division (`exact_divide`) all use it.
+Over QQ the reduction runs on primitive integer
 polynomials: a term is cancelled by pseudo-reduction (the live terms are
 multiplied by the divisor's leading coefficient over a gcd, never divided by
 it) and the content is divided out after each such step (Becker and
@@ -44,7 +47,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, le
 
-from .errors import ExponentOverflowError, RingMismatchError
+from .errors import ExponentOverflowError, InternalError, RingMismatchError
 from .ring import EXP_LIMIT, Polynomial, RingSpec, integer_terms, reducer_entry
 
 
@@ -62,8 +65,33 @@ def _minimalize(exps):
     return tuple(m for m in exps if not any(g != m and _divides(g, m) for g in exps))
 
 
-def _overflow():
-    return ExponentOverflowError(f"a product has an exponent of at least {EXP_LIMIT}")
+def _lead_divides(lead, item, borrow):
+    """Whether the packed term lead divides the packed term item."""
+    return ((item | borrow) - lead) & borrow == borrow
+
+
+def _add_multiple(terms, tail, shift, c, ring, heap=None):
+    """Add c·x^shift·tail to the live terms, a map from packed terms to
+    coefficients, for tail a reducer entry's tail and shift a packed
+    exponent difference; each term new to the map is checked against
+    `EXP_LIMIT` and, when a heap is given, pushed on it."""
+    char, guard = ring.char, ring.guard
+    for t, tc in tail:
+        t += shift
+        old = terms.get(t)
+        if old is None:
+            if t & guard:
+                raise ExponentOverflowError(
+                    f"a product has an exponent of at least {EXP_LIMIT}")
+            terms[t] = tc * c % char if char else tc * c
+            if heap is not None:
+                heappush(heap, t)
+        else:
+            s = (old + tc * c) % char if char else old + tc * c
+            if s:
+                terms[t] = s
+            else:
+                del terms[t]
 
 
 def _reduce(terms, divisors, ring, num=1, den=1):
@@ -77,8 +105,7 @@ def _reduce(terms, divisors, ring, num=1, den=1):
     cancelled term's heap entry is skipped when it surfaces.  The remainder
     has no term divisible by a divisor's leading term, and the polynomial
     minus the remainder lies in the ideal the divisors generate."""
-    char = ring.char
-    guard, borrow = ring.guard, ring.borrow
+    char, borrow = ring.char, ring.borrow
     heap = list(terms)
     heapify(heap)
     remainder = {}
@@ -87,7 +114,7 @@ def _reduce(terms, divisors, ring, num=1, den=1):
         c = terms.pop(item, None)
         if c is None:
             continue
-        probe = item | borrow
+        probe = item | borrow  # `_lead_divides`, with item | borrow hoisted
         for lead, a, tail in divisors:
             if (probe - lead) & borrow == borrow:
                 break
@@ -103,21 +130,7 @@ def _reduce(terms, divisors, ring, num=1, den=1):
                 num *= scale
                 for t in terms:
                     terms[t] *= scale
-        shift = item - lead
-        for t, gc in tail:
-            t += shift
-            old = terms.get(t)
-            if old is None:
-                if t & guard:
-                    raise _overflow()
-                terms[t] = gc * c % char if char else gc * c
-                heappush(heap, t)
-            else:
-                s = (old + gc * c) % char if char else old + gc * c
-                if s:
-                    terms[t] = s
-                else:
-                    del terms[t]
+        _add_multiple(terms, tail, item - lead, c, ring, heap)
         if scale != 1:
             content = gcd(*terms.values())
             if content > 1:
@@ -135,23 +148,11 @@ def _s_terms(f, g, lcm, ring):
     (l_f, a_f, T_f) and (l_g, a_g, T_g) of P_f = a_f x^(l_f) - T_f and P_g,
     and L the packed lcm of their leading terms, as a map from packed terms to
     coefficients; the leading terms cancel and are never formed."""
-    char, guard = ring.char, ring.guard
+    char = ring.char
     (lf, af, tf), (lg, ag, tg) = f, g
     terms = {}
-    for tail, shift, m in ((tf, lcm - lf, char - ag if char else -ag), (tg, lcm - lg, af)):
-        for t, c in tail:
-            t += shift
-            old = terms.get(t)
-            if old is None:
-                if t & guard:
-                    raise _overflow()
-                terms[t] = c * m % char if char else c * m
-            else:
-                s = (old + c * m) % char if char else old + c * m
-                if s:
-                    terms[t] = s
-                else:
-                    del terms[t]
+    _add_multiple(terms, tf, lcm - lf, char - ag if char else -ag, ring)
+    _add_multiple(terms, tg, lcm - lg, af, ring)
     return terms
 
 
@@ -204,6 +205,40 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return _unpacked(ring, terms, factor)
 
 
+def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
+    """Quotient f/b, by long division on one dict of packed terms through
+    b's reducer entry (integers over QQ); a nonzero remainder is a bug
+    upstream and raises `InternalError`."""
+    ring = f.ring
+    if f.is_zero():
+        return f
+    lead, a, tail = b.reducer()
+    # live terms are num/den times those of f - q*b; b is lc(b)/a times a*x^lead - tail
+    if ring.char:
+        terms, num, den = f.terms, 1, 1
+    else:
+        terms, num, den = integer_terms(f.terms)
+    pack, borrow = ring.pack, ring.borrow
+    terms = {pack(e): c for e, c in terms.items()}
+    one = pack((0,) * ring.nvars)
+    heap = list(terms)
+    heapify(heap)
+    quotient = {}
+    while heap:
+        item = heappop(heap)
+        c = terms.pop(item, None)
+        if c is None:
+            continue
+        if not _lead_divides(lead, item, borrow) or c % a:
+            raise InternalError("exact division failed; inexact dividend")
+        c //= a
+        shift = item - lead
+        quotient[shift + one] = c
+        _add_multiple(terms, tail, shift, c, ring, heap)
+    factor = ring.coeff(a * den) * ring.coeff_inv(b.terms[b.leading_exp()] * num)
+    return _unpacked(ring, quotient, factor)
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis together with the order it was computed in."""
@@ -235,7 +270,7 @@ def _interreduce(basis, ring):
     borrow = ring.borrow
     leads = [entry[0] for entry in basis]
     kept = [g for i, g in enumerate(basis)
-            if not any(j != i and ((leads[i] | borrow) - lj) & borrow == borrow
+            if not any(j != i and _lead_divides(lj, leads[i], borrow)
                        and (j < i or lj != leads[i]) for j, lj in enumerate(leads))]
     reduced = []
     char, unpack = ring.char, ring.unpack
@@ -307,10 +342,9 @@ def _complete(gens, ring):
             continue
         # chain criterion: some k with lead(k) | lcm(i,j) and both side pairs done
         lcm = pack(lcm)
-        probe = lcm | borrow
         skip = False
         for k, (lk, _, _) in enumerate(G):
-            if k in (i, j) or (probe - lk) & borrow != borrow:
+            if k in (i, j) or not _lead_divides(lk, lcm, borrow):
                 continue
             a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
             if a not in pairs and b not in pairs:

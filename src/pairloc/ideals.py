@@ -31,12 +31,11 @@ constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
-from .errors import InternalError, PreconditionError, RingMismatchError
-from .groebner import (GroebnerBasis, buchberger, eliminate, normal_form, _complete, _divides,
-                       _exp_lcm, _minimalize, _overflow, _unpacked)
-from .ring import Polynomial, RingSpec, elimination, integer_terms
+from .errors import PreconditionError, RingMismatchError
+from .groebner import (GroebnerBasis, buchberger, eliminate, exact_divide, normal_form,
+                       _complete, _divides, _exp_lcm, _minimalize)
+from .ring import Polynomial, RingSpec, elimination
 
 _gb_cache = {}
 _radical_cache = {}
@@ -234,54 +233,6 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
     gens = [t * lift_poly(g, big) for g in A.gens]
     gens += [one_minus_t * lift_poly(g, big) for g in B.gens]
     return Ideal(A.ring, eliminate(gens, A.ring))
-
-
-def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient f/b, by long division on one dict of packed terms through
-    b's reducer entry (integers over QQ); a nonzero remainder is a bug
-    upstream and raises `InternalError`."""
-    ring = f.ring
-    char = ring.char
-    if f.is_zero():
-        return f
-    lead, a, tail = b.reducer()
-    # live terms are num/den times those of f - q*b; b is lc(b)/a times a*x^lead - tail
-    if char:
-        terms, num, den = f.terms, 1, 1
-    else:
-        terms, num, den = integer_terms(f.terms)
-    pack, guard, borrow = ring.pack, ring.guard, ring.borrow
-    terms = {pack(e): c for e, c in terms.items()}
-    one = pack((0,) * ring.nvars)
-    heap = list(terms)
-    heapify(heap)
-    quotient = {}
-    while heap:
-        item = heappop(heap)
-        c = terms.pop(item, None)
-        if c is None:
-            continue
-        if ((item | borrow) - lead) & borrow != borrow or c % a:
-            raise InternalError("exact division failed; inexact dividend")
-        c //= a
-        shift = item - lead
-        quotient[shift + one] = c
-        for t, bc in tail:
-            t += shift
-            old = terms.get(t)
-            if old is None:
-                if t & guard:
-                    raise _overflow()
-                terms[t] = bc * c % char if char else bc * c
-                heappush(heap, t)
-            else:
-                s = (old + bc * c) % char if char else old + bc * c
-                if s:
-                    terms[t] = s
-                else:
-                    del terms[t]
-    factor = ring.coeff(a * den) * ring.coeff_inv(b.terms[b.leading_exp()] * num)
-    return _unpacked(ring, quotient, factor)
 
 
 def _over_generators(A: Ideal, B: Ideal, part) -> Ideal:

@@ -66,7 +66,7 @@ def test_monomial_generators_form_no_s_pair(exps, char, order):
     gens = [Polynomial.monomial(r, e, 2) for e in exps]
     general = tuple(groebner._interreduce(groebner._complete(gens, r), r))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(groebner, "s_polynomial", None)  # any S-pair would fail
+        patch.setattr(groebner, "_complete", None)  # any completion would fail
         fast = buchberger(gens).generators
     assert fast == general
     assert all(type(c) is type(r.coeff(1)) for g in fast for c in g.terms.values())
