@@ -24,7 +24,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, NamedTuple
 
 from .betti import INFINITY, depth_at_face, depth_quotient, hochster_betti
@@ -122,13 +121,12 @@ def depth_json(d):
 
 
 def torsion_witnesses(K: Ideal, L, ring):
-    """The monomials of K's exponent box that lie in the torsion lift L but
-    not in K, each labelled with the test that puts it in the torsion part;
-    divisibility tests only, since L is already known."""
+    """The minimal generators of the torsion lift L that are not in K, which
+    generate L/K, each labelled with the test that puts it in the torsion
+    part; divisibility tests only, since L is already known."""
     Km = K.as_monomial()
-    return {str(Polynomial.monomial(ring, b)): "radical-membership"
-            for b in product(*[range(e + 1) for e in Km.max_exponents()])
-            if L.contains(b) and not Km.contains(b)}
+    return {str(Polynomial.monomial(ring, g)): "radical-membership"
+            for g in L.gens if not Km.contains(g)}
 
 
 # -- command implementations --------------------------------------------------
@@ -183,12 +181,10 @@ def cmd_s_certificate(session, args):
     p = session.ideal(args.p)
     a = parse_polynomial(session.ring, args.element)
     J = session.ideal(args.J)
-    cert = s_certificate(p, a, J, n_max=args.n_max, degree_cap=args.degree_cap)
+    cert = s_certificate(p, a, J)
     if cert is None:
-        return {"found": False,
-                "bounds": {"nMax": args.n_max, "degreeCap": args.degree_cap}}, {}
-    return ({"found": True, "n": cert.n, "j": str(cert.j),
-             "bounds": {"nMax": cert.n_max, "degreeCap": cert.degree_cap}},
+        return {"found": False}, {}
+    return ({"found": True, "n": cert.n, "j": str(cert.j)},
             {"certificate": f"{a}^{cert.n} + ({cert.j})"})
 
 
@@ -324,9 +320,7 @@ COMMANDS = {
     "wtilde-member": Command(_family_test(wtilde_member, "a"), "ideal-family-membership",
                              {"--a": _REQUIRED, "--I": _REQUIRED, "--J": _REQUIRED}),
     "s-certificate": Command(cmd_s_certificate, "multiplicative-set-witness",
-                             {"--p": _REQUIRED, "--element": _REQUIRED, "--J": _REQUIRED,
-                              "--n-max": {"type": int, "default": 4},
-                              "--degree-cap": {"type": int, "default": 2}}),
+                             {"--p": _REQUIRED, "--element": _REQUIRED, "--J": _REQUIRED}),
     "gamma": Command(cmd_gamma, "pair-torsion-submodule", _PAIR),
     "is-torsion": Command(_pair_query(is_torsion, "torsion"),
                           "minimal-primes-support-criterion", _PAIR),

@@ -200,13 +200,19 @@ def extended_ring(ring: RingSpec, extra: str):
                     elimination(1, ring.nvars) if ring.nvars else ("grevlex",))
 
 
-def _adjoin_t(ring: RingSpec):
-    """`extended_ring` over the first of t, t1, t2, … not a variable of
-    `ring`, and that variable t as a polynomial."""
+def fresh_variable(names) -> str:
+    """The first of t, t1, t2, … not in names."""
     name, k = "t", 0
-    while name in ring.variables:
+    while name in names:
         k += 1
         name = f"t{k}"
+    return name
+
+
+def _adjoin_t(ring: RingSpec):
+    """`extended_ring` over `fresh_variable`, and that variable t as a
+    polynomial."""
+    name = fresh_variable(ring.variables)
     big = extended_ring(ring, name)
     return big, Polynomial.variable(big, name)
 

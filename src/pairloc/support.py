@@ -4,23 +4,19 @@
 satisfies: some power of I lies in J + p.  Since I is finitely generated this
 reduces to radical membership of each generator of I in J + p.  `wtilde_member`
 is the analogous test for the directed family of ideals a with some power of I
-inside a + J.  `s_certificate` searches for an explicit element a^n + j of the
-multiplicative set attached to (a, J) inside a given prime; it is a bounded
-semi-decision, "none" means not found within the bounds.
+inside a + J.  `s_certificate` decides whether the multiplicative set
+S_{a,J} = {a^n + j : n ≥ 1, j ∈ J} meets p, which holds iff a ∈ √(p + J),
+and if so returns an explicit element a^n + j of p with the least n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
-from math import comb
 
 from .errors import InternalError, PreconditionError
-from .ideals import Ideal, in_radical, radical_member
-from .ring import Polynomial
-
-# Combinations `s_certificate` tries, over all powers, before it gives up.
-MAX_COMBINATIONS = 200000
+from .groebner import buchberger, normal_form
+from .ideals import Ideal, fresh_variable, in_radical, radical_member
+from .ring import Polynomial, RingSpec, elimination
 
 
 @dataclass(frozen=True)
@@ -63,70 +59,60 @@ def s_zero(a: Polynomial, J: Ideal) -> bool:
 
 @dataclass(frozen=True)
 class SCertificate:
-    """An explicit witness a^n + j ∈ p with j an explicit J-combination."""
+    """An explicit witness a^n + j ∈ p with j ∈ J and n least."""
 
     n: int
     j: Polynomial
-    coefficients: tuple  # the combination coefficients against J's generators
-    n_max: int           # search bounds the certificate was found within
-    degree_cap: int
 
 
-def s_certificate(p: Ideal, a: Polynomial, J: Ideal, n_max: int = 4,
-                  degree_cap: int = 2):
-    """Bounded search for an element of the multiplicative set of (a, J)
-    lying in p.  Returns the first certificate found in a deterministic scan
-    over powers n ≤ n_max and combinations j = Σ c_k·g_k with c_k drawn from
-    {0, ±1} ∪ monomials of total degree ≤ degree_cap, or None once the scan
-    has tried MAX_COMBINATIONS combinations.
+def s_certificate(p: Ideal, a: Polynomial, J: Ideal):
+    """An element a^n + j of p with j ∈ J and n ≥ 1 the least power for
+    which one exists, or None when S_{a,J} does not meet p.
+
+    Some a^n + j lies in p iff a^n ∈ p + J for some n, that is iff
+    a ∈ √(p + J), so None means that no certificate exists.  The least n is
+    the least n with a^n ∈ p + J, and j is read from one normal form
+    (`_j_part`).  Both defining properties are checked again before the
+    certificate is returned.
     """
-    if n_max < 1:
-        raise PreconditionError("n_max must be at least 1")
+    p._check(J)
+    pj = p + J
+    if not radical_member(a, pj):
+        return None
+    n, a_n = 1, a
+    while not pj.member(a_n):
+        n, a_n = n + 1, a_n * a
+    j = _j_part(p, J, a_n)
+    if not (p.member(a_n + j) and J.member(j)):
+        raise InternalError("S-certificate failed its re-verification")
+    return SCertificate(n, j)
+
+
+def _j_part(p: Ideal, J: Ideal, f: Polynomial) -> Polynomial:
+    """A j ∈ J with f + j ∈ p, for f ∈ p + J.
+
+    Adjoin two tags u and e, order k[u, x, e] so that u dominates x and x
+    dominates e, and take the ideal of u·p_i, u·J_l + e·J_l, u², u·e and e².
+    Its part of degree one in the tags is the submodule of R² generated by
+    the (p_i, 0) and (J_l, J_l), that is the (π + ι, ι) with π ∈ p and
+    ι ∈ J, under an order where the u-position dominates.  Since f ∈ p + J,
+    u·f reduces to some e·j; then (f, −j) = (π + ι, ι) for some such π and
+    ι, so j = −ι ∈ J and f + j = π ∈ p.
+    """
     ring = p.ring
-    # The pool is 0, ±1 (one entry over GF(2)) and the monomials x^e with
-    # 0 < |e| ≤ degree_cap in lexicographic order of e.  The scan tries at
-    # most MAX_COMBINATIONS combinations in lexicographic order of pool
-    # indices, so it never reaches past that many entries; the monomials are
-    # built only when the scan first asks for them.
-    one = Polynomial.one(ring)
-    pool = list(dict.fromkeys((Polynomial.zero(ring), one, -one)))
-    monomials = (Polynomial.monomial(ring, exp)
-                 for exp in _exponents_up_to(ring.nvars, degree_cap) if any(exp))
-    size = len(pool) - 1 + comb(max(degree_cap, 0) + ring.nvars, ring.nvars)
-    size = min(size, MAX_COMBINATIONS)
+    u_name = fresh_variable(ring.variables)
+    e_name = fresh_variable(ring.variables + (u_name,))
+    big = RingSpec(ring.char, (u_name,) + ring.variables + (e_name,),
+                   elimination(1, ring.nvars, 1))
+    u, e = Polynomial.variable(big, u_name), Polynomial.variable(big, e_name)
 
-    def entry(i):
-        if i >= len(pool):
-            pool.extend(islice(monomials, i + 1 - len(pool)))
-        return pool[i]
+    def lift(g):
+        return Polynomial(big, {(0,) + x + (0,): c for x, c in g.terms.items()},
+                          _normalized=True)
 
-    gens = [g for g in J.gens if not g.is_zero()]
-    combos = 0
-    for n in range(1, n_max + 1):
-        a_n = a ** n
-        for index in product(range(size), repeat=len(gens)):
-            combos += 1
-            if combos > MAX_COMBINATIONS:
-                return None
-            coeffs = tuple(map(entry, index))
-            j = Polynomial.zero(ring)
-            for c, g in zip(coeffs, gens):
-                j = j + c * g
-            if p.member(a_n + j):
-                cert = SCertificate(n, j, coeffs, n_max, degree_cap)
-                # re-verify both defining properties of the certificate
-                if not (p.member(a_n + cert.j) and J.member(cert.j)):
-                    raise InternalError("S-certificate failed its re-verification")
-                return cert
-    return None
-
-
-def _exponents_up_to(nvars, cap):
-    """The exponent vectors of total degree at most cap, generated lazily in
-    lexicographic order."""
-    if nvars == 0:
-        yield ()
-        return
-    for head in range(cap + 1):
-        for tail in _exponents_up_to(nvars - 1, cap - head):
-            yield (head,) + tail
+    gens = [u * lift(g) for g in p.gens]
+    gens += [(u + e) * lift(g) for g in J.gens]
+    gens += [u * u, u * e, e * e]
+    rest = normal_form(u * lift(f), list(buchberger(gens, big)))
+    return Polynomial(ring, {x[1:-1]: c for x, c in rest.terms.items()},
+                      _normalized=True)

@@ -87,6 +87,24 @@ def test_gamma_command(session_file):
     assert report["citations"] == ["pair-torsion-submodule"]
 
 
+def test_gamma_witnesses_skip_the_exponent_box(tmp_path):
+    # the witnesses are L's minimal generators outside K, not K's 301^3 box
+    path = tmp_path / "session.txt"
+    path.write_text("ring QQ[x,y,z]\nideal P = x\nideal J = y\n"
+                    "ideal K = x^300*y^300*z^300\n")
+    code, out, _ = run(["gamma", "--session", str(path), "--I", "P", "--J", "J",
+                        "--K", "K", "--no-timings"])
+    assert code == 0
+    assert json.loads(out)["witnesses"] == {"y^300*z^300": "radical-membership"}
+
+
+def test_s_certificate_has_no_search_bounds(session_file):
+    with pytest.raises(SystemExit) as exc:
+        run(["s-certificate", "--session", session_file, "--p", "M",
+             "--element", "x", "--J", "J", "--n-max", "4"])
+    assert exc.value.code == 2
+
+
 def test_precondition_exit_code(session_file):
     code, out, err = run(["top-degree", "--session", session_file,
                           "--I", "J", "--J", "J", "--no-timings"])
