@@ -75,7 +75,6 @@ def s_certificate(p: Ideal, a: Polynomial, J: Ideal):
     (`_j_part`).  Both defining properties are checked again before the
     certificate is returned.
     """
-    p._check(J)
     pj = p + J
     if not radical_member(a, pj):
         return None
@@ -102,8 +101,8 @@ def _j_part(p: Ideal, J: Ideal, f: Polynomial) -> Polynomial:
     ring = p.ring
     u_name = fresh_variable(ring.variables)
     e_name = fresh_variable(ring.variables + (u_name,))
-    big = RingSpec(ring.char, (u_name,) + ring.variables + (e_name,),
-                   elimination(1, ring.nvars, 1))
+    blocks = (1, ring.nvars, 1) if ring.nvars else (1, 1)
+    big = RingSpec(ring.char, (u_name,) + ring.variables + (e_name,), elimination(*blocks))
     u, e = Polynomial.variable(big, u_name), Polynomial.variable(big, e_name)
 
     def lift(g):

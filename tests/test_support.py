@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pairloc.errors import PreconditionError
 from pairloc.ideals import Ideal, intersect, radical_member
-from pairloc.ring import RingSpec
+from pairloc.ring import Polynomial, RingSpec
 from pairloc.samples import random_polynomial
 from pairloc.support import PairSpec, s_certificate, s_zero, w_member, wtilde_member
 
@@ -93,6 +93,13 @@ def test_s_certificate_with_a_non_monic_cofactor():
     x, y, _ = variables(r)
     cert = s_certificate(Ideal(r, (2 * x * y + x,)), x, Ideal(r, (y,)))
     assert (cert.n, cert.j) == (1, 2 * x * y)
+
+
+def test_s_certificate_over_no_variables():
+    r = ring("")
+    one = Polynomial.one(r)
+    cert = s_certificate(Ideal(r, (2 * one,)), one, Ideal.zero(r))
+    assert (cert.n, cert.j) == (1, Polynomial.zero(r))
 
 
 @settings(max_examples=100, deadline=None)
