@@ -13,8 +13,9 @@ Over QQ the reduction runs on primitive integer
 polynomials: a term is cancelled by pseudo-reduction (the live terms are
 multiplied by the divisor's leading coefficient over a gcd, never divided by
 it) and the content is divided out after each such step (Becker and
-Weispfenning, *Groebner Bases*, §5.3 and §10.1).  One rational scale, kept
-as two integers, turns each remainder term back into its exact Fraction.
+Weispfenning, *Groebner Bases*, §5.3 and §10.1).  The remainder's terms stay
+among the live ones, so one integer scale, kept as two integers, covers them
+all; the kernel builds no Fraction, and `normal_form` applies the scale once.
 Over GF(p) the same loop runs with monic divisors and no rescaling.  Each
 polynomial's reducer entry is computed once (`Polynomial.reducer`).
 
@@ -94,24 +95,28 @@ def _add_multiple(terms, tail, shift, c, ring, heap=None):
                 del terms[t]
 
 
-def _reduce(terms, divisors, ring, num=1, den=1):
+def _reduce(terms, divisors, ring):
     """The remainder of the live terms modulo the reducer entries
-    (`Polynomial.reducer`) of a list of nonzero polynomials, as a map from
-    packed terms to exact coefficients (Fractions over QQ).
+    (`Polynomial.reducer`) of a list of nonzero polynomials, as
+    (remainder, num, den): the remainder maps packed terms to coefficients,
+    integers over QQ that are num/den times the exact ones.
 
-    terms maps packed terms to coefficients, integers over QQ that are
-    num/den times the exact ones; it is consumed.  The greatest remaining
-    term is reduced by the first divisor whose leading term divides it; a
-    cancelled term's heap entry is skipped when it surfaces.  The remainder
-    has no term divisible by a divisor's leading term, and the polynomial
-    minus the remainder lies in the ideal the divisors generate."""
-    char, borrow = ring.char, ring.borrow
+    terms maps packed terms to coefficients, integers over QQ; it is
+    consumed, and becomes the remainder.  The greatest term not yet visited
+    is reduced by the first divisor whose leading term divides it; a
+    cancelled term's heap entry is skipped when it surfaces.  A term that no
+    leading term divides stays in the map: each step adds only terms below
+    the one it cancels, so no later step reaches it, and scaling and content
+    division keep one integer scale over the whole map.  The remainder has
+    no term divisible by a divisor's leading term, and the polynomial minus
+    the remainder lies in the ideal the divisors generate."""
+    borrow = ring.borrow
     heap = list(terms)
     heapify(heap)
-    remainder = {}
+    num = den = 1
     while heap:
         item = heappop(heap)
-        c = terms.pop(item, None)
+        c = terms.get(item)
         if c is None:
             continue
         probe = item | borrow  # `_lead_divides`, with item | borrow hoisted
@@ -119,8 +124,8 @@ def _reduce(terms, divisors, ring, num=1, den=1):
             if (probe - lead) & borrow == borrow:
                 break
         else:
-            remainder[item] = c if char else Fraction(c * den, num)
             continue
+        del terms[item]
         # a * terms - c * x^(item - lead) * g, over gcd(a, c); its leading term cancels c
         scale = 1
         if a != 1:
@@ -140,7 +145,7 @@ def _reduce(terms, divisors, ring, num=1, den=1):
                 common = gcd(num, den)
                 num //= common
                 den //= common
-    return remainder
+    return terms, num, den
 
 
 def _s_terms(f, g, lcm, ring):
@@ -186,9 +191,10 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     else:
         terms, num, den = integer_terms(f.terms)
     pack = ring.pack
-    remainder = _reduce({pack(e): c for e, c in terms.items()},
-                        [g.reducer() for g in basis], ring, num, den)
-    return _unpacked(ring, remainder)
+    remainder, rnum, rden = _reduce({pack(e): c for e, c in terms.items()},
+                                    [g.reducer() for g in basis], ring)
+    # the remainder is num/den · rnum/rden times the exact one
+    return _unpacked(ring, remainder, None if ring.char else Fraction(den * rden, num * rnum))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -241,10 +247,9 @@ def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with the order it was computed in."""
+    """A reduced Groebner basis, in the order of its ring."""
 
     generators: tuple
-    order: tuple
 
     def __iter__(self):
         return iter(self.generators)
@@ -277,7 +282,7 @@ def _interreduce(basis, ring):
     for i, (lead, a, tail) in enumerate(kept):
         terms = {t: (char - c if char else -c) for t, c in tail}
         terms[lead] = a
-        r = _reduce(terms, kept[:i] + kept[i + 1:], ring)
+        r = _reduce(terms, kept[:i] + kept[i + 1:], ring)[0]
         p = _unpacked(ring, r, ring.coeff_inv(r[lead]))
         p._lead = unpack(lead)
         reduced.append(p)
@@ -352,7 +357,7 @@ def _complete(gens, ring):
                 break
         if skip:
             continue
-        r = _reduce(_s_terms(G[i], G[j], lcm, ring), G, ring)
+        r = _reduce(_s_terms(G[i], G[j], lcm, ring), G, ring)[0]
         if not r:
             continue
         entry = reducer_entry(r, ring.char)
@@ -381,18 +386,18 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
         one = ring.coeff(1)
         minimal = sorted(_minimalize(g.leading_exp() for g in gens), key=ring.sort_key)
         return GroebnerBasis(tuple(Polynomial(ring, {e: one}, _normalized=True)
-                                   for e in minimal), ring.order)
+                                   for e in minimal))
     G = _complete(gens, ring)
     if G is None:
-        return GroebnerBasis((Polynomial.one(ring),), ring.order)
-    return GroebnerBasis(tuple(_interreduce(G, ring)), ring.order)
+        return GroebnerBasis((Polynomial.one(ring),))
+    return GroebnerBasis(tuple(_interreduce(G, ring)))
 
 
 def eliminate(gens, ring: RingSpec) -> tuple:
     """The reduced basis of (gens) ∩ k[ring's variables], in the order of
     the gens' ring, for gens over a ring whose variables are some leading
     ones followed by those of `ring`, and whose order is an elimination order
-    for the leading ones (`ideals.extended_ring`).  The result lies in `ring`.
+    for the leading ones (`ideals.adjoin`).  The result lies in `ring`.
 
     In an elimination order a polynomial is free of the leading variables
     iff its leading monomial is, so the elements of a Groebner basis of

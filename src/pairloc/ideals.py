@@ -7,13 +7,13 @@ radical and irreducible decomposition combinatorially.  Its minimal primes,
 Assh and dimension all read one routine, `MonomialIdeal._covers`: the
 minimal vertex covers of the generators' supports, as bitmasks.
 
-Every question that adjoins an auxiliary variable t is one call of the one
-elimination primitive, `groebner.eliminate`, which completes a basis over
-k[t, x] and interreduces only its t-free part:
-intersection eliminates t from t·A + (1 − t)·B, saturation by each
-generator b of B is A : b^∞ = (A + (1 − t·b)) ∩ k[x].  The Rabinowitsch
-test, `radical_member_groebner`, asks only whether A + (1 − t·f) is (1), so it
-runs the completion loop alone and interreduces nothing.
+Every question that adjoins auxiliary variables builds its ring with one
+primitive, `adjoin`, and is one call of one elimination, `groebner.eliminate`,
+which completes a basis over k[t, x] and interreduces only its t-free part:
+intersection eliminates t from t·A + (1 − t)·B, and saturation by all of B
+at once is A : B^∞ = (A + (1 − Σ t_i·b_i)) ∩ k[x].  The Rabinowitsch test,
+`radical_member_groebner`, asks only whether those generators for B = (f)
+give (1), so it runs the completion loop alone and interreduces nothing.
 
 `in_radical` (I ⊆ √A) and `radical_member` answer monomial A (every
 generator a monomial or zero) by the support rule, `supports_cover`: √A is
@@ -192,79 +192,76 @@ class Ideal:
         return MonomialIdeal.from_exps(self.ring.nvars, exps)
 
 
-# -- ring extension helpers ---------------------------------------------------
-
-def extended_ring(ring: RingSpec, extra: str):
-    """Ring with one dominant extra variable (elimination order, extra first)."""
-    return RingSpec(ring.char, (extra,) + ring.variables,
-                    elimination(1, ring.nvars) if ring.nvars else ("grevlex",))
-
-
-def fresh_variable(names) -> str:
-    """The first of t, t1, t2, … not in names."""
-    name, k = "t", 0
-    while name in names:
-        k += 1
-        name = f"t{k}"
-    return name
-
-
-def _adjoin_t(ring: RingSpec):
-    """`extended_ring` over `fresh_variable`, and that variable t as a
-    polynomial."""
-    name = fresh_variable(ring.variables)
-    big = extended_ring(ring, name)
-    return big, Polynomial.variable(big, name)
-
-
-def lift_poly(f: Polynomial, big: RingSpec) -> Polynomial:
-    return Polynomial(big, {(0,) + e: c for e, c in f.terms.items()}, _normalized=True)
-
-
 # -- elimination-backed operations --------------------------------------------
 
-def _localized(A: Ideal, f: Polynomial) -> tuple:
-    """The reduced basis of (A + (1 − t·f)) ∩ k[x], which is A : f^∞."""
-    big, t = _adjoin_t(A.ring)
-    gens = [lift_poly(g, big) for g in A.gens]
-    gens.append(Polynomial.one(big) - t * lift_poly(f, big))
-    return eliminate(gens, A.ring)
+def adjoin(ring: RingSpec, k: int):
+    """(big, tags, embed): the ring with k fresh leading variables, the
+    tags, named t, t1, t2, … skipping the ring's own names, under
+    `elimination(k, n)` (plain grevlex when either block is empty); the tags
+    as polynomials; and the embedding of the ring's polynomials into it."""
+    n = ring.nvars
+    # the ring's n names leave at least k of the first k + n candidates free
+    names = [name for name in ["t"] + [f"t{i}" for i in range(1, k + n)]
+             if name not in ring.variables][:k]
+    big = RingSpec(ring.char, tuple(names) + ring.variables,
+                   elimination(k, n) if k and n else ("grevlex",))
+    pad = (0,) * k
+
+    def embed(f):
+        return Polynomial(big, {pad + e: c for e, c in f.terms.items()}, _normalized=True)
+
+    return big, [Polynomial.variable(big, name) for name in names], embed
+
+
+def _rabinowitsch(A: Ideal, bs):
+    """The tag ring with one tag t_i per nonzero b_i in bs, and the
+    generators of A + (1 − Σ t_i·b_i) over it."""
+    bs = [b for b in bs if not b.is_zero()]
+    big, tags, embed = adjoin(A.ring, len(bs))
+    gens = [embed(g) for g in A.gens if not g.is_zero()]
+    gens.append(Polynomial.one(big) - sum((t * embed(b) for t, b in zip(tags, bs)),
+                                          Polynomial.zero(big)))
+    return big, gens
 
 
 def intersect(A: Ideal, B: Ideal) -> Ideal:
     """A ∩ B via a single auxiliary variable: eliminate t from t·A + (1−t)·B."""
     A._check(B)
-    big, t = _adjoin_t(A.ring)
+    big, (t,), embed = adjoin(A.ring, 1)
     one_minus_t = Polynomial.one(big) - t
-    gens = [t * lift_poly(g, big) for g in A.gens]
-    gens += [one_minus_t * lift_poly(g, big) for g in B.gens]
+    gens = [t * embed(g) for g in A.gens]
+    gens += [one_minus_t * embed(g) for g in B.gens]
     return Ideal(A.ring, eliminate(gens, A.ring))
 
 
-def _over_generators(A: Ideal, B: Ideal, part) -> Ideal:
-    """The intersection of part(b) over the nonzero generators b of B; the
-    unit ideal when B = 0."""
+def colon(A: Ideal, B: Ideal) -> Ideal:
+    """(A : B), the intersection of the A : b = (A ∩ (b))/b over the
+    nonzero generators b of B; the unit ideal when B = 0."""
     A._check(B)
     result = None
     for b in B.gens:
         if not b.is_zero():
-            p = part(b)
-            result = p if result is None else intersect(result, p)
+            inter = intersect(A, Ideal(A.ring, (b,)))
+            part = Ideal(A.ring, [exact_divide(g, b) for g in inter.gens if not g.is_zero()])
+            result = part if result is None else intersect(result, part)
     return Ideal.unit(A.ring) if result is None else result
 
 
-def colon(A: Ideal, B: Ideal) -> Ideal:
-    """(A : B), intersected elementwise over the generators of B."""
-    def part(b):
-        inter = intersect(A, Ideal(A.ring, (b,)))
-        return Ideal(A.ring, [exact_divide(g, b) for g in inter.gens if not g.is_zero()])
-    return _over_generators(A, B, part)
-
-
 def saturate(A: Ideal, B: Ideal) -> Ideal:
-    """(A : B^∞), intersected over the generators b of B, each part
-    A : b^∞ = (A + (1 − t·b)) ∩ k[x] found by one elimination."""
-    return _over_generators(A, B, lambda b: Ideal(A.ring, _localized(A, b)))
+    """(A : B^∞) = (A + (1 − Σ t_i·b_i)) ∩ k[x], by one elimination, with one
+    tag t_i per nonzero generator b_i of B.  When B = 0 there is no tag, the
+    generators hold 1, and the answer is (1).
+
+    Let T = A + (1 − Σ t_i·b_i) in k[t, x].  Modulo T, 1 ≡ (Σ t_i·b_i)^M for
+    every M, and this kills every B-torsion element: if f·b_i^N ∈ A for each
+    i, then f ≡ f·(Σ t_i·b_i)^M, and for M ≥ k(N − 1) + 1 every term of that
+    power holds some b_i^N, so f ∈ T.  Conversely, over each D(b_i) the tag
+    ring is a polynomial ring over (R/A)_{b_i}: sending t_i to 1/b_i and the
+    other tags to 0 maps k[t, x] to R_{b_i} and T into A·R_{b_i}.  So each
+    f ∈ T ∩ k[x] has b_i^N·f ∈ A for some N, for each i."""
+    A._check(B)
+    big, gens = _rabinowitsch(A, B.gens)
+    return Ideal(A.ring, eliminate(gens, A.ring))
 
 
 def support_mask(exp) -> int:
@@ -308,11 +305,10 @@ def radical_member(f: Polynomial, A: Ideal) -> bool:
 
 
 def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
-    """f ∈ √A, by adjoining t and asking the completion loop whether
-    A + (1 − t·f) is (1), that is whether A : f^∞ is; uncached."""
-    big, t = _adjoin_t(A.ring)
-    gens = [lift_poly(g, big) for g in A.gens if not g.is_zero()]
-    gens.append(Polynomial.one(big) - t * lift_poly(f, big))
+    """f ∈ √A, by asking the completion loop whether A + (1 − t·f), from
+    which `saturate(A, (f))` eliminates t, is (1), that is whether A : f^∞
+    is; uncached."""
+    big, gens = _rabinowitsch(A, (f,))
     return _complete(gens, big) is None
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError
 from .groebner import buchberger, normal_form
-from .ideals import Ideal, fresh_variable, in_radical, radical_member
-from .ring import Polynomial, RingSpec, elimination
+from .ideals import Ideal, adjoin, in_radical, radical_member
+from .ring import Polynomial
 
 
 @dataclass(frozen=True)
@@ -90,28 +90,18 @@ def s_certificate(p: Ideal, a: Polynomial, J: Ideal):
 def _j_part(p: Ideal, J: Ideal, f: Polynomial) -> Polynomial:
     """A j ∈ J with f + j ∈ p, for f ∈ p + J.
 
-    Adjoin two tags u and e, order k[u, x, e] so that u dominates x and x
-    dominates e, and take the ideal of u·p_i, u·J_l + e·J_l, u², u·e and e².
-    Its part of degree one in the tags is the submodule of R² generated by
-    the (p_i, 0) and (J_l, J_l), that is the (π + ι, ι) with π ∈ p and
-    ι ∈ J, under an order where the u-position dominates.  Since f ∈ p + J,
+    Adjoin two tags u and e (`ideals.adjoin`), so that k[u, e, x] is ordered
+    by `elimination(2, n)`, and take the ideal of u·p_i, u·J_l + e·J_l, u²,
+    u·e and e².  Its part of degree one in the tags is the submodule of R²
+    generated by the (p_i, 0) and (J_l, J_l), that is the (π + ι, ι) with
+    π ∈ p and ι ∈ J, under an order where the u-position dominates: on
+    monomials of tag degree one, u·x^a > e·x^b always.  Since f ∈ p + J,
     u·f reduces to some e·j; then (f, −j) = (π + ι, ι) for some such π and
     ι, so j = −ι ∈ J and f + j = π ∈ p.
     """
-    ring = p.ring
-    u_name = fresh_variable(ring.variables)
-    e_name = fresh_variable(ring.variables + (u_name,))
-    blocks = (1, ring.nvars, 1) if ring.nvars else (1, 1)
-    big = RingSpec(ring.char, (u_name,) + ring.variables + (e_name,), elimination(*blocks))
-    u, e = Polynomial.variable(big, u_name), Polynomial.variable(big, e_name)
-
-    def lift(g):
-        return Polynomial(big, {(0,) + x + (0,): c for x, c in g.terms.items()},
-                          _normalized=True)
-
-    gens = [u * lift(g) for g in p.gens]
-    gens += [(u + e) * lift(g) for g in J.gens]
+    big, (u, e), embed = adjoin(p.ring, 2)
+    gens = [u * embed(g) for g in p.gens]
+    gens += [(u + e) * embed(g) for g in J.gens]
     gens += [u * u, u * e, e * e]
-    rest = normal_form(u * lift(f), list(buchberger(gens, big)))
-    return Polynomial(ring, {x[1:-1]: c for x, c in rest.terms.items()},
-                      _normalized=True)
+    rest = normal_form(u * embed(f), list(buchberger(gens, big)))
+    return Polynomial(p.ring, {x[2:]: c for x, c in rest.terms.items()}, _normalized=True)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -204,17 +205,22 @@ CLI_SCRIPT = [
 
 
 def _run_scripted_session(tmp_path):
+    """The stdout of every command of CLI_SCRIPT, joined in script order.
+    The commands only read the session file, so they run side by side, on
+    at most one worker per CPU."""
     session = tmp_path / "session.txt"
     session.write_text(SESSION_TEXT)
     env = dict(os.environ, PAIRLOC_SEED="11")
-    chunks = []
-    for argv in CLI_SCRIPT:
+
+    def run(argv):
         cmd = [sys.executable, "-m", "pairloc.cli", *argv,
                "--session", str(session), "--no-timings"]
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, (argv, proc.stderr)
-        chunks.append(proc.stdout)
-    return "".join(chunks)
+        return proc.stdout
+
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        return "".join(pool.map(run, CLI_SCRIPT))
 
 
 def test_criterion_12_cli_determinism(tmp_path):

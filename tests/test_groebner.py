@@ -13,7 +13,7 @@ from pairloc import groebner
 from pairloc.errors import ExponentOverflowError
 from pairloc.groebner import (buchberger, eliminate, normal_form, s_polynomial,
                               spoly_certificate)
-from pairloc.ideals import exact_divide, extended_ring, lift_poly
+from pairloc.ideals import adjoin, exact_divide
 from pairloc.ring import EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.samples import random_polynomial, standard_ring
 
@@ -51,8 +51,8 @@ def test_a_constant_ends_the_completion_with_the_unit_ideal(monkeypatch):
     monkeypatch.setattr(groebner, "_interreduce", refuse)
     # the S-polynomial of x and x - 1 is the constant 1
     assert buchberger([x, x - Polynomial.one(r)]).generators == (Polynomial.one(r),)
-    big = extended_ring(r, "t")
-    t, x_big = Polynomial.variable(big, "t"), lift_poly(x, big)
+    big, (t,), embed = adjoin(r, 1)
+    x_big = embed(x)
     # x is in the radical of (x), so (x, 1 - t*x) is (1)
     assert eliminate([x_big, Polynomial.one(big) - t * x_big], r) == (Polynomial.one(r),)
 

@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloc.errors import InternalError, PreconditionError
-from pairloc.groebner import buchberger
-from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, clear_caches, colon,
-                            dim_quotient, exact_divide, extended_ring, in_radical,
-                            intersect, lift_poly, radical_member,
-                            radical_member_groebner, saturate)
-from pairloc.ring import Polynomial
+from pairloc.groebner import buchberger, eliminate
+from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, adjoin, clear_caches,
+                            colon, dim_quotient, exact_divide, in_radical, intersect,
+                            radical_member, radical_member_groebner, saturate)
+from pairloc.ring import GREVLEX, Polynomial, RingSpec
+from pairloc.support import s_certificate
 from pairloc.samples import random_monomial_ideal, random_polynomial, standard_ring
 
 from conftest import pp, ring, variables
@@ -291,11 +291,21 @@ def _colon_chain_limit(A, B):
 def _saturation_inputs(r):
     polys = _polys(r, top=2)  # exponents up to 3 make the colon chain slow
     A = st.lists(polys, min_size=1, max_size=2).map(lambda gens: Ideal(r, gens))
-    B = st.lists(polys, max_size=2).map(lambda gens: Ideal(r, gens))  # [] is B = 0
+    B = st.lists(polys, max_size=3).map(lambda gens: Ideal(r, gens))  # [] is B = 0
     return st.tuples(A, B)
 
 
 R3_MOD = standard_ring(3, char=32003)
+
+
+def _three_lines(r, *B):
+    """A = (x−1, y−1) ∩ (x−1, z−1) ∩ (y−1, z−1) ∩ (x², y, z), and B.  For
+    B's nonzero generators x − 1, y − 1 and (x + y)(z − 1), each line lies in
+    the zero sets of exactly two, so A : B^∞ = A, and dropping any one of them
+    saturates a line away."""
+    A = ("x^2*z - x^2 - y*z + y", "y^2*z - y^2 - y*z + y", "x*z^2 - x*z - z^2 + z",
+         "y*z^2 - y*z - z^2 + z", "x*y - x*z - y + z")
+    return tuple(Ideal(r, [pp(r, text) for text in gens]) for gens in (A, B))
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,17 +317,59 @@ R3_MOD = standard_ring(3, char=32003)
           Ideal(R3, (pp(R3, "x - y"), pp(R3, "z^2 + 1")))))
 @example((Ideal(R3, (pp(R3, "x^2 - y"),)), Ideal.zero(R3)))
 @example((Ideal(R3_MOD, (pp(R3_MOD, "x*y - z^2"),)), Ideal.unit(R3_MOD)))
+@example(_three_lines(R3, "x - 1", "0", "y - 1", "x*z + y*z - x - y"))
+@example(_three_lines(R3_MOD, "x - 1", "y - 1", "x*z + y*z - x - y"))
 def test_saturate_matches_colon_chain(inputs):
-    # non-monomial A and B over QQ and GF(32003); B with two generators, B = 0, B = (1)
+    # non-monomial A and B over QQ and GF(32003); B with up to three generators,
+    # each of which matters, and a zero generator beside nonzero ones; B = 0, B = (1)
     A, B = inputs
     assert saturate(A, B) == _colon_chain_limit(A, B)
+
+
+def test_saturation_by_several_generators_is_one_elimination(monkeypatch):
+    import pairloc.ideals as ideals
+
+    calls = []
+    monkeypatch.setattr(ideals, "eliminate",
+                        lambda gens, ring: calls.append(ring) or eliminate(gens, ring))
+    r = ring("xyz")
+    A = Ideal(r, (pp(r, "x^2*y - z"), pp(r, "x*z^2")))
+    for k in (1, 2, 3):
+        B = Ideal(r, (pp(r, "x + y"), pp(r, "y*z - 1"), pp(r, "z^2"))[:k])
+        expected = _colon_chain_limit(A, B)
+        calls.clear()
+        assert saturate(A, B) == expected
+        assert calls == [r]
+
+
+def test_variables_named_like_the_tags_do_not_clash():
+    # the tags are named t, t1, …; a ring that already uses those names must
+    # give the same answers as the same ring with other names
+    clash = RingSpec(0, ("t", "x", "t1"), GREVLEX)
+    plain = RingSpec(0, ("a", "x", "b"), GREVLEX)
+
+    def answers(r):
+        def ideal(*texts):  # written in clash's names, moved to r
+            return Ideal(r, [Polynomial(r, pp(clash, text).terms) for text in texts])
+
+        A, B = ideal("t^2*x - t1", "x*t1^2"), ideal("t + x", "x*t1 - 1", "t1^2")
+        (f,), (a,) = ideal("t*x*t1 - t1^2").gens, ideal("t").gens
+        certificate = s_certificate(ideal("t^2 - x*t1"), a, ideal("x*t1"))
+        return ([g.terms for g in intersect(A, ideal("t - x")).gens],
+                [g.terms for g in saturate(A, B).gens],
+                radical_member_groebner(f, A), radical_member_groebner(a, A),
+                certificate.n, certificate.j.terms)
+
+    expected = answers(plain)
+    assert answers(clash) == expected
+    assert expected[2:5] == (True, False, 2) and expected[5]
 
 
 def _t_free_reference(gens, ring):
     """The seed route of every elimination: the full reduced basis over
     k[t, x], then its elements that do not involve t, with t dropped."""
     return tuple(Polynomial(ring, {e[1:]: c for e, c in g.terms.items()})
-                 for g in buchberger(gens, extended_ring(ring, "t"))
+                 for g in buchberger(gens, adjoin(ring, 1)[0])
                  if all(e[0] == 0 for e in g.terms))
 
 
@@ -328,8 +380,7 @@ def _t_free_reference(gens, ring):
 def test_eliminations_match_the_t_free_part_of_the_full_basis(seed, char, nvars):
     rng = random.Random(seed)
     r = standard_ring(nvars, char)
-    big = extended_ring(r, "t")
-    t = Polynomial.variable(big, "t")
+    big, (t,), embed = adjoin(r, 1)
     one = Polynomial.one(big)
 
     def some_ideal():
@@ -338,11 +389,11 @@ def test_eliminations_match_the_t_free_part_of_the_full_basis(seed, char, nvars)
 
     A, B = some_ideal(), some_ideal()
     f = random_polynomial(rng, r, max_degree=2, max_terms=2)
-    lifted_A = [lift_poly(g, big) for g in A.gens]
+    lifted_A = [embed(g) for g in A.gens]
     expected = _t_free_reference([t * g for g in lifted_A]
-                                 + [(one - t) * lift_poly(g, big) for g in B.gens], r)
+                                 + [(one - t) * embed(g) for g in B.gens], r)
     assert intersect(A, B).gens == (expected or (Polynomial.zero(r),))
-    rabinowitsch = _t_free_reference(lifted_A + [one - t * lift_poly(f, big)], r)
+    rabinowitsch = _t_free_reference(lifted_A + [one - t * embed(f)], r)
     if not f.is_zero():
         # an empty t-free part is the zero ideal, which Ideal writes as (0,)
         assert saturate(A, Ideal(r, (f,))).gens == (rabinowitsch or (Polynomial.zero(r),))
