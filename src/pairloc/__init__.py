@@ -20,8 +20,7 @@ from .invariants import (InvariantReport, ara_upper_bound, build_report,
 from .oracles import gamma_colimit_oracle, gamma_minprime_oracle, koszul_tor
 from .ring import (GREVLEX, LEX, Polynomial, RingSpec, elimination,
                    parse_polynomial)
-from .support import (PairSpec, s_certificate, s_zero, w_member,
-                      wtilde_member)
+from .support import PairSpec, s_certificate, w_member, wtilde_member
 from .torsion import (GammaResult, PairContext, ass_gamma, gamma_member,
                       gamma_monomial, is_torsion)
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InternalError, PreconditionError
-from .ideals import Ideal
+from .ideals import Ideal, radical_member
 from .ring import Polynomial
-from .support import PairSpec, s_zero
+from .support import PairSpec
 from .torsion import GammaResult, PairContext, gamma_monomial
 
 
@@ -88,7 +88,7 @@ def collapse(sk: CechSkeleton) -> CechSkeleton:
     """Mark every factor whose element lies in √J as collapsed; such a factor
     is chain-isomorphic to the ring concentrated in degree 0."""
     factors = tuple(
-        CechFactor(f.element, f.collapsed or s_zero(f.element, sk.J))
+        CechFactor(f.element, f.collapsed or radical_member(f.element, sk.J))
         for f in sk.factors)
     return CechSkeleton(factors, sk.J)
 

@@ -56,7 +56,8 @@ class Session:
 
 _RING_LINE = re.compile(
     r"ring\s+(QQ|GF\((\d+)\))\s*\[([^\]]*)\]\s*(?:order\s+(lex|grevlex))?\s*$")
-_IDEAL_LINE = re.compile(r"ideal\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # an identifier of the polynomial grammar
+_IDEAL_LINE = re.compile(rf"ideal\s+({_NAME.pattern})\s*=\s*(.*)$")
 
 
 def parse_session(text: str) -> Session:
@@ -77,6 +78,9 @@ def parse_session(text: str) -> Session:
             names = tuple(v.strip() for v in m.group(3).split(",") if v.strip())
             if not names:
                 raise ParseError("ring needs at least one variable", lineno)
+            for v in names:
+                if not _NAME.fullmatch(v):
+                    raise ParseError(f"invalid variable name {v!r}", lineno)
             if len(set(names)) != len(names):
                 raise ParseError("duplicate variable", lineno)
             order = LEX if m.group(4) == "lex" else GREVLEX

@@ -260,9 +260,6 @@ class GroebnerBasis:
     def contains_one(self):
         return len(self.generators) == 1 and self.generators[0].is_one()
 
-    def is_zero_ideal(self):
-        return not self.generators
-
 
 def _interreduce(basis, ring):
     """The reduced Groebner basis from a Groebner basis given as reducer

@@ -105,9 +105,6 @@ class Ideal:
             raise RingMismatchError("element over a different ring")
         return normal_form(f, list(self.groebner())).is_zero()
 
-    def is_zero(self):
-        return self.groebner().is_zero_ideal()
-
     def is_unit(self):
         exps = self.monomial_exponents()
         if exps is not None:

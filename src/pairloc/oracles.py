@@ -10,14 +10,15 @@ and ranked by its own dense elimination (`_dense_rank`), so it shares no
 rank code with `hochster_betti`; its homological index convention is pinned
 by that equality, not trusted from transcription.
 
-The torsion and Ass oracles walk every monomial of K's exponent box.
-`gamma_minprime_oracle` decides each monomial by the minimal primes of its
-annihilator, tested once per prime by the Rabinowitsch reference;
-`gamma_colimit_oracle` takes the directed union of saturations of K by the
-annihilators that belong to the family W~(I, J); `ass_monomial` collects the
-face primes that arise as (K : m).  They check the irreducible-decomposition
-routes of `torsion`, so the monomial support rule that answers those is never
-the only thing checking itself.
+The torsion and Ass oracles walk every monomial of K's exponent box, so K
+must be monomial; I and J may be any ideals.  `gamma_minprime_oracle`
+decides each monomial by the minimal primes of its annihilator, tested once
+per prime by the Rabinowitsch reference; `gamma_colimit_oracle` takes the
+directed union of saturations of K by the annihilators that belong to the
+family W~(I, J); `ass_monomial` collects the face primes that arise as
+(K : m).  They check the irreducible-decomposition routes of `torsion`
+(monomial J and K, any I), so the monomial support rule that answers those
+is never the only thing checking itself.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def gamma_minprime_oracle(ctx: PairContext) -> GammaResult:
     """Independent route: a monomial is torsion iff every minimal prime of its
     annihilator lies in the support family of the pair, decided once per
     distinct prime by the Rabinowitsch reference."""
-    Im, Jm, Km = ctx.monomial_data()
+    Km = ctx.K.as_monomial()
     ring, pair = ctx.ring, ctx.pair
     in_w = {}  # face prime -> whether it lies in W(I, J)
 
@@ -176,7 +177,7 @@ def gamma_minprime_oracle(ctx: PairContext) -> GammaResult:
 def gamma_colimit_oracle(ctx: PairContext) -> GammaResult:
     """Independent route: the torsion submodule as the union of saturation
     kernels over annihilator candidates belonging to the directed ideal family."""
-    Im, Jm, Km = ctx.monomial_data()
+    Km = ctx.K.as_monomial()
     ring = ctx.ring
     candidates = {Km.colon_monomial(b) for b in _box(Km.max_exponents())}
     L = Km

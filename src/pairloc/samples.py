@@ -40,14 +40,9 @@ def random_monomial_ideal(rng, nvars, max_exp=3, max_gens=3,
 
 
 def random_squarefree_ideal(rng, nvars, max_gens=4) -> MonomialIdeal:
-    gens = []
-    for _ in range(rng.randint(1, max_gens)):
-        e = tuple(rng.randint(0, 1) for _ in range(nvars))
-        if any(e):
-            gens.append(e)
-    if not gens:
-        gens = [tuple(1 if i == 0 else 0 for i in range(nvars))]
-    return MonomialIdeal.from_exps(nvars, gens)
+    """`random_monomial_ideal` with max_exp=1: the same draws, kept by name
+    for bench/baselines.py."""
+    return random_monomial_ideal(rng, nvars, max_exp=1, max_gens=max_gens)
 
 
 def random_polynomial(rng, ring, max_degree=3, max_terms=3) -> Polynomial:

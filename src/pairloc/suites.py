@@ -17,8 +17,8 @@ from .invariants import ara_upper_bound, pair_depth
 from .oracles import ass_monomial, gamma_colimit_oracle, gamma_minprime_oracle, koszul_tor
 from .ring import Polynomial
 from .samples import (DEFAULT_SEED, random_homogeneous_ideal, random_monomial_context,
-                      random_monomial_ideal, random_polynomial, random_squarefree_ideal,
-                      shifted_primes, standard_ring)
+                      random_monomial_ideal, random_polynomial, shifted_primes,
+                      standard_ring)
 from .support import PairSpec, w_member
 from .torsion import PairContext, ass_gamma, gamma_member, gamma_monomial
 
@@ -244,7 +244,7 @@ def suite_depth_cross(samples=50, seed=DEFAULT_SEED):
     rng = random.Random(seed)
     failures = []
     for k in range(samples):
-        K = random_squarefree_ideal(rng, 5)
+        K = random_monomial_ideal(rng, 5, max_exp=1, max_gens=4)
         if hochster_betti(K).as_dict() != koszul_tor(K).as_dict():
             failures.append(f"squarefree sample {k}: Betti tables differ for {K}")
     ring3 = standard_ring(3)

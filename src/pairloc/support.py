@@ -52,11 +52,6 @@ def wtilde_member(a: Ideal, pair: PairSpec) -> bool:
     return in_radical(pair.I, a + pair.J)
 
 
-def s_zero(a: Polynomial, J: Ideal) -> bool:
-    """Whether the multiplicative set {a^n + j} contains 0, i.e. a ∈ √J."""
-    return radical_member(a, J)
-
-
 @dataclass(frozen=True)
 class SCertificate:
     """An explicit witness a^n + j ∈ p with j ∈ J and n least."""

@@ -5,9 +5,12 @@ import os
 import pytest
 
 from pairloc import cech
-from pairloc.cli import main, parse_session
+from pairloc.cli import main, mono_json, parse_session
 from pairloc.errors import ParseError
+from pairloc.oracles import gamma_minprime_oracle
 from pairloc.suites import SUITES, run_suite
+from pairloc.support import PairSpec
+from pairloc.torsion import PairContext
 
 from test_acceptance import CLI_SCRIPT, HERE
 
@@ -50,6 +53,22 @@ def test_parse_session_errors():
     with pytest.raises(ParseError) as exc:
         parse_session("ring QQ[x]\nideal I = x + $\n")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("names", ["x y, 2z", "x, 2z", "x, y-1", "x, y^2"])
+def test_session_ring_refuses_names_outside_the_grammar(tmp_path, names):
+    # such a name could never be read back, so the ring line itself fails
+    bad = next(v.strip() for v in names.split(",")
+               if v.strip() not in ("x", "y", "z"))
+    with pytest.raises(ParseError) as exc:
+        parse_session(f"ring QQ[{names}]\n")
+    assert exc.value.line == 1 and repr(bad) in str(exc.value)
+    path = tmp_path / "session.txt"
+    path.write_text(f"ring QQ[{names}]\nideal I = x\n")
+    code, out, err = run(["gb", "--session", str(path), "--ideal", "I", "--no-timings"])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error.startswith("line 1:") and repr(bad) in error
 
 
 def test_gb_command(session_file):
@@ -96,6 +115,55 @@ def test_gamma_witnesses_skip_the_exponent_box(tmp_path):
                         "--K", "K", "--no-timings"])
     assert code == 0
     assert json.loads(out)["witnesses"] == {"y^300*z^300": "radical-membership"}
+
+
+POLYNOMIAL_SESSION = """\
+ring QQ[x,y,z]
+ideal P = x
+ideal S = x + y
+ideal J = y
+ideal D = x - y
+ideal K = x^2*y, y^2*z
+ideal A = x^2 + y
+ideal B = x^2 + y - 1
+"""
+
+
+@pytest.fixture()
+def polynomial_session(tmp_path):
+    path = tmp_path / "session.txt"
+    path.write_text(POLYNOMIAL_SESSION)
+    return str(path)
+
+
+def test_is_torsion_with_a_non_monomial_K(polynomial_session):
+    # (x) ⊆ √((x^2 + y) + (y)) = (x, y), but not ⊆ √(x^2 − 1, y)
+    answers = []
+    for K in ("A", "B"):
+        code, out, _ = run(["is-torsion", "--session", polynomial_session, "--I", "P",
+                            "--J", "J", "--K", K, "--no-timings"])
+        assert code == 0
+        answers.append(json.loads(out)["result"]["torsion"])
+    assert answers == [True, False]
+
+
+def test_gamma_with_a_polynomial_I(polynomial_session):
+    code, out, _ = run(["gamma", "--session", polynomial_session, "--I", "S", "--J", "J",
+                        "--K", "K", "--no-timings"])
+    assert code == 0
+    session = parse_session(POLYNOMIAL_SESSION)
+    ideal = session.bindings
+    lift = gamma_minprime_oracle(PairContext(PairSpec(ideal["S"], ideal["J"]), ideal["K"]))
+    result = json.loads(out)["result"]
+    assert result["generators"] == mono_json(lift.L, session.ring) == ["y"]
+    assert result["wholeModule"] is lift.is_whole_module is False
+
+
+def test_gamma_with_a_non_monomial_J_exits_2(polynomial_session):
+    code, out, err = run(["gamma", "--session", polynomial_session, "--I", "P", "--J", "D",
+                          "--K", "K", "--no-timings"])
+    assert (code, out) == (2, "")
+    assert "x - y" in json.loads(err)["error"]
 
 
 def test_s_certificate_has_no_search_bounds(session_file):

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloc.cli import torsion_witnesses
-from pairloc.ideals import FacePrime, Ideal, MonomialIdeal, colon, in_radical
+from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, colon, in_radical,
+                            radical_member_groebner)
 from pairloc.oracles import (ass_monomial, gamma_colimit_oracle,
                              gamma_minprime_oracle)
 from pairloc.ring import Polynomial
@@ -173,27 +174,57 @@ def _ass_in_w(ctx):
                  if w_member(p.to_ideal(ctx.ring), ctx.pair))
 
 
+def _polynomial(r, terms):
+    """The sum of the terms (coefficient, exponent vector) in r."""
+    return sum((Polynomial.monomial(r, e, c) for c, e in terms), Polynomial.zero(r))
+
+
+def _monomials(*exps):
+    """Generators of I, one monomial each, in the form `_pair_data` draws."""
+    return [[(1, e)] for e in exps]
+
+
 @st.composite
-def _monomial_data(draw):
+def _pair_data(draw):
+    """(n, I, J, K): J and K are lists of exponent vectors, and I a list of
+    generators, each a list of (coefficient, exponent vector) terms; in about
+    half of the draws a generator of I may have up to three terms."""
     n = draw(st.integers(min_value=2, max_value=4))
-    exps = st.lists(st.tuples(*[st.integers(min_value=0, max_value=4)] * n), max_size=3)
-    return n, draw(exps.filter(bool)), draw(exps), draw(exps)
+    exp = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+    exps = st.lists(exp, max_size=3)
+    term = st.tuples(st.sampled_from([1, -1, 2, -3]), exp)
+    max_terms = draw(st.sampled_from([1, 3]))
+    I = draw(st.lists(st.lists(term, min_size=1, max_size=max_terms), min_size=1, max_size=3))
+    return n, I, draw(exps), draw(exps)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_monomial_data())
-@example((3, [(1, 0, 0)], [(0, 1, 0)], []))                          # K = 0
-@example((3, [(1, 0, 0)], [(0, 1, 0)], [(0, 0, 0)]))                 # K = (1)
-@example((3, [(1, 1, 0)], [], [(2, 1, 0), (0, 2, 3)]))               # J = 0
-@example((3, [(2, 1, 0), (0, 0, 3)], [(1, 0, 0), (0, 0, 2)], [(1, 2, 0)]))  # I ⊆ √J
+@given(_pair_data())
+@example((3, _monomials((1, 0, 0)), [(0, 1, 0)], []))                          # K = 0
+@example((3, _monomials((1, 0, 0)), [(0, 1, 0)], [(0, 0, 0)]))                 # K = (1)
+@example((3, _monomials((1, 1, 0)), [], [(2, 1, 0), (0, 2, 3)]))               # J = 0
+@example((3, _monomials((2, 1, 0), (0, 0, 3)), [(1, 0, 0), (0, 0, 2)], [(1, 2, 0)]))  # I ⊆ √J
+@example((3, [[(1, (1, 0, 0)), (-1, (0, 1, 0))]], [(0, 1, 0)], [(2, 1, 0), (0, 2, 1)]))  # I = (x − y)
+@example((2, [[(1, (1, 0)), (-1, (1, 0))], [(2, (0, 0)), (1, (0, 1))]], [], [(1, 1)]))  # 0 and 2 + y
 def test_decomposition_route_matches_box_oracles(data):
     n, I, J, K = data
     r = standard_ring(n)
-    ctx = _monomial_ctx(r, I, J, K)
+    ctx = PairContext(PairSpec(Ideal(r, [_polynomial(r, g) for g in I]),
+                               MonomialIdeal.from_exps(n, J).to_ideal(r)),
+                      MonomialIdeal.from_exps(n, K).to_ideal(r))
     Km = ctx.K.as_monomial()
-    L = gamma_monomial(ctx).L
+    gamma = gamma_monomial(ctx)
+    L = gamma.L
     assert L == gamma_minprime_oracle(ctx).L == gamma_colimit_oracle(ctx).L
     assert ass_gamma(ctx) == _ass_in_w(ctx)
+
+    # R/K is torsion iff every minimal prime p of K lies in W(I, J), i.e.
+    # I ⊆ √(J + p), decided here by the Rabinowitsch reference; R/(1) = 0 is
+    # torsion
+    minimal_primes_in_w = Km.is_unit() or all(
+        all(radical_member_groebner(g, ctx.pair.J + p.to_ideal(r)) for g in ctx.pair.I.gens)
+        for p in Km.min_primes())
+    assert is_torsion(ctx) == gamma.is_whole_module == minimal_primes_in_w
 
     components = Km.irreducible_components()
     assert reduce(MonomialIdeal.intersect, components, MonomialIdeal.unit(n)) == Km
@@ -202,6 +233,55 @@ def test_decomposition_route_matches_box_oracles(data):
         assert not any(P != Q and all(Q.contains(g) for g in P.gens) for P in components)
     radicals = {p for Q in components for p in Q.min_primes()}
     assert tuple(sorted(radicals, key=FacePrime.sort_token)) == ass_monomial(Km)
+
+
+def _substitute(f, images, r):
+    """f(images), the image of f under x_i ↦ images[i]."""
+    out = Polynomial.zero(r)
+    for e, c in f.terms.items():
+        term = Polynomial.constant(r, c)
+        for image, k in zip(images, e):
+            term = term * image ** k
+        out = out + term
+    return out
+
+
+@st.composite
+def _moved_monomial_data(draw):
+    """(n, I, J, K, c): monomial I, J and K as exponent lists, and the
+    coefficients c_ij, i < j, of the substitution x_i ↦ x_i + Σ_{j>i} c_ij·x_j."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    exps = st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * n), max_size=3)
+    shear = st.lists(st.integers(min_value=-2, max_value=2),
+                     min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    return n, draw(exps.filter(bool)), draw(exps), draw(exps), draw(shear)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_moved_monomial_data(), st.sampled_from([0, 32003]))
+@example((3, [(1, 0, 0)], [(0, 1, 0)], [(2, 0, 0), (0, 0, 1)], [1, 0, 1]), 0)  # x+y, y+z, z
+def test_is_torsion_survives_a_unimodular_change_of_variables(data, char):
+    # the unitriangular substitution is an automorphism of R, so I ⊆ √(K + J)
+    # holds after it iff it held before; the moved I, J and K are in general
+    # not monomial, and is_torsion on them must equal the minimal-prime
+    # criterion on the monomial data
+    n, I, J, K, shear = data
+    r = standard_ring(n, char)
+    xs = variables(r)
+    coefficients = iter(shear)
+    images = [xs[i] + sum((Polynomial.constant(r, next(coefficients)) * xs[j]
+                           for j in range(i + 1, n)), Polynomial.zero(r))
+              for i in range(n)]
+    before = _monomial_ctx(r, I, J, K)
+    Km = before.K.as_monomial()
+    minimal_primes_in_w = Km.is_unit() or all(w_member(p.to_ideal(r), before.pair)
+                                              for p in Km.min_primes())
+
+    def move(A):
+        return Ideal(r, [_substitute(g, images, r) for g in A.gens])
+
+    after = PairContext(PairSpec(move(before.pair.I), move(before.pair.J)), move(before.K))
+    assert is_torsion(after) == minimal_primes_in_w
 
 
 def test_production_routes_walk_no_box():
