@@ -75,9 +75,11 @@ def parse_session(text: str) -> Session:
             char = 0 if m.group(1) == "QQ" else int(m.group(2))
             if m.group(1) != "QQ" and char == 0:
                 raise ParseError(f"characteristic must be a prime, got {char}", lineno)
-            names = tuple(v.strip() for v in m.group(3).split(",") if v.strip())
-            if not names:
+            names = tuple(v.strip() for v in m.group(3).split(","))
+            if names == ("",):
                 raise ParseError("ring needs at least one variable", lineno)
+            if "" in names:
+                raise ParseError("empty variable name", lineno)
             for v in names:
                 if not _NAME.fullmatch(v):
                     raise ParseError(f"invalid variable name {v!r}", lineno)

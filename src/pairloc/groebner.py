@@ -21,17 +21,22 @@ polynomial's reducer entry is computed once (`Polynomial.reducer`).
 
 Buchberger's completion loop (`_complete`) keeps its basis as packed
 reducer entries from the generators to the end, primitive integer ones over
-QQ and monic ones over GF(p); S-polynomials are formed (`_s_terms`) and
-reduced in packed form.  It pops S-pairs from a heap keyed by (sugar, order
-key of the lcm of the leading monomials, pair): the sugar strategy of
-Giovini et al. (ISSAC 1991), which keeps the work degree by degree also in
-the block orders of eliminations, where the normal strategy alone would take
-the pairs of high degree in t first.  The coprime and chain criteria prune
-pairs.  The loop stops at the first nonzero constant, since the ideal is then
-(1).  `buchberger` interreduces that basis in one pass and turns only the
-reduced basis it returns into monic `Polynomial`s; generators that are all
-monomials form a Groebner basis already, so it returns their minimal
-elements without forming an S-pair.  `eliminate`, the one elimination
+QQ and monic ones over GF(p); it deduplicates and sorts the generators on
+these entries.  S-polynomials are formed (`_s_terms`) and reduced in packed
+form.  Pairs are pruned when an element enters, by the Gebauer–Möller
+update (J. Symbolic Comput. 6, 1988): the F and M criteria on the new
+pairs, then the coprime criterion, the B criterion on the live old pairs,
+and an active set that drops each element whose leading term the new one
+divides.  Each pair's lcm is packed once, and the pairs wait in a heap by
+(sugar, −packed lcm, pair): the sugar strategy of Giovini et al. (ISSAC
+1991), which keeps the work degree by degree also in the block orders of
+eliminations, where the normal strategy alone would take the pairs of high
+degree in t first.  The loop stops at the first nonzero constant, since the
+ideal is then (1), and returns the active elements.  `buchberger`
+interreduces that basis in one pass and turns only the reduced basis it
+returns into monic `Polynomial`s; generators that are all monomials form a
+Groebner basis already, so it returns their minimal elements without
+forming an S-pair.  `eliminate`, the one elimination
 primitive, interreduces only the elements free of the eliminated variables.
 So every basis returned holds Fraction coefficients over QQ, and so does
 every `normal_form` and `s_polynomial`, the wrappers over the packed kernel
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le
+from operator import le
 
 from .errors import ExponentOverflowError, InternalError, RingMismatchError
 from .ring import EXP_LIMIT, Polynomial, RingSpec, integer_terms, reducer_entry
@@ -305,67 +310,92 @@ def _complete(gens, ring):
     as `Polynomial.reducer` entries; None when the ideal is (1), which is
     known as soon as a nonzero constant turns up.
 
-    S-pairs are taken by sugar (Giovini et al., ISSAC 1991): a generator's
-    sugar is its total degree and an S-polynomial's is the larger of its two
-    parents' sugars shifted by the degree of the lcm, the normal form keeping
-    it.  The heap holds (sugar, order key of the lcm, pair), so equal sugars
-    fall back to the normal strategy and then to the pair."""
-    key, pack, unpack, borrow = ring.sort_key, ring.pack, ring.unpack, ring.borrow
-    # ties go by the terms, not by the set's order, which follows string hashing
-    gens = sorted({g.monic() for g in gens},
-                  key=lambda p: (key(p.leading_exp()), sorted(p.terms.items())))
-    leads = [g.leading_exp() for g in gens]
-    if not any(leads[0]):
-        return None
-    G = [g.reducer() for g in gens]
-    # sugar minus the degree of the leading monomial, per element
-    ecart = [g.total_degree() - sum(lead) for g, lead in zip(gens, leads)]
+    The generators are deduplicated and sorted on their reducer entries,
+    canonical up to a scalar once the tail is sorted.  Each element enters
+    by the Gebauer–Möller update (UPDATE in Becker and Weispfenning,
+    *Groebner Bases*, §5.5), which prunes the pairs as the element h comes:
 
-    # live pairs, and the same pairs in a heap by (sugar, order key of lcm, pair)
-    pairs = set()
-    heap = []
+    - F: of the new pairs {g, h}, g active, with one lcm only one is kept,
+      a coprime one if there is one, else the one of least sugar;
+    - M: a new pair goes when another one's lcm properly divides its own,
+      coprime ones counting; only then do the coprime ones go;
+    - B: a live old pair {i, j} of lcm L goes when lead(h) divides L and
+      lcm(i, h) ≠ L ≠ lcm(j, h);
+    - the active elements whose leading terms lead(h) divides stop being
+      active, that is, paired with later elements and returned.
 
-    def add_pairs(new):
-        for k in range(new):
-            lcm = _exp_lcm(leads[k], leads[new])
-            sugar = max(ecart[k], ecart[new]) + sum(lcm)
-            pairs.add((k, new))
-            heappush(heap, (sugar, key(lcm), (k, new)))
+    S-polynomials are still reduced against every element so far, the
+    oldest divisor first: against the active ones only, some lex
+    completions over QQ took over 100 s in place of milliseconds.  Pairs are
+    taken by sugar (Giovini et al., ISSAC 1991): a generator's sugar is its
+    total degree and an S-polynomial's is the larger of its two parents'
+    sugars shifted by the degree of the lcm, the normal form keeping it.
+    The heap holds (sugar, −packed lcm, i, j), and pack(a) > pack(b) iff a
+    is below b, so equal sugars fall back to the smallest lcm and then to
+    the pair.  A pair that B dropped is skipped when it surfaces."""
+    pack, unpack, borrow = ring.pack, ring.unpack, ring.borrow
+    one = pack((0,) * ring.nvars)
+    sugars = {}  # generator entry, its tail sorted -> total degree
+    for g in gens:
+        lead, a, tail = g.reducer()
+        if lead == one:
+            return None
+        sugars[lead, a, tuple(sorted(tail))] = g.total_degree()
+    G, leads, ecart = [], [], []  # per element: entry, leading exponents, sugar − their degree
+    active = []  # the indices of the active elements
+    pairs = {}  # live pair (i, j), i < j -> packed lcm of the leading terms
+    heap = []  # (sugar, −packed lcm, i, j) of the live pairs and of dropped ones
 
-    for new in range(1, len(G)):
-        add_pairs(new)
+    def update(entry, sugar):
+        h, lh = len(G), entry[0]
+        eh = unpack(lh)
+        G.append(entry)
+        leads.append(eh)
+        ecart.append(sugar - sum(eh))
+        lcms = {}  # element -> packed lcm of its leading term and lh
+
+        def lcm_with(i):
+            if i not in lcms:
+                lcms[i] = pack(_exp_lcm(leads[i], eh))
+            return lcms[i]
+
+        # F: of the new pairs with one lcm, a coprime one if any, else the one of least sugar
+        best = {}  # packed lcm -> (not coprime, sugar, g)
+        for g in active:
+            m = _exp_lcm(leads[g], eh)
+            lcms[g] = lcm = pack(m)
+            pair = (lcm + one != G[g][0] + lh, max(ecart[g], ecart[h]) + sum(m), g)
+            if lcm not in best or pair < best[lcm]:
+                best[lcm] = pair
+        # B on the live old pairs
+        for (i, j), lcm in list(pairs.items()):
+            if _lead_divides(lh, lcm, borrow) and lcm_with(i) != lcm != lcm_with(j):
+                del pairs[i, j]
+        # M on the new pairs, the coprime ones among the divisors; then the coprime criterion
+        for lcm, (useful, sugar, g) in best.items():
+            probe = lcm | borrow
+            if useful and not any(other != lcm and (probe - other) & borrow == borrow
+                                  for other in best):
+                pairs[g, h] = lcm
+                heappush(heap, (sugar, -lcm, g, h))
+        active[:] = [g for g in active if not _lead_divides(lh, G[g][0], borrow)]
+        active.append(h)
+
+    # by leading term, smallest first, then by the rest of the entry
+    for entry, degree in sorted(sugars.items(), key=lambda item: (-item[0][0], item[0][1:])):
+        update(entry, degree)
     while heap:
-        sugar, _, (i, j) = heappop(heap)
-        pairs.discard((i, j))
-        li, lj = leads[i], leads[j]
-        lcm = _exp_lcm(li, lj)
-        # coprime criterion
-        if lcm == tuple(map(add, li, lj)):
-            continue
-        # chain criterion: some k with lead(k) | lcm(i,j) and both side pairs done
-        lcm = pack(lcm)
-        skip = False
-        for k, (lk, _, _) in enumerate(G):
-            if k in (i, j) or not _lead_divides(lk, lcm, borrow):
-                continue
-            a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-            if a not in pairs and b not in pairs:
-                skip = True
-                break
-        if skip:
+        sugar, _, i, j = heappop(heap)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
             continue
         r = _reduce(_s_terms(G[i], G[j], lcm, ring), G, ring)[0]
-        if not r:
-            continue
-        entry = reducer_entry(r, ring.char)
-        lead = unpack(entry[0])
-        if not any(lead):
-            return None
-        G.append(entry)
-        leads.append(lead)
-        ecart.append(sugar - sum(lead))
-        add_pairs(len(G) - 1)
-    return G
+        if r:
+            entry = reducer_entry(r, ring.char)
+            if entry[0] == one:
+                return None
+            update(entry, sugar)
+    return [G[g] for g in active]
 
 
 def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:

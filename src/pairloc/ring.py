@@ -53,6 +53,7 @@ def elimination(*block_sizes: int):
     return ("elim", tuple(block_sizes))
 
 
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -342,19 +343,6 @@ class Polynomial:
             entry = self._entry = reducer_entry({pack(e): c for e, c in self.terms.items()},
                                                 self.ring.char)
         return entry
-
-    def monic(self):
-        if not self.terms:
-            return self
-        lead = self.leading_exp()
-        if self.terms[lead] == 1:
-            return self
-        inv = self.ring.coeff_inv(self.terms[lead])
-        char = self.ring.char
-        out = Polynomial(self.ring, {e: (v * inv) % char if char else v * inv
-                                     for e, v in self.terms.items()}, _normalized=True)
-        out._lead = lead
-        return out
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -71,6 +71,17 @@ def test_session_ring_refuses_names_outside_the_grammar(tmp_path, names):
     assert error.startswith("line 1:") and repr(bad) in error
 
 
+@pytest.mark.parametrize("names, message", [("x,,y", "empty variable name"),
+                                           ("x,y,", "empty variable name"),
+                                           ("", "ring needs at least one variable")])
+def test_session_ring_refuses_an_empty_variable_list_piece(tmp_path, names, message):
+    path = tmp_path / "session.txt"
+    path.write_text(f"# no ring yet\nring QQ[{names}]\nideal I = x\n")
+    code, out, err = run(["gb", "--session", str(path), "--ideal", "I", "--no-timings"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == f"line 2: {message}"
+
+
 def test_gb_command(session_file):
     code, out, err = run(["gb", "--session", session_file, "--ideal", "I",
                           "--no-timings"])

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -120,7 +121,7 @@ def _sympy_groebner(gens, r):
         p = Polynomial.zero(r)
         for exp, c in terms.items():
             p = p + Polynomial.monomial(r, exp, c)
-        out.add(p.monic())
+        out.add(p.scale(r.coeff_inv(p.leading_term()[1])))
     return out
 
 
@@ -363,3 +364,78 @@ def test_buchberger_matches_committed_bases(name, char):
     r = ring(names, char=char)
     gb = buchberger([pp(r, g) for g in gens], r)
     assert [str(g) for g in gb] == expected
+
+
+def _criteria_free_basis(gens):
+    """The reduced Groebner basis of (gens) by Buchberger's algorithm with
+    no criterion: `normal_form(s_polynomial(...))` of every pair is formed
+    against all elements so far, the pair of least lcm first, and each
+    nonzero one joins them.  Then an element goes when another's leading
+    monomial divides its own (the later one, on a tie), and each other is
+    reduced by the rest and made monic."""
+    basis = [g for g in gens if not g.is_zero()]
+    r = basis[0].ring
+
+    def lcm_key(pair):
+        f, g = (basis[k].leading_exp() for k in pair)
+        return r.sort_key(tuple(map(max, f, g)))
+
+    todo = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while todo:
+        i, j = todo.pop(min(range(len(todo)), key=lambda k: lcm_key(todo[k])))
+        nf = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if nf:
+            todo += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(nf)
+    leads = [g.leading_exp() for g in basis]
+    minimal = [g for i, g in enumerate(basis)
+               if not any(k != i and all(map(le, lk, leads[i])) and (lk != leads[i] or k < i)
+                          for k, lk in enumerate(leads))]
+    reduced = [normal_form(g, minimal[:i] + minimal[i + 1:]) for i, g in enumerate(minimal)]
+    reduced = [g.scale(r.coeff_inv(g.leading_term()[1])) for g in reduced]
+    return sorted(reduced, key=lambda g: r.sort_key(g.leading_exp()))
+
+
+def _small_polynomial(rng, r):
+    """Nonzero, with 1 to 4 terms of degree 1 to 3 and coefficients in ±{1, 2, 3}."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exp = [0] * r.nvars
+        for _ in range(rng.randint(1, 3)):
+            exp[rng.randrange(r.nvars)] += 1
+        terms[tuple(exp)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return Polynomial(r, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([0, 32003]),
+       st.sampled_from([LEX, GREVLEX, elimination(1, 2)]))
+def test_completion_matches_a_criteria_free_reference(seed, char, order):
+    # every pair the Gebauer–Möller update drops must reduce to zero anyway
+    rng = random.Random(seed)
+    r = RingSpec(char, ("x", "y", "z"), order)
+    gens = [_small_polynomial(rng, r) for _ in range(rng.randint(2, 4))]
+    expected = _criteria_free_basis(gens)
+    assert buchberger(gens).generators == tuple(expected)
+    if order != GREVLEX:  # LEX and elimination(1, 2) eliminate x
+        small = RingSpec(char, ("y", "z"), LEX if order == LEX else GREVLEX)
+        assert eliminate(gens, small) == tuple(
+            Polynomial(small, {e[1:]: c for e, c in g.terms.items()})
+            for g in expected if not g.leading_exp()[0])
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_katsura_5_reduces_66_s_pairs(monkeypatch, char):
+    # a criterion that stops pruning shows here as a larger count
+    formed = []
+    original = groebner._s_terms
+
+    def counted(*args):
+        formed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_s_terms", counted)
+    names, gens = _SYSTEMS["katsura-5"]
+    r = ring(names, char=char)
+    buchberger([pp(r, g) for g in gens], r)
+    assert len(formed) == 66
