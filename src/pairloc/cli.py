@@ -34,7 +34,7 @@ from .ideals import (FacePrime, Ideal, colon, dim_quotient, intersect,
 from .invariants import (ara_upper_bound, lh_vanishes, pair_depth,
                          top_nonvanishing, vanishing_bounds)
 from .oracles import koszul_tor
-from .ring import GREVLEX, LEX, Polynomial, RingSpec, parse_polynomial
+from .ring import GREVLEX, LEX, Polynomial, RingSpec, parse_int, parse_polynomial
 from .samples import DEFAULT_SEED
 from .suites import SUITES, run_suite
 from .support import PairSpec, s_certificate, w_member, wtilde_member
@@ -72,7 +72,8 @@ def parse_session(text: str) -> Session:
             if ring is not None:
                 raise ParseError("ring declared twice", lineno)
             # RingSpec reads char 0 as QQ, so GF(0) must be refused here
-            char = 0 if m.group(1) == "QQ" else int(m.group(2))
+            char = 0 if m.group(1) == "QQ" else parse_int(
+                m.group(2), lineno, len(raw) - len(raw.lstrip()) + m.start(2) + 1)
             if m.group(1) != "QQ" and char == 0:
                 raise ParseError(f"characteristic must be a prime, got {char}", lineno)
             names = tuple(v.strip() for v in m.group(3).split(","))
@@ -96,6 +97,8 @@ def parse_session(text: str) -> Session:
             if ring is None:
                 raise ParseError("ring not declared", lineno)
             name = m.group(1)
+            if name in bindings:
+                raise ParseError(f"ideal {name!r} bound twice", lineno)
             gens = []
             for piece in m.group(2).split(","):
                 gens.append(parse_polynomial(ring, piece, line=lineno))

@@ -19,8 +19,10 @@ class ParseError(PairlocError):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
-        if line is not None:
-            message = f"line {line}" + (f", col {column}" if column is not None else "") + f": {message}"
+        where = [f"{label} {value}" for label, value in (("line", line), ("col", column))
+                 if value is not None]
+        if where:
+            message = ", ".join(where) + f": {message}"
         super().__init__(message)
 
 

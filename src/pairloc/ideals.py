@@ -21,21 +21,36 @@ generated by the squarefree monomials on the supports of A's generators, and
 membership in a monomial ideal holds term by term (Miller and Sturmfels,
 *Combinatorial Commutative Algebra*, §1.1), so f ∈ √A iff the support of each
 term of f contains one of those supports.  The supports are read once per
-call as bitmasks; no basis is built and nothing is cached.  Only other A
-reach `_radical_cache` and `radical_member_groebner`, the reference that
-tests and `oracles.gamma_minprime_oracle` check the support rule against.
-`Ideal.is_unit` on monomial generators asks only whether one is a nonzero
-constant.
+call as bitmasks; no basis is built and nothing is cached.
+
+Any other A first loses its linear pivots (`_pivoted`): for a generator
+c·x_i − h with x_i absent from h, x_i ≡ h/c modulo A, so
+R/A ≅ k[the other variables]/A|_{x_i=h/c} and f ∈ √A iff
+f|_{x_i=h/c} ∈ √(A|_{x_i=h/c}).  The substitution runs on term dicts with int
+coefficients and computes each power of h once (`_substitution`).  The rest
+is (1) when a generator has become a nonzero constant; monomial, for the
+support rule; one polynomial g, which `_principal_member` decides by m
+reductions modulo g, its own Groebner basis (every prime factor of g has
+multiplicity at most deg g, so f ∈ √(g) iff g divides f^(2^m) for
+2^m ≥ deg g); or else it goes through `_radical_cache` to
+`radical_member_groebner`, the reference that tests and
+`oracles.gamma_minprime_oracle` check the other paths against.
+`Ideal.is_unit` builds no basis for monomial generators, of which one must
+be a nonzero constant, nor for one nonzero generator that is not a monomial,
+which is never a unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 
 from .errors import PreconditionError, RingMismatchError
 from .groebner import (GroebnerBasis, buchberger, eliminate, exact_divide, normal_form,
-                       _complete, _divides, _exp_lcm, _minimalize)
-from .ring import Polynomial, RingSpec, elimination
+                       _add_multiple, _complete, _divides, _exp_lcm, _minimalize, _reduce)
+from .ring import (Polynomial, RingSpec, _check_exp, elimination, integer_terms,
+                   reducer_entry)
 
 _gb_cache = {}
 _radical_cache = {}
@@ -106,10 +121,15 @@ class Ideal:
         return normal_form(f, list(self.groebner())).is_zero()
 
     def is_unit(self):
+        """Whether this is (1).  A monomial ideal is (1) iff a generator is a
+        nonzero constant; (g) is (1) iff g is a unit of R, a nonzero constant,
+        so one nonzero generator that is not a monomial gives False; the
+        reduced basis decides the rest."""
         exps = self.monomial_exponents()
         if exps is not None:
-            # a monomial ideal is (1) iff a generator is a nonzero constant
             return not all(map(any, exps))
+        if sum(1 for g in self.gens if g.terms) == 1:
+            return False
         return self.groebner().contains_one()
 
     def is_proper(self):
@@ -285,20 +305,18 @@ def supports_cover(supports, exps) -> bool:
 
 def radical_member(f: Polynomial, A: Ideal) -> bool:
     """f ∈ √A.  When A is monomial, √A is monomial too, so f lies in it iff
-    every term of f does, which the support rule decides without a cache;
-    otherwise `radical_member_groebner` decides, once per (f, A)."""
+    every term of f does, which the support rule decides without a cache.
+    Otherwise `_contained` substitutes A's linear pivots away, since
+    x_i ≡ h/c modulo a generator c·x_i − h with x_i absent from h, and
+    decides what is left: monomial by the support rule, (g) by whether g
+    divides f^(2^m) for 2^m ≥ deg g, and anything else by
+    `radical_member_groebner`, once per (f, rest)."""
     if f.ring != A.ring:
         raise RingMismatchError("element over a different ring")
     exps = A.monomial_exponents()
     if exps is not None:
         return supports_cover([support_mask(e) for e in exps], f.terms)
-    if f.is_zero():
-        return True
-    key = (f, A.ring, frozenset(A.gens))
-    hit = _radical_cache.get(key)
-    if hit is None:
-        hit = _radical_cache[key] = radical_member_groebner(f, A)
-    return hit
+    return _contained(A, [f])
 
 
 def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
@@ -310,14 +328,198 @@ def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
 
 
 def in_radical(I: Ideal, A: Ideal) -> bool:
-    """Whether every generator of I lies in √A, i.e. I ⊆ √A; by the support
-    rule on all terms of I's generators when A is monomial."""
+    """Whether every generator of I lies in √A, i.e. I ⊆ √A: √A is an
+    ideal, so it contains I iff it contains I's generators.  Monomial A is
+    decided by the support rule on all terms of I's generators; any other A
+    is pivoted once, with all of I's generators substituted alike, and its
+    rest decided for each of them as in `radical_member`."""
     A._check(I)
     exps = A.monomial_exponents()
     if exps is None:
-        return all(radical_member(g, A) for g in I.gens)
+        return _contained(A, I.gens)
     return supports_cover([support_mask(e) for e in exps],
                           (e for g in I.gens for e in g.terms))
+
+
+def _contained(A: Ideal, fs) -> bool:
+    """Whether every f in fs lies in √A, for A not monomial.
+
+    `_pivoted` substitutes A's linear pivots away; then the rest is (1), or
+    monomial (the support rule), or principal (`_principal_member`), or goes
+    to `_groebner_member`.  An A of several generators and no pivot goes
+    there as it is."""
+    ring = A.ring
+    gens = [g.terms for g in A.gens if g.terms]
+    terms = [f.terms for f in fs]
+    pivot = _find_pivot(gens, terms)
+    if pivot is None and len(gens) > 1:
+        return all(_groebner_member(f, A) for f in fs)
+    rest = _pivoted(ring, gens, terms, pivot)
+    if rest is None:
+        return True
+    gens, fs = rest
+    if all(len(g) == 1 for g in gens):
+        return supports_cover([support_mask(e) for g in gens for e in g],
+                              (e for f in fs for e in f))
+    if len(gens) == 1:
+        return all(_principal_member(f, gens[0], ring) for f in fs)
+    A = Ideal(ring, [_polynomial(ring, g) for g in gens])
+    return all(_groebner_member(_polynomial(ring, f), A) for f in fs)
+
+
+def _groebner_member(f: Polynomial, A: Ideal) -> bool:
+    """f ∈ √A by `radical_member_groebner`, once per (f, A)."""
+    if f.is_zero():
+        return True
+    key = (f, A.ring, frozenset(A.gens))
+    hit = _radical_cache.get(key)
+    if hit is None:
+        hit = _radical_cache[key] = radical_member_groebner(f, A)
+    return hit
+
+
+def _pivoted(ring, gens, fs, pivot):
+    """The term dicts gens and fs with the linear pivots of the ideal A the
+    gens generate substituted away, as (gens, fs), gens the nonzero
+    generators left; None when A = (1).  pivot is `_find_pivot(gens, fs)`.
+
+    A pivot is a generator g = c·x_i − h with x_i absent from h.  Then
+    A = A|_{x_i=h/c} + (g), so R/A ≅ S/A|_{x_i=h/c} for S = k[the other
+    variables], and f ∈ √A iff f|_{x_i=h/c} ∈ √(A|_{x_i=h/c}); the rest stays
+    in R, which is free over S, so the radical of its extension meets S in
+    its own radical.  Scaling by units changes neither an ideal nor its
+    radical, so over QQ the terms are made integral, and `_substitution`
+    clears the powers of c.  Each pivot removes a variable, so the loop
+    ends; it stops early once every generator is a monomial, which the
+    support rule takes as it is."""
+    if not ring.char:
+        gens = list(map(_integral, gens))
+        fs = [_integral(f) if f else f for f in fs]
+    while pivot is not None:
+        k, i, e = pivot
+        substitute = _substitution(gens.pop(k), i, e, ring.char)
+        gens = [p for p in map(substitute, gens) if p]
+        fs = [substitute(f) for f in fs]
+        pivot = _find_pivot(gens, fs)
+    zero = (0,) * ring.nvars
+    if any(len(g) == 1 and zero in g for g in gens):
+        return None
+    return gens, fs
+
+
+def _integral(terms):
+    """A primitive integer multiple of a nonzero term dict over QQ."""
+    if len(terms) == 1:
+        return dict.fromkeys(terms, 1)
+    return integer_terms(terms)[0]
+
+
+def _find_pivot(gens, fs):
+    """(k, i, e) for a generator gens[k] = c·x_i − h, x_i absent from h, and e
+    the exponent of x_i, or None when there is none or every generator is a
+    monomial.  Pivots of generators that are not monomials come first, then
+    those with fewer terms.  When h is not affine, x_i must have degree at
+    most 1 in the other gens and in fs, so that no substitution multiplies
+    a degree: x_i^k ↦ (h/c)^k would make a degree-d h raise degrees d-fold,
+    and the rest can then cost far more than A as it is."""
+    if all(len(g) == 1 for g in gens):
+        return None
+    best = key = None
+    for k, g in enumerate(gens):
+        for e in g:
+            if sum(e) == 1:
+                i = e.index(1)
+                if all(t == e or not t[i] for t in g) and (
+                        max(map(sum, g)) <= 1
+                        or all(t[i] <= 1 for p in gens + fs for t in p)):
+                    if best is None or (len(g) == 1, len(g)) < key:
+                        best, key = (k, i, e), (len(g) == 1, len(g))
+                    break
+    return best
+
+
+def _substitution(g, i, e, char):
+    """The map that sends the term dict of p, of degree K in x_i, to that of
+    c^K·p|_{x_i=h/c}, for g = c·x_i − h a term dict with x_i absent from h
+    and e the exponent of x_i; int coefficients, taken mod char over GF(p).
+    The powers of h are computed once each, as term dicts."""
+    c = g[e]
+    h = {t: -a for t, a in g.items() if t != e}
+    if char:  # divide by c, so that c = 1
+        inverse = pow(c, -1, char)
+        h, c = {t: a * inverse % char for t, a in h.items()}, 1
+    elif c < 0:
+        h, c = {t: -a for t, a in h.items()}, -c
+    powers = {0: {(0,) * len(e): 1}, 1: h}
+
+    def power(k):
+        if k not in powers:
+            if len(h) <= 1:  # h^k in closed form, however large k is
+                powers[k] = {_check_exp(tuple(k * x for x in t)):
+                             pow(a, k, char) if char else a ** k for t, a in h.items()}
+            else:
+                for j in range(len(powers), k + 1):  # powers holds h^0, …, h^(j−1)
+                    powers[j] = {}
+                    for t, a in powers[j - 1].items():
+                        _add_times(powers[j], t, a, h, char)
+        return powers[k]
+
+    def substitute(p):
+        degree = max((t[i] for t in p), default=0)
+        if not degree:
+            return p
+        out = {}
+        for t, a in p.items():
+            k = t[i]
+            if c != 1:
+                a *= c ** (degree - k)
+            _add_times(out, t[:i] + (0,) + t[i + 1:], a, power(k), char)
+        return out
+
+    return substitute
+
+
+def _add_times(out, t, a, q, char):
+    """Add a·x^t·q to the term dict out, q a term dict; exponents are
+    checked against `EXP_LIMIT` and zero sums dropped."""
+    for u, b in q.items():
+        s = _check_exp(tuple(map(add, t, u)))
+        v = out.get(s, 0) + a * b
+        if char:
+            v %= char
+        if v:
+            out[s] = v
+        else:
+            out.pop(s, None)
+
+
+def _polynomial(ring, terms):
+    """The `Polynomial` of a term dict from `_pivoted`: Fractions over QQ."""
+    if not ring.char:
+        terms = {t: Fraction(a) for t, a in terms.items()}
+    return Polynomial(ring, terms, _normalized=True)
+
+
+def _principal_member(f, g, ring) -> bool:
+    """f ∈ √(g) for term dicts f and g ≠ 0 from `_pivoted`, by m reductions
+    modulo g alone, its own Groebner basis, with 2^m ≥ deg g.  Each prime
+    factor of g has multiplicity at most deg g, so f ∈ √(g), that is every
+    prime factor of g divides f, iff g divides f^(2^m).  Each step squares
+    the last remainder, a nonzero multiple of f^(2^(j−1)) modulo g, and
+    reduces it by the packed kernel `groebner._reduce`."""
+    pack = ring.pack
+    one = pack((0,) * ring.nvars)
+    divisor = [reducer_entry({pack(e): c for e, c in g.items()}, ring.char)]
+    rest = {pack(e): c for e, c in f.items()}
+    for _ in range(max(1, (max(map(sum, g)) - 1).bit_length())):
+        terms = list(rest.items())
+        square = {}
+        for t, c in terms:
+            _add_multiple(square, terms, t - one, c, ring)
+        rest = _reduce(square, divisor, ring)[0]
+        if not rest:
+            return True
+    return False
 
 
 def dim_quotient(A: Ideal) -> int:

@@ -472,6 +472,17 @@ class Polynomial:
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|\(|\))")
 
 
+def parse_int(digits: str, line=None, column=None) -> int:
+    """The int of a string of decimal digits; a `ParseError` at (line,
+    column) when Python refuses to convert that many digits (4,300 by
+    default, `sys.get_int_max_str_digits`)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long",
+                         line, column) from None
+
+
 def parse_polynomial(ring: RingSpec, text: str, line=None) -> Polynomial:
     """Parse the ASCII grammar: terms joined by +/-, monomial = optional
     integer coefficient with '*'-separated powers, e.g. ``2*x^2*y - 3*z + 1``.
@@ -524,7 +535,7 @@ def parse_polynomial(ring: RingSpec, text: str, line=None) -> Polynomial:
             if not expect_factor:
                 err(f"missing operator before {tok!r}", at)
             if tok.isdigit():
-                coeff *= int(tok)
+                coeff *= parse_int(tok, line, at + 1)
                 i += 1
             else:
                 if not tok[0].isalpha() and tok[0] != "_":
@@ -539,7 +550,7 @@ def parse_polynomial(ring: RingSpec, text: str, line=None) -> Polynomial:
                     i += 1
                     if i >= n or not tokens[i][0].isdigit():
                         err("expected integer exponent after '^'", at)
-                    power = int(tokens[i][0])
+                    power = parse_int(tokens[i][0], line, tokens[i][1] + 1)
                     i += 1
                 exp[vi] += power
             expect_factor = False

@@ -365,3 +365,38 @@ def test_error_reports_carry_the_golden_citations(tmp_path):
         assert payload["citations"] == report["citations"], argv
         failed.append(argv[0])
     assert len(failed) == len(CLI_SCRIPT) - 1
+
+
+BIG = "7" * 5000  # past the 4,300 digits that int() converts by default
+
+
+@pytest.mark.parametrize("session, argv, error", [
+    (f"ring QQ[x,y]\nideal I = x^2, {BIG}*y + x\n", [],
+     "line 2, col 2: integer literal of 5000 digits is too long"),
+    (f"  ring GF({BIG})[x]\nideal I = x\n", [],
+     "line 1, col 11: integer literal of 5000 digits is too long"),
+    ("ring QQ[x,y]\nideal I = x\n", ["-f", f"x + {BIG}*y"],
+     "col 5: integer literal of 5000 digits is too long"),
+])
+def test_long_integer_literals_exit_2(tmp_path, session, argv, error):
+    path = tmp_path / "session.txt"
+    path.write_text(session)
+    command = ["member", *argv] if argv else ["gb"]
+    code, out, err = run([*command, "--session", str(path), "--ideal", "I", "--no-timings"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
+
+
+def test_parse_error_without_a_line_shows_its_column(session_file):
+    code, out, err = run(["member", "--session", session_file, "--ideal", "I",
+                          "-f", "x^^2", "--no-timings"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "col 1: expected integer exponent after '^'"
+
+
+def test_an_ideal_bound_twice_exits_2(tmp_path):
+    path = tmp_path / "session.txt"
+    path.write_text("ring QQ[x,y]\nideal I = x\n# rebinding\nideal I = y\n")
+    code, out, err = run(["gb", "--session", str(path), "--ideal", "I", "--no-timings"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "line 4: ideal 'I' bound twice"

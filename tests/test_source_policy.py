@@ -76,7 +76,8 @@ def test_clear_caches_empties_every_module_cache():
     from pairloc.ring import RingSpec, parse_polynomial
 
     r = RingSpec(0, ("x", "y", "z"))
-    A = Ideal(r, (parse_polynomial(r, "x*y - z"), parse_polynomial(r, "y^2")))
+    # two generators and no linear pivot, so the radical test reaches its cache
+    A = Ideal(r, (parse_polynomial(r, "x^2 - y*z"), parse_polynomial(r, "y^2 - x*z")))
     A.groebner()
     radical_member(parse_polynomial(r, "z"), A)
     # K^b at b = (1, 1, 1, 1) is a hollow square, which is ranked
