@@ -53,18 +53,6 @@ class CechSkeleton:
             label += "_{%s,J}" % self.factors[i].element
         return label
 
-    def differential_signs(self, T):
-        """Signs of the maps from term T into each superset T ∪ {i}: the sign
-        is (-1)^(number of factors of T before i)."""
-        alive = self.surviving_indices()
-        out = []
-        for i in alive:
-            if i in T:
-                continue
-            pos = sum(1 for j in T if j < i)
-            out.append((i, -1 if pos % 2 else 1))
-        return out
-
     def pretty(self):
         """Deterministic rendering, one homological degree per line."""
         lines = []

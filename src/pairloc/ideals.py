@@ -15,24 +15,27 @@ at once is A : B^∞ = (A + (1 − Σ t_i·b_i)) ∩ k[x].  The Rabinowitsch tes
 `radical_member_groebner`, asks only whether those generators for B = (f)
 give (1), so it runs the completion loop alone and interreduces nothing.
 
-`in_radical` (I ⊆ √A) and `radical_member` answer monomial A (every
-generator a monomial or zero) by the support rule, `supports_cover`: √A is
-generated by the squarefree monomials on the supports of A's generators, and
-membership in a monomial ideal holds term by term (Miller and Sturmfels,
-*Combinatorial Commutative Algebra*, §1.1), so f ∈ √A iff the support of each
-term of f contains one of those supports.  The supports are read once per
-call as bitmasks; no basis is built and nothing is cached.
+`in_radical` (I ⊆ √A) and `radical_member` (f ∈ √A) are one question,
+answered by one body, `_contained`.  Monomial A (every generator a monomial
+or zero) goes to the support rule, `supports_cover`: √A is generated by the
+squarefree monomials on the supports of A's generators, and membership in a
+monomial ideal holds term by term (Miller and Sturmfels, *Combinatorial
+Commutative Algebra*, §1.1), so f ∈ √A iff the support of each term of f
+contains one of those supports.  The supports are read once per call as
+bitmasks; no basis is built and nothing is cached.
 
 Any other A first loses its linear pivots (`_pivoted`): for a generator
 c·x_i − h with x_i absent from h, x_i ≡ h/c modulo A, so
 R/A ≅ k[the other variables]/A|_{x_i=h/c} and f ∈ √A iff
 f|_{x_i=h/c} ∈ √(A|_{x_i=h/c}).  The substitution runs on term dicts with int
-coefficients and computes each power of h once (`_substitution`).  The rest
-is (1) when a generator has become a nonzero constant; monomial, for the
-support rule; one polynomial g, which `_principal_member` decides by m
-reductions modulo g, its own Groebner basis (every prime factor of g has
-multiplicity at most deg g, so f ∈ √(g) iff g divides f^(2^m) for
-2^m ≥ deg g); or else it goes through `_radical_cache` to
+coefficients, computes each power of h once and keeps c, returning the unit
+multiple c^K·p|_{x_i=h/c} of each p of x_i-degree K (`_substitution`).  The
+rest is (1) when a generator has become a nonzero constant; monomial, for
+the support rule; one polynomial g, which `_principal_member` decides by m
+reductions modulo g, its own Groebner basis (f ∈ √(g) iff g divides
+f^(2^m) once 2^m bounds the multiplicity of each prime factor of g: deg g
+does, and so does d when a pure power x_i^d is the one term of g of top
+x_i-degree); or else it goes through `_radical_cache` to
 `radical_member_groebner`, the reference that tests and
 `oracles.gamma_minprime_oracle` check the other paths against.
 `Ideal.is_unit` builds no basis for monomial generators, of which one must
@@ -44,12 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .errors import PreconditionError, RingMismatchError
 from .groebner import (GroebnerBasis, buchberger, eliminate, exact_divide, normal_form,
                        _add_multiple, _complete, _divides, _exp_lcm, _minimalize, _reduce)
-from .ring import (Polynomial, RingSpec, _check_exp, elimination, integer_terms,
+from .ring import (Polynomial, RingSpec, _check_exp, add_times, elimination, integer_terms,
                    reducer_entry)
 
 _gb_cache = {}
@@ -199,13 +201,10 @@ class Ideal:
 
     def as_monomial(self):
         """View as a MonomialIdeal; error if a generator is not a monomial."""
-        exps = []
-        for g in self.gens:
-            if g.is_zero():
-                continue
-            if not g.is_monomial():
-                raise PreconditionError(f"generator {g} is not a monomial")
-            exps.append(g.leading_exp())
+        exps = self.monomial_exponents()
+        if exps is None:
+            g = next(g for g in self.gens if len(g.terms) > 1)
+            raise PreconditionError(f"generator {g} is not a monomial")
         return MonomialIdeal.from_exps(self.ring.nvars, exps)
 
 
@@ -299,24 +298,23 @@ def supports_cover(supports, exps) -> bool:
     """The support rule: whether every exponent in exps lies in √A, for a
     monomial ideal A whose generators have these supports (bitmasks).  √A is
     generated by the squarefree monomials on those supports, so x^e lies in
-    it iff the support of e contains one of them."""
-    return all(any(s & m == s for s in supports) for m in map(support_mask, exps))
+    it iff the support of e contains one of them.  Plain loops: the nested
+    generators of all(any(...)) cost this hot path two and a half times as
+    much."""
+    for m in map(support_mask, exps):
+        for s in supports:
+            if s & m == s:
+                break
+        else:
+            return False
+    return True
 
 
 def radical_member(f: Polynomial, A: Ideal) -> bool:
-    """f ∈ √A.  When A is monomial, √A is monomial too, so f lies in it iff
-    every term of f does, which the support rule decides without a cache.
-    Otherwise `_contained` substitutes A's linear pivots away, since
-    x_i ≡ h/c modulo a generator c·x_i − h with x_i absent from h, and
-    decides what is left: monomial by the support rule, (g) by whether g
-    divides f^(2^m) for 2^m ≥ deg g, and anything else by
-    `radical_member_groebner`, once per (f, rest)."""
+    """f ∈ √A, decided by `_contained`."""
     if f.ring != A.ring:
         raise RingMismatchError("element over a different ring")
-    exps = A.monomial_exponents()
-    if exps is not None:
-        return supports_cover([support_mask(e) for e in exps], f.terms)
-    return _contained(A, [f])
+    return _contained(A, (f,))
 
 
 def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
@@ -328,33 +326,25 @@ def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
 
 
 def in_radical(I: Ideal, A: Ideal) -> bool:
-    """Whether every generator of I lies in √A, i.e. I ⊆ √A: √A is an
-    ideal, so it contains I iff it contains I's generators.  Monomial A is
-    decided by the support rule on all terms of I's generators; any other A
-    is pivoted once, with all of I's generators substituted alike, and its
-    rest decided for each of them as in `radical_member`."""
+    """Whether I ⊆ √A, decided by `_contained`: √A is an ideal, so it
+    contains I iff it contains I's generators."""
     A._check(I)
-    exps = A.monomial_exponents()
-    if exps is None:
-        return _contained(A, I.gens)
-    return supports_cover([support_mask(e) for e in exps],
-                          (e for g in I.gens for e in g.terms))
+    return _contained(A, I.gens)
 
 
 def _contained(A: Ideal, fs) -> bool:
-    """Whether every f in fs lies in √A, for A not monomial.
+    """Whether every f in fs lies in √A: the one body of radical containment.
 
-    `_pivoted` substitutes A's linear pivots away; then the rest is (1), or
-    monomial (the support rule), or principal (`_principal_member`), or goes
-    to `_groebner_member`.  An A of several generators and no pivot goes
-    there as it is."""
+    Monomial A goes to the support rule at once.  Any other A loses its
+    linear pivots (`_pivoted`), with all of fs substituted alike; then the
+    rest is (1), or monomial (the support rule), or principal
+    (`_principal_member`), or goes to `_groebner_member`."""
+    exps = A.monomial_exponents()
+    if exps is not None:
+        return supports_cover([support_mask(e) for e in exps],
+                              (e for f in fs for e in f.terms))
     ring = A.ring
-    gens = [g.terms for g in A.gens if g.terms]
-    terms = [f.terms for f in fs]
-    pivot = _find_pivot(gens, terms)
-    if pivot is None and len(gens) > 1:
-        return all(_groebner_member(f, A) for f in fs)
-    rest = _pivoted(ring, gens, terms, pivot)
+    rest = _pivoted(ring, [g.terms for g in A.gens if g.terms], [f.terms for f in fs])
     if rest is None:
         return True
     gens, fs = rest
@@ -378,29 +368,28 @@ def _groebner_member(f: Polynomial, A: Ideal) -> bool:
     return hit
 
 
-def _pivoted(ring, gens, fs, pivot):
+def _pivoted(ring, gens, fs):
     """The term dicts gens and fs with the linear pivots of the ideal A the
     gens generate substituted away, as (gens, fs), gens the nonzero
-    generators left; None when A = (1).  pivot is `_find_pivot(gens, fs)`.
+    generators left; None when A = (1).
 
-    A pivot is a generator g = c·x_i − h with x_i absent from h.  Then
-    A = A|_{x_i=h/c} + (g), so R/A ≅ S/A|_{x_i=h/c} for S = k[the other
-    variables], and f ∈ √A iff f|_{x_i=h/c} ∈ √(A|_{x_i=h/c}); the rest stays
-    in R, which is free over S, so the radical of its extension meets S in
-    its own radical.  Scaling by units changes neither an ideal nor its
-    radical, so over QQ the terms are made integral, and `_substitution`
-    clears the powers of c.  Each pivot removes a variable, so the loop
-    ends; it stops early once every generator is a monomial, which the
-    support rule takes as it is."""
+    A pivot is a generator g = c·x_i − h with x_i absent from h
+    (`_find_pivot`).  Then A = A|_{x_i=h/c} + (g), so R/A ≅ S/A|_{x_i=h/c} for
+    S = k[the other variables], and f ∈ √A iff f|_{x_i=h/c} ∈ √(A|_{x_i=h/c});
+    the rest stays in R, which is free over S, so the radical of its
+    extension meets S in its own radical.  Scaling by units changes neither
+    an ideal nor its radical, so over QQ the terms are made integral, and
+    `_substitution` clears the powers of c.  Each pivot removes a variable,
+    so the loop ends; it stops early once every generator is a monomial,
+    which the support rule takes as it is."""
     if not ring.char:
         gens = list(map(_integral, gens))
         fs = [_integral(f) if f else f for f in fs]
-    while pivot is not None:
+    while (pivot := _find_pivot(gens, fs)) is not None:
         k, i, e = pivot
         substitute = _substitution(gens.pop(k), i, e, ring.char)
         gens = [p for p in map(substitute, gens) if p]
         fs = [substitute(f) for f in fs]
-        pivot = _find_pivot(gens, fs)
     zero = (0,) * ring.nvars
     if any(len(g) == 1 and zero in g for g in gens):
         return None
@@ -440,28 +429,26 @@ def _find_pivot(gens, fs):
 
 def _substitution(g, i, e, char):
     """The map that sends the term dict of p, of degree K in x_i, to that of
-    c^K·p|_{x_i=h/c}, for g = c·x_i − h a term dict with x_i absent from h
-    and e the exponent of x_i; int coefficients, taken mod char over GF(p).
-    The powers of h are computed once each, as term dicts."""
+    c^K·p|_{x_i=h/c}, a unit multiple of p|_{x_i=h/c}, for g = c·x_i − h a
+    term dict with x_i absent from h and e the exponent of x_i: each term of
+    x_i-degree k is multiplied by c^(K − k).  Int coefficients, taken mod
+    char over GF(char).  The powers of h are computed once each, as term
+    dicts."""
     c = g[e]
     h = {t: -a for t, a in g.items() if t != e}
-    if char:  # divide by c, so that c = 1
-        inverse = pow(c, -1, char)
-        h, c = {t: a * inverse % char for t, a in h.items()}, 1
-    elif c < 0:
-        h, c = {t: -a for t, a in h.items()}, -c
+    modulus = char or None
     powers = {0: {(0,) * len(e): 1}, 1: h}
 
     def power(k):
         if k not in powers:
             if len(h) <= 1:  # h^k in closed form, however large k is
-                powers[k] = {_check_exp(tuple(k * x for x in t)):
-                             pow(a, k, char) if char else a ** k for t, a in h.items()}
+                powers[k] = {_check_exp(tuple(k * x for x in t)): pow(a, k, modulus)
+                             for t, a in h.items()}
             else:
                 for j in range(len(powers), k + 1):  # powers holds h^0, …, h^(j−1)
                     powers[j] = {}
                     for t, a in powers[j - 1].items():
-                        _add_times(powers[j], t, a, h, char)
+                        add_times(powers[j], t, a, h, char)
         return powers[k]
 
     def substitute(p):
@@ -471,26 +458,11 @@ def _substitution(g, i, e, char):
         out = {}
         for t, a in p.items():
             k = t[i]
-            if c != 1:
-                a *= c ** (degree - k)
-            _add_times(out, t[:i] + (0,) + t[i + 1:], a, power(k), char)
+            add_times(out, t[:i] + (0,) + t[i + 1:], a * pow(c, degree - k, modulus),
+                      power(k), char)
         return out
 
     return substitute
-
-
-def _add_times(out, t, a, q, char):
-    """Add a·x^t·q to the term dict out, q a term dict; exponents are
-    checked against `EXP_LIMIT` and zero sums dropped."""
-    for u, b in q.items():
-        s = _check_exp(tuple(map(add, t, u)))
-        v = out.get(s, 0) + a * b
-        if char:
-            v %= char
-        if v:
-            out[s] = v
-        else:
-            out.pop(s, None)
 
 
 def _polynomial(ring, terms):
@@ -502,16 +474,24 @@ def _polynomial(ring, terms):
 
 def _principal_member(f, g, ring) -> bool:
     """f ∈ √(g) for term dicts f and g ≠ 0 from `_pivoted`, by m reductions
-    modulo g alone, its own Groebner basis, with 2^m ≥ deg g.  Each prime
-    factor of g has multiplicity at most deg g, so f ∈ √(g), that is every
-    prime factor of g divides f, iff g divides f^(2^m).  Each step squares
-    the last remainder, a nonzero multiple of f^(2^(j−1)) modulo g, and
-    reduces it by the packed kernel `groebner._reduce`."""
+    modulo g alone, its own Groebner basis.  f ∈ √(g) iff every prime factor
+    of g divides f, iff g divides f^(2^m) once 2^m bounds the multiplicity
+    of every prime factor of g.  deg g is such a bound, and so is d when,
+    for some variable x_i, the pure power x_i^d is the one term of g of top
+    x_i-degree d: g is then monic in x_i up to a unit, so each of its
+    factors involves x_i.  Each step squares the last remainder, a nonzero
+    multiple of f^(2^(j−1)) modulo g, and reduces it by the packed kernel
+    `groebner._reduce`."""
     pack = ring.pack
     one = pack((0,) * ring.nvars)
     divisor = [reducer_entry({pack(e): c for e, c in g.items()}, ring.char)]
     rest = {pack(e): c for e, c in f.items()}
-    for _ in range(max(1, (max(map(sum, g)) - 1).bit_length())):
+    bound = max(map(sum, g))
+    for i in range(ring.nvars):
+        top = max(t[i] for t in g)
+        if top and [sum(t) for t in g if t[i] == top] == [top]:
+            bound = min(bound, top)
+    for _ in range(max(1, (bound - 1).bit_length())):
         terms = list(rest.items())
         square = {}
         for t, c in terms:

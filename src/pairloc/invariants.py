@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .betti import INFINITY, depth_at_face
+from .betti import INFINITY, depth_at_face, hochster_betti
 from .errors import InternalError, PreconditionError
 from .ideals import FacePrime, Ideal, dim_quotient, radical_member
 from .support import w_member
@@ -40,14 +40,23 @@ def all_face_primes(nvars):
 def pair_depth(ctx: PairContext, extras=()) -> PairDepthResult:
     """Infimum of depth of M localized at candidate primes inside the pair's
     support family.  Candidates: all face primes meeting Supp(M); extra primes
-    are admitted only for M = R, where depth equals height."""
+    are admitted only for M = R, where depth equals height.
+
+    Faces are visited by size.  By Auslander–Buchsbaum a face F in Supp(M)
+    has depth |F| − pd(M_F) ≥ |F| − pd(M), since a free resolution of M
+    localizes to one of M_F (Bruns and Herzog, Thm 1.3.3), so the scan stops
+    at the first face with |F| − pd(M) > best.  It must not stop at equality:
+    a larger face can win a tie on its sort token, as (x,z) sorts before (y)."""
     Km = ctx.K.as_monomial()
     ring = ctx.ring
     if extras and not Km.is_zero():
         raise PreconditionError("extra candidate primes require the module to be the ring itself")
 
+    pd = None if Km.is_unit() else hochster_betti(Km, ring.char).pd()
     best = None  # (depth, witness sort key, witness)
     for face in all_face_primes(ring.nvars):
+        if best is not None and len(face.vars) - pd > best[0]:
+            break
         d = depth_at_face(Km, ring, face)
         if d is None:
             continue

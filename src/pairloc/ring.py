@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from struct import Struct
 
 from .errors import ExponentOverflowError, ParseError, PreconditionError, RingMismatchError
@@ -237,6 +237,21 @@ def integer_terms(terms):
     return ints, common, content
 
 
+def add_times(out, t, a, q, char):
+    """Add a·x^t·q to the term dict out, q a term dict, with coefficients
+    taken mod char over GF(char); exponents are checked against `EXP_LIMIT`
+    and zero sums dropped."""
+    for u, b in q.items():
+        s = _check_exp(tuple(map(add, t, u)))
+        v = out.get(s, 0) + a * b
+        if char:
+            v %= char
+        if v:
+            out[s] = v
+        else:
+            out.pop(s, None)
+
+
 class Polynomial:
     """An exact polynomial: immutable, hashable, canonical (no zero terms).
 
@@ -377,18 +392,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_ring(other)
-        char = self.ring.char
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = _check_exp(tuple(a + b for a, b in zip(e1, e2)))
-                s = terms.get(exp, 0) + c1 * c2
-                if char:
-                    s %= char
-                if s:
-                    terms[exp] = s
-                elif exp in terms:
-                    del terms[exp]
+        for exp, c in self.terms.items():
+            add_times(terms, exp, c, other.terms, self.ring.char)
         return Polynomial(self.ring, terms, _normalized=True)
 
     __rmul__ = __mul__
@@ -404,15 +410,7 @@ class Polynomial:
 
     def mul_term(self, exp, coeff):
         """Multiply by coeff * x^exp."""
-        coeff = self.ring.coeff(coeff)
-        if not coeff:
-            return Polynomial.zero(self.ring)
-        exp = _exponent_vector(exp, self.ring.nvars)
-        char = self.ring.char
-        terms = {}
-        for e, v in self.terms.items():
-            terms[_check_exp(tuple(a + b for a, b in zip(e, exp)))] = (v * coeff) % char if char else v * coeff
-        return Polynomial(self.ring, terms, _normalized=True)
+        return self * Polynomial.monomial(self.ring, exp, coeff)
 
     def __pow__(self, n):
         if n < 0:

@@ -37,15 +37,6 @@ def test_collapse_is_idempotent():
     assert collapse(sk) == sk
 
 
-def test_differential_signs_alternate():
-    r = ring("xyz")
-    x, y, z = variables(r)
-    sk = build_cech([x, y, z], Ideal.zero(r))
-    signs = dict(sk.differential_signs((0, 2)))
-    assert signs == {1: -1}
-    assert dict(sk.differential_signs(())) == {0: 1, 1: 1, 2: 1}
-
-
 def test_pretty_is_deterministic():
     r = ring("xy")
     x, y = variables(r)

@@ -1,0 +1,153 @@
+"""Every input the grammar can be handed exits 0 or 2, never 1.
+
+A hypothesis harness drives `cli.main` in process with session files and
+`-f` values drawn from the grammar, both valid and mutated: digit strings of
+1 to 5,000 characters in coefficients and in GF(...), unknown and repeated
+names, stray characters, empty pieces and bytes that are not UTF-8.  Exit 2
+must print one JSON error to stderr and nothing to stdout; exit 0 one JSON
+report to stdout and nothing to stderr.
+
+Valid exponents stay at 3 or below, and long exponent strings have 20 or more
+digits, past `EXP_LIMIT`, so that every draw is refused or cheap: a large
+valid exponent is unbounded work, not a fault in input.  Every draw picks an
+index from a strategy built once (`_below`), since hypothesis spends most of
+its time on strategies built afresh inside a draw."""
+
+import io
+import json
+from functools import lru_cache
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from pairloc.cli import main
+
+COMMANDS = ["gb", "member", "radical-member", "dim"]
+NAMES = ["x", "y", "z"]
+UNKNOWN = ["w", "xy", "_", "I"]  # names no ring below declares
+STRAY = ["$", "^", "*", "+", "-", "(", ")", ",", "=", "[", "]", "#", " ", "\t",
+         "é", "²", "\x00", "ring", "ideal"]  # no digits, so no exponent grows
+FIELDS = ["QQ", "2", "7", "101", "32003"]
+ORDERS = ["", " order lex", " order grevlex"]
+BAD_ORDERS = [" order", " order deglex", "order lex"]
+BAD_NAMES = ["", "1a", "x y"]
+NOT_UTF8 = [b"\xff", b"\xc3", b"\x80\x80"]
+SIGNS = [" + ", " - ", "+", "-"]
+
+
+@lru_cache(maxsize=None)
+def _below(k):
+    return st.integers(0, k - 1)
+
+
+def _pick(draw, items):
+    return items[draw(_below(len(items)))]
+
+
+def _now_and_then(draw, n):
+    """True about once in n draws."""
+    return draw(_below(n)) == n - 1
+
+
+def _digits(draw, low, high):
+    """A string of low to high decimal digits, its first digit never 0.  Half
+    the lengths come from a list that holds each side of the 4,300 digits
+    `int` converts, which a length drawn from the whole range rarely meets."""
+    if _now_and_then(draw, 2):
+        length = _pick(draw, [n for n in (1, 2, 3, 20, 21, 300, 4300, 4301, 5000)
+                              if low <= n <= high])
+    else:
+        length = low + draw(_below(high - low + 1))
+    return _pick(draw, "123456789") + _pick(draw, "0123456789") * (length - 1)
+
+
+def _polynomial(draw, names):
+    """Text of a polynomial over the variables names, with unknown names,
+    long coefficients and long exponents now and then."""
+    terms = []
+    for _ in range(1 + draw(_below(3))):
+        factors = []
+        for _ in range(draw(_below(3))):
+            factor = _pick(draw, UNKNOWN if _now_and_then(draw, 30) else names)
+            if _now_and_then(draw, 2):
+                factor += "^" + (_digits(draw, 20, 5000) if _now_and_then(draw, 20)
+                                 else str(draw(_below(4))))
+            factors.append(factor)
+        if _now_and_then(draw, 2) or not factors:
+            coefficient = _digits(draw, 1, 5000 if _now_and_then(draw, 10) else 3)
+            factors.insert(draw(_below(len(factors) + 1)), coefficient)
+        terms.append("*".join(factors))
+    text = terms[0]
+    for term in terms[1:]:
+        text += _pick(draw, SIGNS) + term
+    return ("-" if _now_and_then(draw, 2) else "") + text
+
+
+def _mutated(draw, text):
+    """text as it is, or with stray characters inserted, now and then."""
+    if _now_and_then(draw, 20):
+        for _ in range(1 + draw(_below(2))):
+            at = draw(_below(len(text) + 1))
+            text = text[:at] + _pick(draw, STRAY) + text[at:]
+    return text
+
+
+@st.composite
+def sessions(draw):
+    """(session bytes, argv) for one of the commands."""
+    names = [v for v in NAMES if _now_and_then(draw, 2)] or ["x"]
+    field = _digits(draw, 1, 5000) if _now_and_then(draw, 10) else _pick(draw, FIELDS)
+    ring_names = list(names)
+    if _now_and_then(draw, 10):  # a repeated, unknown or empty name
+        ring_names.insert(draw(_below(len(names) + 1)), _pick(draw, NAMES + BAD_NAMES))
+    order = _pick(draw, BAD_ORDERS if _now_and_then(draw, 20) else ORDERS)
+    lines = [f"ring {field if field == 'QQ' else f'GF({field})'}[{','.join(ring_names)}]{order}"]
+    bound = []
+    for name in "IJA"[:0 if _now_and_then(draw, 10) else 1 + draw(_below(3))]:
+        if bound and _now_and_then(draw, 10):  # a name bound twice
+            name = _pick(draw, bound)
+        gens = [_polynomial(draw, names) for _ in range(1 + draw(_below(3)))]
+        if _now_and_then(draw, 20):  # an empty piece
+            gens.insert(draw(_below(len(gens) + 1)), "")
+        lines.append(f"ideal {name} = {', '.join(gens)}")
+        bound.append(name)
+    lines = [_mutated(draw, line) for line in lines]
+    if _now_and_then(draw, 10):
+        lines.insert(draw(_below(len(lines) + 1)), "# a comment")
+    data = "\n".join(lines).encode()
+    if _now_and_then(draw, 20):
+        at = draw(_below(len(data) + 1))
+        data = data[:at] + _pick(draw, NOT_UTF8) + data[at:]
+    command = _pick(draw, COMMANDS)
+    name = _pick(draw, ["I", "K"] if not bound or _now_and_then(draw, 10) else bound)
+    argv = [command, f"--ideal={name}", "--no-timings"]
+    if command in ("member", "radical-member"):
+        f = _mutated(draw, _polynomial(draw, names)).encode()
+        if _now_and_then(draw, 20):
+            f += _pick(draw, NOT_UTF8)
+        # how a command line hands over bytes that are not UTF-8
+        argv.append("-f" + f.decode("utf-8", "surrogateescape"))
+    return data, argv
+
+
+@pytest.fixture(scope="module")
+def session_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("grammar") / "session.txt"
+
+
+@settings(max_examples=500, deadline=None)
+@given(sessions())
+def test_every_drawn_input_exits_0_or_2(session_path, case):
+    data, argv = case
+    session_path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    code = main([*argv, "--session", str(session_path)], stdout=out, stderr=err)
+    assert code in (0, 2), err.getvalue()
+    event(f"exit {code}")
+    report, silent = (out, err) if code == 0 else (err, out)
+    assert silent.getvalue() == ""
+    lines = report.getvalue().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert ("result" in payload) == (code == 0) and ("error" in payload) == (code == 2)

@@ -1,12 +1,18 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairloc import invariants
-from pairloc.betti import INFINITY, depth_quotient
+from pairloc.betti import INFINITY, depth_at_face, depth_quotient
 from pairloc.errors import InternalError, PreconditionError
 from pairloc.ideals import FacePrime, Ideal, intersect
-from pairloc.invariants import (ara_upper_bound, build_report, lh_vanishes,
+from pairloc.invariants import (all_face_primes, ara_upper_bound, build_report, lh_vanishes,
                                 pair_depth, top_nonvanishing, vanishing_bounds)
-from pairloc.support import PairSpec
+from pairloc.ring import Polynomial, RingSpec
+from pairloc.samples import random_monomial_context
+from pairloc.support import PairSpec, w_member
 from pairloc.torsion import PairContext
 
 from conftest import pp, ring, variables
@@ -78,6 +84,43 @@ def test_pair_depth_empty_family():
                                Ideal(r, (pp(r, "1"),)))
     res = pair_depth(really_empty)
     assert res.value == INFINITY and res.empty_family
+
+
+def _full_face_scan(ctx):
+    """(value, witness) of `pair_depth` with no extras, from every face prime
+    of the ring: the scan that its early stop must agree with."""
+    Km, r = ctx.K.as_monomial(), ctx.ring
+    best = None
+    for face in all_face_primes(r.nvars):
+        d = depth_at_face(Km, r, face)
+        if d is not None and w_member(face.to_ideal(r), ctx.pair):
+            if best is None or (d, face.sort_token()) < (best[0], best[1].sort_token()):
+                best = (d, face)
+    return best or (INFINITY, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.sampled_from([0, 32003]),
+       st.integers(min_value=0, max_value=2**32))
+def test_pair_depth_stops_where_the_full_face_scan_agrees(n, char, seed):
+    r = RingSpec(char, tuple(f"x{i}" for i in range(n)))
+    ctx = random_monomial_context(random.Random(seed), r)
+    result = pair_depth(ctx)
+    assert (result.value, result.witness) == _full_face_scan(ctx)
+    assert result.empty_family == (result.witness is None)
+
+
+def test_pair_depth_visits_at_most_n_plus_one_faces(monkeypatch):
+    # the answer, 1 at (x0), bounds every face of size 2 or more, since
+    # pd(R/0) = 0: only the empty face and the 16 of size 1 are visited
+    calls = []
+    monkeypatch.setattr(invariants, "depth_at_face",
+                        lambda *args: calls.append(args) or depth_at_face(*args))
+    r = RingSpec(0, tuple(f"x{i}" for i in range(16)))
+    x = [Polynomial.variable(r, v) for v in r.variables]
+    result = pair_depth(_ctx(r, (x[0],), (x[1],)))
+    assert (result.value, result.witness) == (1, FacePrime(frozenset({0})))
+    assert len(calls) <= 17
 
 
 def test_pair_depth_rejects_extras_with_nonzero_k():

@@ -6,6 +6,8 @@ and `in_radical` substitute x_i = h/c away and hand the rest on: to the
 support rule when it is monomial, to the principal test when it is one
 polynomial, and to the Rabinowitsch test otherwise."""
 
+from fractions import Fraction
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +76,9 @@ def pivot_cases(draw):
 
 
 R3, R3_LEX, R3_LEX_MOD = RINGS[1], RINGS[0], RINGS[2]  # QQ grevlex, QQ lex, GF(32003) lex
+# -5/2·z + 1/3·x·y: a pivot on z whose coefficient is negative, of absolute
+# value above 1, and stays so once the generator is made integral
+FRACTION_PIVOT = Polynomial(R3, {(0, 0, 1): Fraction(-5, 2), (1, 1, 0): Fraction(1, 3)})
 
 
 @settings(max_examples=120, deadline=None)
@@ -91,6 +96,19 @@ R3, R3_LEX, R3_LEX_MOD = RINGS[1], RINGS[0], RINGS[2]  # QQ grevlex, QQ lex, GF(
           [pp(R3_LEX, "x^3"), pp(R3_LEX, "x - 2")]))
 @example((Ideal(R3_LEX_MOD, (pp(R3_LEX_MOD, "3*z - x*y"), pp(R3_LEX_MOD, "y^2 - z"))),
           [pp(R3_LEX_MOD, "y^3 - x*y"), pp(R3_LEX_MOD, "x - 1")]))
+# substituting z away must keep c^(degree − k) on each term: the rest of A is
+# then x·(y + 3·x) over GF(32003) and x·(15·x − 2·y) over QQ, not x·(y − x)
+@example((Ideal(R3_LEX_MOD, (pp(R3_LEX_MOD, "32000*z - x*y"), pp(R3_LEX_MOD, "z - x^2"))),
+          [pp(R3_LEX_MOD, "x*y + 3*x^2"), pp(R3_LEX_MOD, "y + 3*x"), pp(R3_LEX_MOD, "z")]))
+@example((Ideal(R3, (FRACTION_PIVOT, pp(R3, "z - x^2"))),
+          [pp(R3, "15*x^2 - 2*x*y"), pp(R3, "x + y"), pp(R3, "x*z")]))
+# the principal test's multiplicity bound: y^2 alone tops the y-degrees of
+# x^200 + y^2, so one squaring is enough; x·(y + 1)^3 has no term alone at
+# the top of its x-degrees, so x·y + x needs 2^m ≥ 3
+@example((Ideal(R3, (pp(R3, "x^200 + y^2"),)),
+          [pp(R3, "x + y + z"), pp(R3, "x^200*z + y^2*z"), pp(R3, "y")]))
+@example((Ideal(R3, (pp(R3, "x*y^3 + 3*x*y^2 + 3*x*y + x"),)),
+          [pp(R3, "x*y + x"), pp(R3, "x*y^2 + x*y"), pp(R3, "y + 1")]))
 def test_pivots_match_the_groebner_reference(case):
     A, fs = case
     expected = [radical_member_groebner(f, A) for f in fs]
@@ -107,6 +125,21 @@ def test_principal_rest_needs_a_power_of_two_at_least_its_degree():
     assert radical_member(pp(r, "x - y"), A)
     assert radical_member(pp(r, "x*z - y*z"), A)
     assert not radical_member(pp(r, "x + y"), A)
+    assert not ideals._radical_cache and not ideals._gb_cache
+
+
+def test_a_pure_power_alone_at_the_top_bounds_the_squarings(monkeypatch):
+    # every factor of x^d + y^2 involves y, so its multiplicity is at most 2:
+    # one squaring decides, where 2^m ≥ d would take log2(d) of them on
+    # powers of f that stay unreduced until their degree reaches d
+    reductions = []
+    real = ideals._reduce
+    monkeypatch.setattr(ideals, "_reduce", lambda *args: reductions.append(1) or real(*args))
+    for d in (200, 1000):
+        A = Ideal(R3, (pp(R3, f"x^{d} + y^2"),))
+        assert not radical_member(pp(R3, "x + y + z"), A)
+        assert radical_member(pp(R3, f"x^{d}*z + y^2*z"), A)
+    assert len(reductions) == 4  # one squaring for each of the four questions
     assert not ideals._radical_cache and not ideals._gb_cache
 
 
