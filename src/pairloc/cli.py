@@ -18,6 +18,7 @@ reports carry and its argparse arguments; adding a subcommand adds one row.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -34,7 +35,7 @@ from .ideals import (FacePrime, Ideal, colon, dim_quotient, intersect,
 from .invariants import (ara_upper_bound, lh_vanishes, pair_depth,
                          top_nonvanishing, vanishing_bounds)
 from .oracles import koszul_tor
-from .ring import GREVLEX, LEX, Polynomial, RingSpec, parse_int, parse_polynomial
+from .ring import GREVLEX, LEX, NAME, Polynomial, RingSpec, parse_int, parse_polynomial
 from .samples import DEFAULT_SEED
 from .suites import SUITES, run_suite
 from .support import PairSpec, s_certificate, w_member, wtilde_member
@@ -56,8 +57,24 @@ class Session:
 
 _RING_LINE = re.compile(
     r"ring\s+(QQ|GF\((\d+)\))\s*\[([^\]]*)\]\s*(?:order\s+(lex|grevlex))?\s*$")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # an identifier of the polynomial grammar
-_IDEAL_LINE = re.compile(rf"ideal\s+({_NAME.pattern})\s*=\s*(.*)$")
+_IDEAL_LINE = re.compile(rf"ideal\s+({NAME})\s*=\s*(.*)$")
+
+
+def parse_names(text: str, line=None) -> tuple:
+    """The comma-separated variable names of text, () when it is blank; an
+    empty piece, a piece that is not an identifier or a repeated name is a
+    `ParseError`."""
+    if not text.strip():
+        return ()
+    names = tuple(v.strip() for v in text.split(","))
+    if "" in names:
+        raise ParseError("empty variable name", line)
+    for v in names:
+        if not re.fullmatch(NAME, v):
+            raise ParseError(f"invalid variable name {v!r}", line)
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate variable", line)
+    return names
 
 
 def parse_session(text: str) -> Session:
@@ -76,16 +93,9 @@ def parse_session(text: str) -> Session:
                 m.group(2), lineno, len(raw) - len(raw.lstrip()) + m.start(2) + 1)
             if m.group(1) != "QQ" and char == 0:
                 raise ParseError(f"characteristic must be a prime, got {char}", lineno)
-            names = tuple(v.strip() for v in m.group(3).split(","))
-            if names == ("",):
+            names = parse_names(m.group(3), lineno)
+            if not names:
                 raise ParseError("ring needs at least one variable", lineno)
-            if "" in names:
-                raise ParseError("empty variable name", lineno)
-            for v in names:
-                if not _NAME.fullmatch(v):
-                    raise ParseError(f"invalid variable name {v!r}", lineno)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate variable", lineno)
             order = LEX if m.group(4) == "lex" else GREVLEX
             try:
                 ring = RingSpec(char, names, order)
@@ -217,8 +227,7 @@ def cmd_depth(session, args):
 
 def cmd_depth_at_face(session, args):
     K = session.ideal(args.K).as_monomial()
-    face = FacePrime(frozenset(session.ring.var_index(v.strip())
-                               for v in args.vars.split(",") if v.strip()))
+    face = FacePrime(frozenset(map(session.ring.var_index, parse_names(args.vars))))
     d = depth_at_face(K, session.ring, face)
     return {"depth": depth_json(d),
             "inSupport": d is not None}, {}
@@ -361,7 +370,9 @@ COMMANDS = {
 _IDEAL_ARGUMENTS = ("ideal", "a", "b", "p", "I", "J", "K")
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree of every subcommand, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--session", help="path to a session file")
     common.add_argument("--no-timings", action="store_true",

@@ -467,7 +467,10 @@ class Polynomial:
 
 # -- parsing ------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-|\(|\))")
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # an identifier: a variable or an ideal name
+# one token per match, by group: an integer, a name, an operator, any other character
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME})|([-+*^])|(\S))")
+_INT, _NAME, _OTHER = 1, 2, 4
 
 
 def parse_int(digits: str, line=None, column=None) -> int:
@@ -482,78 +485,51 @@ def parse_int(digits: str, line=None, column=None) -> int:
 
 
 def parse_polynomial(ring: RingSpec, text: str, line=None) -> Polynomial:
-    """Parse the ASCII grammar: terms joined by +/-, monomial = optional
-    integer coefficient with '*'-separated powers, e.g. ``2*x^2*y - 3*z + 1``.
+    """Parse the ASCII grammar: terms joined by runs of + and -, monomial =
+    optional integer coefficient with '*'-separated powers, e.g.
+    ``2*x^2*y - 3*z + 1``.  The signs of a run multiply (``x - +y`` is
+    x - y), and every run is followed by a term.
     """
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} in polynomial", line, pos + 1)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
+    tokens = [(m.lastindex, m.group(m.lastindex), m.start(m.lastindex) + 1)
+              for m in _TOKEN.finditer(text)]
     if not tokens:
         raise ParseError("empty polynomial", line)
-
-    result = Polynomial.zero(ring)
+    for kind, tok, col in tokens:
+        if kind == _OTHER:
+            raise ParseError(f"unexpected character {tok!r} in polynomial", line, col)
+    tokens.append((None, "", None))  # the end
+    terms = {}
     i = 0
-    n = len(tokens)
-
-    def err(msg, at):
-        raise ParseError(msg, line, at + 1)
-
-    sign = 1
-    while i < n:
-        tok, at = tokens[i]
-        if tok == "+":
-            sign = 1
+    while tokens[i][0]:
+        coeff = 1
+        while tokens[i][1] in ("+", "-"):
+            coeff = -coeff if tokens[i][1] == "-" else coeff
             i += 1
-            continue
-        if tok == "-":
-            sign = -sign
-            i += 1
-            continue
-        # one monomial: factors separated by '*'
-        coeff = sign
         exp = [0] * ring.nvars
-        expect_factor = True
-        while i < n:
-            tok, at = tokens[i]
-            if tok in "+-":
-                break
-            if tok == "*":
-                if expect_factor:
-                    err("misplaced '*'", at)
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                err(f"missing operator before {tok!r}", at)
-            if tok.isdigit():
-                coeff *= parse_int(tok, line, at + 1)
-                i += 1
-            else:
-                if not tok[0].isalpha() and tok[0] != "_":
-                    err(f"unexpected token {tok!r}", at)
-                try:
-                    vi = ring.var_index(tok)
-                except PreconditionError:
-                    err(f"unknown variable {tok!r}", at)
+        while True:  # one term: factors joined by '*'
+            kind, tok, col = tokens[i]
+            if kind is None or tok in ("+", "-"):
+                raise ParseError("dangling operator", line, tokens[i - 1][2])
+            if kind == _INT:
+                coeff *= parse_int(tok, line, col)
+            elif kind == _NAME:
+                if tok not in ring.variables:
+                    raise ParseError(f"unknown variable {tok!r}", line, col)
                 power = 1
-                i += 1
-                if i < n and tokens[i][0] == "^":
-                    i += 1
-                    if i >= n or not tokens[i][0].isdigit():
-                        err("expected integer exponent after '^'", at)
-                    power = parse_int(tokens[i][0], line, tokens[i][1] + 1)
-                    i += 1
-                exp[vi] += power
-            expect_factor = False
-        if expect_factor:
-            err("dangling operator", tokens[i - 1][1] if i else 0)
-        result = result + Polynomial.monomial(ring, exp, coeff)
-        sign = 1
-    return result
+                if tokens[i + 1][1] == "^":
+                    i += 2
+                    if tokens[i][0] != _INT:
+                        raise ParseError("expected integer exponent after '^'", line, col)
+                    power = parse_int(tokens[i][1], line, tokens[i][2])
+                exp[ring.var_index(tok)] += power
+            else:
+                raise ParseError(f"misplaced {tok!r}", line, col)  # '*' or '^'
+            i += 1
+            if tokens[i][1] != "*":
+                break
+            i += 1
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + coeff
+        if tokens[i][1] not in ("+", "-", ""):
+            raise ParseError(f"missing operator before {tokens[i][1]!r}", line, tokens[i][2])
+    return Polynomial(ring, terms)

@@ -29,10 +29,6 @@ class PairSpec:
     def __post_init__(self):
         self.I._check(self.J)
 
-    @property
-    def ring(self):
-        return self.I.ring
-
 
 def w_member(p: Ideal, pair: PairSpec) -> bool:
     """True iff every generator of I is in the radical of J + p.

@@ -319,6 +319,16 @@ def test_unknown_face_variable_exit_code(session_file):
     assert "'q'" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("names, message", [("x,,y", "empty variable name"),
+                                           ("x,q-1", "invalid variable name 'q-1'"),
+                                           ("x,x", "duplicate variable")])
+def test_face_variables_are_read_like_a_ring_line(session_file, names, message):
+    code, out, err = run(["depth-at-face", "--session", session_file, "--K", "K",
+                          "--vars", names, "--no-timings"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == message
+
+
 def test_check_rejects_sample_count_below_one():
     code, out, err = run(["check", "--suite", "groebner", "--samples", "-3",
                           "--no-timings"])
@@ -400,3 +410,12 @@ def test_an_ideal_bound_twice_exits_2(tmp_path):
     code, out, err = run(["gb", "--session", str(path), "--ideal", "I", "--no-timings"])
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "line 4: ideal 'I' bound twice"
+
+
+@pytest.mark.parametrize("text", ["x +", "x -", "+", "-", "x*y +"])
+def test_a_sign_with_no_term_after_it_exits_2(session_file, text):
+    code, out, err = run(["member", "--session", session_file, "--ideal", "I",
+                          "-f", text, "--no-timings"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].endswith("dangling operator")
+

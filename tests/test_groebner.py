@@ -7,7 +7,7 @@ from fractions import Fraction
 from operator import le
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloc import groebner
@@ -369,23 +369,29 @@ def test_buchberger_matches_committed_bases(name, char):
 def _criteria_free_basis(gens):
     """The reduced Groebner basis of (gens) by Buchberger's algorithm with
     no criterion: `normal_form(s_polynomial(...))` of every pair is formed
-    against all elements so far, the pair of least lcm first, and each
-    nonzero one joins them.  Then an element goes when another's leading
-    monomial divides its own (the later one, on a tie), and each other is
-    reduced by the rest and made monic."""
+    against all elements so far, and each nonzero one joins them.  Pairs
+    go by least sugar, then least lcm: a generator's sugar is its total
+    degree, a pair's is the larger of its elements' sugars shifted by the
+    degree of the lcm, and a new element takes its pair's (least lcm alone
+    lets the coefficients of lex over QQ explode).  Then an element goes
+    when another's leading monomial divides its own (the later one, on a
+    tie), and each other is reduced by the rest and made monic."""
     basis = [g for g in gens if not g.is_zero()]
+    sugars = [g.total_degree() for g in basis]
     r = basis[0].ring
 
-    def lcm_key(pair):
-        f, g = (basis[k].leading_exp() for k in pair)
-        return r.sort_key(tuple(map(max, f, g)))
+    def pair_key(pair):
+        lcm = tuple(map(max, *(basis[k].leading_exp() for k in pair)))
+        sugar = max(sugars[k] + sum(lcm) - sum(basis[k].leading_exp()) for k in pair)
+        return sugar, r.sort_key(lcm)
 
     todo = [(i, j) for j in range(len(basis)) for i in range(j)]
     while todo:
-        i, j = todo.pop(min(range(len(todo)), key=lambda k: lcm_key(todo[k])))
+        i, j = todo.pop(min(range(len(todo)), key=lambda k: pair_key(todo[k])))
         nf = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if nf:
             todo += [(k, len(basis)) for k in range(len(basis))]
+            sugars.append(pair_key((i, j))[0])
             basis.append(nf)
     leads = [g.leading_exp() for g in basis]
     minimal = [g for i, g in enumerate(basis)
@@ -410,6 +416,10 @@ def _small_polynomial(rng, r):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([0, 32003]),
        st.sampled_from([LEX, GREVLEX, elimination(1, 2)]))
+# lex over QQ, where a reference taking the pair of least lcm alone ran for minutes
+@example(257, 0, LEX)
+@example(1029, 0, LEX)
+@example(1172, 0, LEX)
 def test_completion_matches_a_criteria_free_reference(seed, char, order):
     # every pair the Gebauer–Möller update drops must reduce to zero anyway
     rng = random.Random(seed)

@@ -51,8 +51,19 @@ def test_parse_error_position():
     r = ring("xy")
     with pytest.raises(ParseError) as exc:
         parse_polynomial(r, "x + $", line=3)
-    assert exc.value.line == 3
-    assert exc.value.column is not None
+    assert (exc.value.line, exc.value.column) == (3, 5)
+    assert str(exc.value) == "line 3, col 5: unexpected character '$' in polynomial"
+
+
+def test_parse_sign_runs():
+    r = ring("xy")
+    x, y = variables(r)
+    assert parse_polynomial(r, "x - +y") == x - y
+    assert parse_polynomial(r, "x - -y") == x + y
+    assert parse_polynomial(r, "-+-x") == x
+    for text in ("x +", "x -", "+", "-", "x - -"):
+        with pytest.raises(ParseError, match="dangling operator"):
+            parse_polynomial(r, text)
 
 
 def test_parse_unknown_variable():
@@ -107,6 +118,25 @@ def test_leading_term():
 
 small_coeffs = st.integers(min_value=-4, max_value=4)
 small_exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
+
+_SIGN_RUNS = {"": 1, "+": 1, "-": -1, "+-": -1, "-+": -1, "--": 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 7]), st.data())
+def test_parse_takes_each_sign_run_as_the_product_of_its_signs(char, data):
+    r = ring("xyz", char=char)
+    spaces = st.sampled_from(["", " ", "  "])
+    text, expected = "", Polynomial.zero(r)
+    for k in range(data.draw(st.integers(min_value=1, max_value=4))):
+        run = data.draw(st.sampled_from(sorted(_SIGN_RUNS) if k == 0 else sorted(_SIGN_RUNS)[1:]))
+        coeff, exp = data.draw(st.integers(min_value=0, max_value=9)), data.draw(small_exps)
+        factors = [str(coeff)] * (coeff != 1 or not any(exp)) + [
+            v if e == 1 else f"{v}^{e}" for v, e in zip("xyz", exp) if e]
+        times = data.draw(spaces) + "*" + data.draw(spaces)
+        text += data.draw(spaces).join(run) + data.draw(spaces) + times.join(factors)
+        expected = expected + Polynomial.monomial(r, exp, _SIGN_RUNS[run] * coeff)
+    assert parse_polynomial(r, text) == expected
 
 
 def polys(r):
