@@ -14,30 +14,24 @@ from itertools import combinations
 
 from .errors import InternalError, PreconditionError
 from .ideals import Ideal, radical_member
-from .ring import Polynomial
 from .support import PairSpec
 from .torsion import GammaResult, PairContext, gamma_monomial
-
-
-@dataclass(frozen=True)
-class CechFactor:
-    element: Polynomial
-    collapsed: bool
 
 
 @dataclass(frozen=True)
 class CechSkeleton:
     """2^length term lattice over the surviving (non-collapsed) factors."""
 
-    factors: tuple  # CechFactor per original input element, order preserved
+    elements: tuple   # the input elements, order preserved
+    collapsed: tuple  # per element: whether its factor is collapsed
     J: Ideal
 
     @property
     def length(self):
-        return sum(1 for f in self.factors if not f.collapsed)
+        return self.collapsed.count(False)
 
     def surviving_indices(self):
-        return tuple(i for i, f in enumerate(self.factors) if not f.collapsed)
+        return tuple(i for i, c in enumerate(self.collapsed) if not c)
 
     def terms(self):
         """Token per subset of surviving factors, grouped by homological degree."""
@@ -50,7 +44,7 @@ class CechSkeleton:
     def _token(self, T):
         label = "R"
         for i in T:
-            label += "_{%s,J}" % self.factors[i].element
+            label += "_{%s,J}" % self.elements[i]
         return label
 
     def pretty(self):
@@ -69,16 +63,14 @@ def build_cech(elements, J: Ideal) -> CechSkeleton:
     for a in elements:
         if a.ring != J.ring:
             raise PreconditionError("elements must live in the ring of J")
-    return CechSkeleton(tuple(CechFactor(a, False) for a in elements), J)
+    return CechSkeleton(elements, (False,) * len(elements), J)
 
 
 def collapse(sk: CechSkeleton) -> CechSkeleton:
     """Mark every factor whose element lies in √J as collapsed; such a factor
     is chain-isomorphic to the ring concentrated in degree 0."""
-    factors = tuple(
-        CechFactor(f.element, f.collapsed or radical_member(f.element, sk.J))
-        for f in sk.factors)
-    return CechSkeleton(factors, sk.J)
+    collapsed = tuple(c or radical_member(a, sk.J) for a, c in zip(sk.elements, sk.collapsed))
+    return CechSkeleton(sk.elements, collapsed, sk.J)
 
 
 def position_zero_kernel(elements, J: Ideal, K: Ideal) -> GammaResult:

@@ -128,7 +128,7 @@ def ideal_json(A: Ideal):
 
 def mono_json(L, ring):
     return [str(Polynomial.monomial(ring, g)) for g in
-            sorted(L.gens, key=ring.sort_key, reverse=True)]
+            sorted(L.gens, key=ring.pack)]
 
 
 def depth_json(d):

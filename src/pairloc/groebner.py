@@ -288,7 +288,7 @@ def _interreduce(basis, ring):
         p = _unpacked(ring, r, ring.coeff_inv(r[lead]))
         p._lead = unpack(lead)
         reduced.append(p)
-    reduced.sort(key=lambda p: ring.sort_key(p.leading_exp()))
+    reduced.sort(key=lambda p: ring.pack(p.leading_exp()), reverse=True)
     return reduced
 
 
@@ -411,7 +411,7 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
     gens, ring = _nonzero(gens, ring)
     if all(g.is_monomial() for g in gens):
         one = ring.coeff(1)
-        minimal = sorted(_minimalize(g.leading_exp() for g in gens), key=ring.sort_key)
+        minimal = sorted(_minimalize(g.leading_exp() for g in gens), key=ring.pack, reverse=True)
         return GroebnerBasis(tuple(Polynomial(ring, {e: one}, _normalized=True)
                                    for e in minimal))
     G = _complete(gens, ring)

@@ -134,9 +134,6 @@ class Ideal:
             return False
         return self.groebner().contains_one()
 
-    def is_proper(self):
-        return not self.is_unit()
-
     def normal_form(self, f: Polynomial) -> Polynomial:
         return normal_form(f, list(self.groebner()))
 
@@ -157,11 +154,8 @@ class Ideal:
 
     def sorted_gens(self):
         """Generators sorted descending by leading monomial (zeros last)."""
-        def key(g):
-            if g.is_zero():
-                return (0,)
-            return (1, self.ring.sort_key(g.leading_exp()))
-        return sorted(self.gens, key=key, reverse=True)
+        pack = self.ring.pack
+        return sorted(self.gens, key=lambda g: (0, pack(g.leading_exp())) if g.terms else (1,))
 
     # -- generator-level arithmetic ---------------------------------------
 
@@ -173,21 +167,9 @@ class Ideal:
         self._check(other)
         return Ideal(self.ring, tuple(a * b for a in self.gens for b in other.gens))
 
-    def power(self, n: int):
-        if n < 0:
-            raise ValueError("negative ideal power")
-        result = Ideal.unit(self.ring)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def _check(self, other):
         if not isinstance(other, Ideal) or other.ring != self.ring:
             raise RingMismatchError("ideals over different rings")
-
-    def is_monomial(self):
-        """Whether every generator is a monomial or zero."""
-        return self.monomial_exponents() is not None
 
     def monomial_exponents(self):
         """The exponents of the nonzero generators when every generator is
@@ -526,10 +508,6 @@ class FacePrime:
             return Ideal.zero(ring)
         return Ideal(ring, tuple(Polynomial.variable(ring, ring.variables[i])
                                  for i in sorted(self.vars)))
-
-    def contains_poly(self, f: Polynomial) -> bool:
-        """Membership via normal forms: every term involves a variable of S."""
-        return all(any(e[i] for i in self.vars) for e in f.terms)
 
     def sort_token(self):
         return tuple(sorted(self.vars))

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .betti import INFINITY, depth_at_face, hochster_betti
 from .errors import InternalError, PreconditionError
-from .ideals import FacePrime, Ideal, dim_quotient, radical_member
+from .ideals import FacePrime, Ideal, dim_quotient, radical_member, supports_cover
 from .support import w_member
 from .torsion import PairContext
 
@@ -114,10 +114,12 @@ def lh_vanishes(ctx: PairContext) -> bool:
     Km = ctx.K.as_monomial()
     if Km.is_unit():
         raise PreconditionError("criterion requires a nonzero module")
-    if not (ctx.pair.I + ctx.K).is_proper() or not (ctx.pair.J + ctx.K).is_proper():
+    if (ctx.pair.I + ctx.K).is_unit() or (ctx.pair.J + ctx.K).is_unit():
         raise PreconditionError("criterion requires I and J proper modulo K")
+    J_terms = [e for g in ctx.pair.J.gens for e in g.terms]
     for p in Km.assh():
-        if all(p.contains_poly(g) for g in ctx.pair.J.gens):
+        # J ⊆ p iff every term of J's generators involves a variable of p
+        if supports_cover([1 << i for i in p.vars], J_terms):
             if dim_quotient(ctx.pair.I + p.to_ideal(ctx.ring)) <= 0:
                 return False
     return True

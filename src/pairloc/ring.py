@@ -12,14 +12,15 @@ Monomial orders (lex, grevlex, elimination blocks) are attached to the ring.
 Each is a linear map of the exponents followed by a lexicographic comparison
 (Robbiano, EUROCAL 1985), so one int per exponent vector carries it: the
 order key K = Σ e_i·w_i, whose fields are the values of the order's linear
-forms.  The Groebner kernel works on packed terms (Monagan and Pearce, CASC
-2007): ``((MAXK − K) << 64n) | E``, where E holds exponent i in bits
-[64i, 64i + 64).  Packing is affine in the exponents, so the packed product
-of two terms is the sum of their packed terms minus the packed 1, and the
-greatest monomial is the smallest packed term.  An exponent below
-`EXP_LIMIT` = 2^62 leaves its field's bits 62 (`RingSpec.guard`) and 63
-(`RingSpec.borrow`) clear, and the sum of two such exponents stays below 2^63,
-so a product can neither carry into the next field nor pass the limit
+forms.  The ring's one order key is the packed term (Monagan and Pearce,
+CASC 2007), ``((MAXK − K) << 64n) | E``, where E holds exponent i in bits
+[64i, 64i + 64): the greatest monomial has the least packed term, every sort
+by the order sorts by `RingSpec.pack`, and the Groebner kernel works on
+packed terms.  Packing is affine in the exponents, so the packed product of
+two terms is the sum of their packed terms minus the packed 1.  An exponent
+below `EXP_LIMIT` = 2^62 leaves its field's bits 62 (`RingSpec.guard`) and
+63 (`RingSpec.borrow`) clear, and the sum of two such exponents stays below
+2^63, so a product can neither carry into the next field nor pass the limit
 unseen: it has passed it iff ``item & guard``.  b divides a iff
 ``((a | borrow) − b) & borrow == borrow``, since no field borrows from the
 next.
@@ -90,7 +91,7 @@ def _order_forms(nvars, order):
 
 @lru_cache(maxsize=64)
 def _packing(nvars, order):
-    """(sort_key, pack, unpack, guard, borrow) of a ring: see `RingSpec`."""
+    """(pack, unpack, guard, borrow) of a ring: see `RingSpec`."""
     rows, widest = _order_forms(nvars, order)
     # a form sums at most `widest` exponents, each below 2 * EXP_LIMIT = 2^63
     width = _FIELD - 1 + widest.bit_length()
@@ -102,9 +103,6 @@ def _packing(nvars, order):
     mask = (1 << span) - 1
     fields = Struct(f"<{nvars}Q")
 
-    def sort_key(exp):
-        return sum(map(mul, exp, weights))
-
     def pack(exp):
         return base + sum(map(mul, exp, deltas))
 
@@ -112,7 +110,7 @@ def _packing(nvars, order):
         return fields.unpack((item & mask).to_bytes(8 * nvars, "little"))
 
     guard = EXP_LIMIT * sum(1 << _FIELD * i for i in range(nvars))
-    return sort_key, pack, unpack, guard, guard << 1
+    return pack, unpack, guard, guard << 1
 
 
 @dataclass(frozen=True)
@@ -120,11 +118,11 @@ class RingSpec:
     """A polynomial ring: coefficient field, named variables, monomial order.
 
     char == 0 means QQ; char == p (prime, < 2^31) means GF(p).  The order
-    is realized as two int-valued functions on exponent vectors below
-    `EXP_LIMIT`: exp a is below exp b iff ``sort_key(a) < sort_key(b)``, iff
-    ``pack(a) > pack(b)``.  sort_key is the linear order key K and pack the
-    packed term, which `unpack` turns back into the exponent vector; `guard`
-    and `borrow` are the packed terms' bit masks (module docstring).
+    has one key, the packed term: on exponent vectors below `EXP_LIMIT`,
+    `pack` is injective and exp a is below exp b iff ``pack(a) > pack(b)``,
+    so the greatest monomial has the least key.  `unpack` turns a packed
+    term back into its exponent vector; `guard` and `borrow` are the packed
+    terms' bit masks (module docstring).
     """
 
     char: int
@@ -143,7 +141,7 @@ class RingSpec:
         if kind == "elim" and sum(self.order[1]) != len(self.variables):
             raise ValueError("elimination block sizes must sum to the number of variables")
         packing = _packing(len(self.variables), self.order)
-        for name, value in zip(("sort_key", "pack", "unpack", "guard", "borrow"), packing):
+        for name, value in zip(("pack", "unpack", "guard", "borrow"), packing):
             object.__setattr__(self, name, value)
 
     @property
@@ -174,15 +172,6 @@ class RingSpec:
         if self.char == 0:
             return Fraction(1) / c
         return pow(c, -1, self.char)
-
-    # -- monomial order ----------------------------------------------------
-
-    def compare(self, a, b) -> int:
-        """Return -1, 0, 1 comparing exponent vectors in this ring's order."""
-        if len(a) != self.nvars or len(b) != self.nvars:
-            raise RingMismatchError("exponent vector length does not match ring")
-        ka, kb = self.sort_key(a), self.sort_key(b)
-        return (ka > kb) - (ka < kb)
 
     def __str__(self):
         field = "QQ" if self.char == 0 else f"GF({self.char})"
@@ -325,7 +314,7 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms sorted descending by the ring's monomial order."""
-        return sorted(self.terms.items(), key=lambda t: self.ring.sort_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: self.ring.pack(t[0]))
 
     def leading_term(self):
         """(exponent, coefficient) of the greatest monomial; error on zero."""
@@ -341,7 +330,7 @@ class Polynomial:
             if len(terms) == 1:
                 (exp,) = terms
             else:
-                exp = max(terms, key=self.ring.sort_key)
+                exp = min(terms, key=self.ring.pack)
             self._lead = exp
         return exp
 

@@ -320,7 +320,7 @@ def suite_cech(samples=100, seed=DEFAULT_SEED):
             continue
         # factorwise kernel equality is checked inside position_zero_kernel
         full = position_zero_kernel(elements, J, K)
-        survivors = [sk.factors[i].element for i in once.surviving_indices()]
+        survivors = [sk.elements[i] for i in once.surviving_indices()]
         reduced_I = Ideal(ring, tuple(survivors)) if survivors else Ideal.zero(ring)
         reduced = gamma_monomial(PairContext(PairSpec(reduced_I, J), K))
         if full.L != reduced.L:

@@ -39,7 +39,7 @@ def w_member(p: Ideal, pair: PairSpec) -> bool:
     p._check(pair.I)
     if p.is_unit():
         raise PreconditionError("w_member requires a proper ideal")
-    return in_radical(pair.I, pair.J + p)
+    return wtilde_member(p, pair)
 
 
 def wtilde_member(a: Ideal, pair: PairSpec) -> bool:

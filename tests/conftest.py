@@ -23,7 +23,7 @@ def variables(r):
 
 
 # The tuple order keys the package used before it packed its terms, kept as
-# an independent reference for `RingSpec.sort_key` and for reference division.
+# an independent reference for the order key `RingSpec.pack` and for reference division.
 
 def _grevlex_key(exp):
     return (sum(exp), tuple(-e for e in exp[::-1]))

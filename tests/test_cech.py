@@ -27,7 +27,7 @@ def test_collapse_marks_elements_in_radical_j():
     J = Ideal(r, (x * x,))
     sk = collapse(build_cech([x, y], J))
     assert sk.length == 1
-    assert sk.factors[0].collapsed and not sk.factors[1].collapsed
+    assert sk.collapsed == (True, False)
 
 
 def test_collapse_is_idempotent():

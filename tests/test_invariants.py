@@ -146,6 +146,14 @@ def test_lh_basic_cases():
     assert lh_vanishes(_ctx(r, (x, y, z), (y,), (x,)))       # J ⊄ (x): vacuous
 
 
+def test_lh_vanishes_reads_j_in_p_term_by_term():
+    # Assh of K = (x, y) is p = (x, y), and dim R/(I + p) = 0 for I = (z)
+    r = ring("xyz")
+    x, y, z = variables(r)
+    assert not lh_vanishes(_ctx(r, (z,), (pp(r, "x*z + y^2"),), (x, y)))  # J ⊆ p
+    assert lh_vanishes(_ctx(r, (z,), (pp(r, "x*z + z^2"),), (x, y)))      # z^2 ∉ p
+
+
 def test_lh_rejects_zero_module():
     r = ring("xy")
     x, y = variables(r)

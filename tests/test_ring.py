@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pairloc.errors import (ExponentOverflowError, ParseError, PreconditionError,
                             RingMismatchError)
 from pairloc.groebner import normal_form
+from pairloc.ideals import Ideal
 from pairloc.ring import (EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination,
                           parse_polynomial)
 
@@ -16,19 +17,19 @@ from conftest import pp, reference_sort_key, ring, variables
 def test_grevlex_example():
     r = ring("xyz")
     # y^2 beats x*z under grevlex: same degree, smaller power of z
-    assert r.compare((0, 2, 0), (1, 0, 1)) > 0
+    assert r.pack((0, 2, 0)) < r.pack((1, 0, 1))
 
 
 def test_lex_example():
     r = ring("xyz", order=LEX)
-    assert r.compare((1, 0, 0), (0, 5, 5)) > 0
+    assert r.pack((1, 0, 0)) < r.pack((0, 5, 5))
 
 
 def test_elimination_order_blocks():
     r = RingSpec(0, ("t", "x", "y"), elimination(1, 2))
     # any positive power of t beats everything t-free
-    assert r.compare((1, 0, 0), (0, 9, 9)) > 0
-    assert r.compare((0, 1, 1), (0, 2, 0)) < 0  # grevlex inside the block
+    assert r.pack((1, 0, 0)) < r.pack((0, 9, 9))
+    assert r.pack((0, 1, 1)) > r.pack((0, 2, 0))  # grevlex inside the block
 
 
 def test_parse_and_str_roundtrip():
@@ -161,14 +162,12 @@ def test_ring_axioms(f, g, h):
 @settings(max_examples=60, deadline=None)
 @given(small_exps, small_exps, small_exps)
 def test_order_is_total_and_multiplicative(a, b, c):
-    cmp = R3.compare(a, b)
-    assert cmp == -R3.compare(b, a)
-    if cmp == 0:
-        assert a == b
-    shifted = tuple(x + y for x, y in zip(a, c)), tuple(x + y for x, y in zip(b, c))
-    assert R3.compare(*shifted) == cmp
-    # 1 is minimal
-    assert R3.compare(a, (0, 0, 0)) >= 0
+    pa, pb = R3.pack(a), R3.pack(b)
+    assert (pa == pb) == (a == b)
+    sa, sb = (R3.pack(tuple(x + y for x, y in zip(e, c))) for e in (a, b))
+    assert (sa < sb, sa == sb) == (pa < pb, pa == pb)
+    # 1 is minimal: its packed term is the greatest
+    assert pa <= R3.pack((0, 0, 0))
 
 
 # (order, number of variables): every order kind, n up to 6
@@ -199,11 +198,31 @@ def test_order_keys_match_the_tuple_reference(case):
     ref = reference_sort_key(r)
     for a in exps:
         for b in exps:
-            assert r.compare(a, b) == (ref(a) > ref(b)) - (ref(a) < ref(b))
-    assert sorted(exps, key=r.sort_key) == sorted(exps, key=ref)
+            pa, pb = r.pack(a), r.pack(b)
+            assert (pa < pb) - (pa > pb) == (ref(a) > ref(b)) - (ref(a) < ref(b))
     # the packed term sorts the other way and holds the exponents
     assert sorted(exps, key=r.pack) == sorted(exps, key=ref, reverse=True)
     assert all(r.unpack(r.pack(a)) == a for a in exps)
+
+
+# every order kind over both kinds of field, for the sorts that read `pack`
+_SORT_RINGS = [RingSpec(char, ("x", "y", "z"), order) for char in (0, 32003)
+               for order in (LEX, GREVLEX, elimination(1, 2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SORT_RINGS), st.data())
+def test_sorts_by_the_order_key_match_the_tuple_reference(r, data):
+    ref = reference_sort_key(r)
+    A = Ideal(r, data.draw(st.lists(polys(r), max_size=5)))
+    for f in A.gens:
+        assert [e for e, _ in f.sorted_terms()] == sorted(f.terms, key=ref, reverse=True)
+        if f.terms:
+            assert f.leading_exp() == max(f.terms, key=ref)
+    nonzero = [g for g in A.gens if g.terms]
+    zeros = [g for g in A.gens if not g.terms]
+    assert A.sorted_gens() == sorted(nonzero, key=lambda g: ref(max(g.terms, key=ref)),
+                                     reverse=True) + zeros
 
 
 def test_exponent_vectors_of_the_wrong_length_are_refused():

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/, run as a user runs them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -16,3 +17,36 @@ def test_worked_examples_script_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "local bound 0, non-local bound 1" in proc.stdout
+
+
+# 18 raw lines; the code lines are 4, 7, 10, 11, 13, 17 and 18: a string that
+# is no docstring counts, and so does each line of a statement
+LINE_COUNT_SAMPLE = '''"""Module docstring
+over two lines."""
+
+import os  # a comment
+
+
+class A:
+    """Class docstring."""
+
+    x = """not a docstring
+    but code"""
+
+    def f(self):
+        """Function
+        docstring."""
+        # only a comment
+        return (1,
+                2)
+'''
+
+
+def test_line_counts_script_counts_a_known_file(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "sample.py").write_text(LINE_COUNT_SAMPLE, encoding="utf-8")
+    (tmp_path / "pkg" / "notes.txt").write_text("not python\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "line_counts.py"),
+                           str(tmp_path / "pkg")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {str(tmp_path / "pkg"): {"raw": 18, "code": 7}}

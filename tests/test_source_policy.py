@@ -1,9 +1,11 @@
 import ast
+import re
 from importlib.util import find_spec
 from pathlib import Path
 
 # located without importing pairloc, so an import cycle cannot hide a finding
 PACKAGE = Path(find_spec("pairloc").origin).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # module -> the names it may import from pairloc.oracles (None: any name);
 # __init__ re-exports the oracles, suites compares against them, and the CLI
@@ -89,3 +91,26 @@ def test_clear_caches_empties_every_module_cache():
     assert [name for name, cache in caches.items() if not cache] == []
     clear_caches()
     assert [name for name, cache in caches.items() if cache] == []
+
+
+def test_every_public_method_has_a_use_outside_the_tests():
+    # a method that only tests call is test-only API: the tests should ask
+    # the question the package answers, or the method should go
+    words = {}  # word -> (file, line) pairs where it occurs
+    files = [*PACKAGE.rglob("*.py"), *(ROOT / "scripts").rglob("*.py"),
+             *(ROOT / "bench").rglob("*.py")]
+    for path in files:
+        for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for word in re.findall(r"\w+", text):
+                words.setdefault(word, set()).add((path, line))
+    unused = []
+    for module, tree in _sources():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                start = min([d.lineno for d in node.decorator_list] + [node.lineno])
+                own = {(PACKAGE / module, line) for line in range(start, node.end_lineno + 1)}
+                if not words.get(node.name, set()) - own:
+                    unused.append(f"{module}:{node.lineno} {cls.name}.{node.name}")
+    assert unused == []
