@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 import time
@@ -288,19 +287,7 @@ def cmd_cech(session, args):
     return result, witnesses
 
 
-def _env_seed():
-    value = os.environ.get("PAIRLOC_SEED")
-    if value is None:
-        return DEFAULT_SEED
-    try:
-        return int(value)
-    except ValueError:
-        raise PreconditionError(f"PAIRLOC_SEED must be an integer, got {value!r}") from None
-
-
 def cmd_check(session, args):
-    if args.seed is None:
-        args.seed = _env_seed()  # set on args so the report echoes it
     if args.samples is not None and args.samples < 1:
         raise PreconditionError(f"--samples must be at least 1, got {args.samples}")
     if args.suite == "all":
@@ -363,7 +350,8 @@ COMMANDS = {
                      "--J": _REQUIRED, "--K": {}}),
     "check": Command(cmd_check, "property-suite",
                      {"--suite": {"required": True, "choices": sorted(SUITES) + ["all"]},
-                      "--samples": {"type": int}, "--seed": {"type": int}}),
+                      "--samples": {"type": int},
+                      "--seed": {"type": int, "default": DEFAULT_SEED}}),
 }
 
 # Arguments that name an ideal of the session; the report echoes its generators.

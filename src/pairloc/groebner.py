@@ -32,17 +32,23 @@ divides.  Each pair's lcm is packed once, and the pairs wait in a heap by
 1991), which keeps the work degree by degree also in the block orders of
 eliminations, where the normal strategy alone would take the pairs of high
 degree in t first.  The loop stops at the first nonzero constant, since the
-ideal is then (1), and returns the active elements.  `buchberger`
-interreduces that basis in one pass and turns only the reduced basis it
-returns into monic `Polynomial`s; generators that are all monomials form a
-Groebner basis already, so it returns their minimal elements without
-forming an S-pair.  `eliminate`, the one elimination
-primitive, interreduces only the elements free of the eliminated variables.
-So every basis returned holds Fraction coefficients over QQ, and so does
-every `normal_form` and `s_polynomial`, the wrappers over the packed kernel
-for `Polynomial`s.  Inputs are sorted before processing and every iteration
-order is fixed, so output is deterministic for a fixed ring, order, and
-generator set.
+ideal is then (1), and returns the active elements.
+
+One routine, `eliminate`, turns generators into a reduced basis: it
+completes them over their own ring, keeps the elements free of the leading
+variables it eliminates (none for `buchberger`, which is `eliminate` over
+the generators' own ring), interreduces those in one pass and turns only
+the reduced basis into monic `Polynomial`s of the target ring
+(`_interreduce`).  Generators that are all monomials form a Groebner basis
+already, so it returns their minimal elements free of those variables
+without forming an S-pair.  `normal_form` and `exact_divide` pack their
+dividend by one helper, `_packed`, every result leaves the packed form
+through `_unpacked`, and one helper, `_nonzero`, drops zero polynomials and
+refuses a foreign ring.  So every basis returned holds Fraction coefficients
+over QQ, and so does every `normal_form` and `s_polynomial`, the wrappers
+over the packed kernel for `Polynomial`s.  Inputs are sorted before
+processing and every iteration order is fixed, so output is deterministic
+for a fixed ring, order, and generator set.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from math import gcd
 from operator import le
 
 from .errors import ExponentOverflowError, InternalError, RingMismatchError
-from .ring import EXP_LIMIT, Polynomial, RingSpec, integer_terms, reducer_entry
+from .ring import _FIELD, EXP_LIMIT, Polynomial, RingSpec, integer_terms, reducer_entry
 
 
 def _divides(a, b):
@@ -166,19 +172,34 @@ def _s_terms(f, g, lcm, ring):
     return terms
 
 
-def _check_rings(ring, polys, what):
+def _nonzero(polys, ring, what):
+    """The nonzero polynomials of polys; a `RingMismatchError` names what
+    when one is over a ring other than ring."""
+    polys = [p for p in polys if p.terms]
     for p in polys:
         if p.ring is not ring and p.ring != ring:
             raise RingMismatchError(f"{what} over a different ring")
+    return polys
 
 
-def _unpacked(ring, terms, factor=None):
-    """The `Polynomial` of a map from packed terms to coefficients, each
-    times factor if one is given."""
+def _packed(f):
+    """(terms, num, den) for a nonzero f: its terms as a map from packed
+    terms to coefficients, integers over QQ that are num/den times f's."""
+    ring = f.ring
+    terms, num, den = (f.terms, 1, 1) if ring.char else integer_terms(f.terms)
+    pack = ring.pack
+    return {pack(e): c for e, c in terms.items()}, num, den
+
+
+def _unpacked(ring, terms, factor=None, shift=0):
+    """The `Polynomial` over ring of a map from packed terms to
+    coefficients, each times factor if one is given.  With a factor, each
+    term loses its lowest shift bits first: the fields of the tags that
+    `eliminate` drops, which are zero in a term free of them."""
     unpack, char = ring.unpack, ring.char
     if factor is None:
         return Polynomial(ring, {unpack(t): c for t, c in terms.items()}, _normalized=True)
-    return Polynomial(ring, {unpack(t): c * factor % char if char else c * factor
+    return Polynomial(ring, {unpack(t >> shift): c * factor % char if char else c * factor
                              for t, c in terms.items()}, _normalized=True)
 
 
@@ -187,17 +208,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     the remainder has no term divisible by any leading term of the basis,
     and f minus the remainder lies in the ideal generated by the basis."""
     ring = f.ring
-    basis = [g for g in basis if not g.is_zero()]
-    _check_rings(ring, basis, "basis")
+    basis = _nonzero(basis, ring, "basis")
     if not f.terms:
         return f
-    if ring.char:
-        terms, num, den = f.terms, 1, 1
-    else:
-        terms, num, den = integer_terms(f.terms)
-    pack = ring.pack
-    remainder, rnum, rden = _reduce({pack(e): c for e, c in terms.items()},
-                                    [g.reducer() for g in basis], ring)
+    terms, num, den = _packed(f)
+    remainder, rnum, rden = _reduce(terms, [g.reducer() for g in basis], ring)
     # the remainder is num/den · rnum/rden times the exact one
     return _unpacked(ring, remainder, None if ring.char else Fraction(den * rden, num * rnum))
 
@@ -207,7 +222,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     leading monomials, from the packed `_s_terms` of their reducer entries
     scaled back; for monic f and g this is the usual S-polynomial."""
     ring = f.ring
-    _check_rings(ring, [g], "operands")
+    _nonzero([g], ring, "operands")
     ef, eg = f.leading_exp(), g.leading_exp()
     ff, fg = f.reducer(), g.reducer()
     terms = _s_terms(ff, fg, ring.pack(_exp_lcm(ef, eg)), ring)
@@ -225,13 +240,8 @@ def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
         return f
     lead, a, tail = b.reducer()
     # live terms are num/den times those of f - q*b; b is lc(b)/a times a*x^lead - tail
-    if ring.char:
-        terms, num, den = f.terms, 1, 1
-    else:
-        terms, num, den = integer_terms(f.terms)
-    pack, borrow = ring.pack, ring.borrow
-    terms = {pack(e): c for e, c in terms.items()}
-    one = pack((0,) * ring.nvars)
+    terms, num, den = _packed(f)
+    borrow, one = ring.borrow, ring.pack((0,) * ring.nvars)
     heap = list(terms)
     heapify(heap)
     quotient = {}
@@ -266,43 +276,33 @@ class GroebnerBasis:
         return len(self.generators) == 1 and self.generators[0].is_one()
 
 
-def _interreduce(basis, ring):
-    """The reduced Groebner basis from a Groebner basis given as reducer
-    entries, in one pass, as monic `Polynomial`s sorted by leading monomial.
+def _interreduce(basis, big, ring):
+    """The reduced Groebner basis from a Groebner basis over big given as
+    reducer entries free of the tags of `eliminate` (the leading variables
+    of big that ring lacks), in one pass, as monic `Polynomial`s over ring
+    sorted by leading monomial.
 
     Elements whose leading term is divisible by another's (the earlier
     one, on a tie) are dropped; each remaining element is then reduced once
     against the others, which leaves its leading term alone, and made
     monic."""
-    borrow = ring.borrow
+    borrow = big.borrow
     leads = [entry[0] for entry in basis]
     kept = [g for i, g in enumerate(basis)
             if not any(j != i and _lead_divides(lj, leads[i], borrow)
                        and (j < i or lj != leads[i]) for j, lj in enumerate(leads))]
-    reduced = []
     char, unpack = ring.char, ring.unpack
-    for i, (lead, a, tail) in enumerate(kept):
+    shift = _FIELD * (big.nvars - ring.nvars)
+    reduced = []
+    for entry in sorted(kept, reverse=True):  # by leading term, distinct ones
+        lead, a, tail = entry
         terms = {t: (char - c if char else -c) for t, c in tail}
         terms[lead] = a
-        r = _reduce(terms, kept[:i] + kept[i + 1:], ring)[0]
-        p = _unpacked(ring, r, ring.coeff_inv(r[lead]))
-        p._lead = unpack(lead)
+        r = _reduce(terms, [g for g in kept if g is not entry], big)[0]
+        p = _unpacked(ring, r, ring.coeff_inv(r[lead]), shift)
+        p._lead = unpack(lead >> shift)
         reduced.append(p)
-    reduced.sort(key=lambda p: ring.pack(p.leading_exp()), reverse=True)
     return reduced
-
-
-def _nonzero(gens, ring):
-    """(the nonzero generators, their ring), checking that they share it."""
-    gens = [g for g in gens if not g.is_zero()]
-    if gens:
-        ring = gens[0].ring
-    elif ring is None:
-        raise ValueError("cannot infer ring from an empty generator list")
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatchError("generators over different rings")
-    return gens, ring
 
 
 def _complete(gens, ring):
@@ -399,51 +399,53 @@ def _complete(gens, ring):
 
 
 def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by gens: `eliminate`
+    over the generators' own ring, with nothing to eliminate.
 
-    The zero ideal yields an empty basis.  When every nonzero generator is a
-    monomial, they already form a Groebner basis, and the reduced one is
-    their minimal elements made monic: no S-pair is formed.  Otherwise
-    `_complete` keeps the basis as packed reducer entries (primitive
-    integer ones over QQ, monic ones over GF(p)) and only the reduced basis
-    returned is made monic.
-    """
-    gens, ring = _nonzero(gens, ring)
-    if all(g.is_monomial() for g in gens):
-        one = ring.coeff(1)
-        minimal = sorted(_minimalize(g.leading_exp() for g in gens), key=ring.pack, reverse=True)
-        return GroebnerBasis(tuple(Polynomial(ring, {e: one}, _normalized=True)
-                                   for e in minimal))
-    G = _complete(gens, ring)
-    if G is None:
-        return GroebnerBasis((Polynomial.one(ring),))
-    return GroebnerBasis(tuple(_interreduce(G, ring)))
+    The ring is that of the nonzero generators; ring only names it when
+    there is none, and the zero ideal then yields an empty basis."""
+    ring = next((g.ring for g in gens if g.terms), ring)
+    if ring is None:
+        raise ValueError("cannot infer ring from an empty generator list")
+    return GroebnerBasis(eliminate(gens, ring))
 
 
 def eliminate(gens, ring: RingSpec) -> tuple:
-    """The reduced basis of (gens) ∩ k[ring's variables], in the order of
-    the gens' ring, for gens over a ring whose variables are some leading
-    ones followed by those of `ring`, and whose order is an elimination order
-    for the leading ones (`ideals.adjoin`).  The result lies in `ring`.
+    """The reduced basis of (gens) ∩ k[ring's variables], sorted by leading
+    monomial in the order of the gens' ring, for gens over a ring whose
+    variables are k leading ones, the tags, followed by those of `ring`,
+    and whose order is an elimination order for the tags (`ideals.adjoin`).
+    The result lies in `ring`.  With k = 0 this is the reduced basis of
+    (gens), which is `buchberger`; the zero ideal gives ().
 
-    In an elimination order a polynomial is free of the leading variables
-    iff its leading monomial is, so the elements of a Groebner basis of
-    (gens) that are free of them form a Groebner basis of the intersection
-    (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, §3.1); only
-    those are interreduced.  The unit ideal gives (1) as soon as `_complete`
-    meets a constant."""
-    gens, big = _nonzero(gens, ring)
+    In an elimination order a polynomial is free of the tags iff its
+    leading monomial is, so the elements of a Groebner basis of (gens) that
+    are free of them form a Groebner basis of the intersection (Cox, Little
+    and O'Shea, *Ideals, Varieties, and Algorithms*, §3.1); only those are
+    interreduced, by `_interreduce`, and only its reduced basis is made
+    monic.  The tag fields are a packed term's lowest bits, so a term is
+    free of the tags iff those bits are zero.  Generators that are all
+    monomials form a Groebner basis already, and a monomial ideal meets
+    k[ring's variables] in the ideal of its minimal generators free of the
+    tags: no S-pair is formed.  The unit ideal gives (1) as soon as
+    `_complete` meets a constant."""
+    big = next((g.ring for g in gens if g.terms), ring)
+    gens = _nonzero(gens, big, "generators")
     if not gens:
         return ()
     k = big.nvars - ring.nvars
     if big.char != ring.char or k < 0 or big.variables[k:] != ring.variables:
         raise RingMismatchError("the generators' ring does not end in the target ring")
+    if all(g.is_monomial() for g in gens):
+        one = ring.coeff(1)
+        minimal = sorted(_minimalize(g.leading_exp() for g in gens), key=big.pack, reverse=True)
+        return tuple(Polynomial(ring, {e[k:]: one}, _normalized=True)
+                     for e in minimal if not any(e[:k]))
     G = _complete(gens, big)
     if G is None:
         return (Polynomial.one(ring),)
-    kept = [g for g in G if not any(big.unpack(g[0])[:k])]
-    return tuple(Polynomial(ring, {e[k:]: c for e, c in g.terms.items()}, _normalized=True)
-                 for g in _interreduce(kept, big))
+    tags = (1 << _FIELD * k) - 1
+    return tuple(_interreduce([g for g in G if not g[0] & tags], big, ring))
 
 
 def spoly_certificate(basis: GroebnerBasis) -> bool:

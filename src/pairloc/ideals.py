@@ -46,7 +46,6 @@ which is never a unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionError, RingMismatchError
 from .groebner import (GroebnerBasis, buchberger, eliminate, exact_divide, normal_form,
@@ -120,7 +119,7 @@ class Ideal:
     def member(self, f: Polynomial) -> bool:
         if f.ring != self.ring:
             raise RingMismatchError("element over a different ring")
-        return normal_form(f, list(self.groebner())).is_zero()
+        return not self.normal_form(f)
 
     def is_unit(self):
         """Whether this is (1).  A monomial ideal is (1) iff a generator is a
@@ -335,8 +334,8 @@ def _contained(A: Ideal, fs) -> bool:
                               (e for f in fs for e in f))
     if len(gens) == 1:
         return all(_principal_member(f, gens[0], ring) for f in fs)
-    A = Ideal(ring, [_polynomial(ring, g) for g in gens])
-    return all(_groebner_member(_polynomial(ring, f), A) for f in fs)
+    A = Ideal(ring, [Polynomial(ring, g) for g in gens])
+    return all(_groebner_member(Polynomial(ring, f), A) for f in fs)
 
 
 def _groebner_member(f: Polynomial, A: Ideal) -> bool:
@@ -445,13 +444,6 @@ def _substitution(g, i, e, char):
         return out
 
     return substitute
-
-
-def _polynomial(ring, terms):
-    """The `Polynomial` of a term dict from `_pivoted`: Fractions over QQ."""
-    if not ring.char:
-        terms = {t: Fraction(a) for t, a in terms.items()}
-    return Polynomial(ring, terms, _normalized=True)
 
 
 def _principal_member(f, g, ring) -> bool:

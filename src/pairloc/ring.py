@@ -437,13 +437,13 @@ class Polynomial:
                 for v, e in zip(self.ring.variables, exp) if e
             )
             if not mono:
-                frag = str(c)
+                frag = _scalar_text(c)
             elif c == self.ring.coeff(1):
                 frag = mono
             elif self.ring.char == 0 and c == -1:
                 frag = f"-{mono}"
             else:
-                frag = f"{c}*{mono}"
+                frag = f"{_scalar_text(c)}*{mono}"
             pieces.append(frag)
         out = pieces[0]
         for frag in pieces[1:]:
@@ -452,6 +452,18 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _scalar_text(c):
+    """str(c) for a Fraction or int c of any size.  str refuses an int of
+    more digits than `sys.get_int_max_str_digits` allows (4,300 by default),
+    and `decimal.Decimal` converts one exactly with no such limit."""
+    try:
+        return str(c)
+    except ValueError:
+        from decimal import Decimal  # only for such long coefficients
+        num, den = (str(Decimal(n)) for n in (c.numerator, c.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 # -- parsing ------------------------------------------------------------------

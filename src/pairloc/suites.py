@@ -13,7 +13,7 @@ from .betti import depth_quotient, hochster_betti, polarize
 from .cech import build_cech, collapse, position_zero_kernel
 from .groebner import spoly_certificate
 from .ideals import Ideal, MonomialIdeal, in_radical
-from .invariants import ara_upper_bound, pair_depth
+from .invariants import all_face_primes, ara_upper_bound, pair_depth
 from .oracles import ass_monomial, gamma_colimit_oracle, gamma_minprime_oracle, koszul_tor
 from .ring import Polynomial
 from .samples import (DEFAULT_SEED, random_homogeneous_ideal, random_monomial_context,
@@ -76,7 +76,6 @@ def suite_prop17(samples=200, seed=DEFAULT_SEED):
     ring = standard_ring(3)
     n = ring.nvars
     failures = []
-    from .invariants import all_face_primes
     faces = [f.to_ideal(ring) for f in all_face_primes(n) if f.vars]
     faces.append(Ideal.zero(ring))
     for k in range(samples):

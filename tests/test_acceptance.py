@@ -210,12 +210,11 @@ def _run_scripted_session(tmp_path):
     at most one worker per CPU."""
     session = tmp_path / "session.txt"
     session.write_text(SESSION_TEXT)
-    env = dict(os.environ, PAIRLOC_SEED="11")
 
     def run(argv):
         cmd = [sys.executable, "-m", "pairloc.cli", *argv,
                "--session", str(session), "--no-timings"]
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, (argv, proc.stderr)
         return proc.stdout
 

@@ -8,6 +8,7 @@ from pairloc import cech
 from pairloc.cli import main, mono_json, parse_session
 from pairloc.errors import ParseError
 from pairloc.oracles import gamma_minprime_oracle
+from pairloc.samples import DEFAULT_SEED
 from pairloc.suites import SUITES, run_suite
 from pairloc.support import PairSpec
 from pairloc.torsion import PairContext
@@ -238,20 +239,27 @@ def test_check_command_seeded():
     assert report["inputs"]["seed"] == 5
 
 
-def test_check_env_seed(monkeypatch):
-    monkeypatch.setenv("PAIRLOC_SEED", "99")
-    _, out, _ = run(["check", "--suite", "torsion-free", "--samples", "5",
-                     "--no-timings"])
-    assert json.loads(out)["inputs"]["seed"] == 99
+def test_check_takes_its_seed_from_the_flag_alone(monkeypatch):
+    monkeypatch.setenv("PAIRLOC_SEED", "abc")  # no environment variable sets the seed
+    code, out, _ = run(["check", "--suite", "groebner", "--samples", "2", "--no-timings"])
+    assert code == 0
+    assert json.loads(out)["inputs"]["seed"] == DEFAULT_SEED
 
 
-def test_check_rejects_non_integer_env_seed(monkeypatch):
-    monkeypatch.setenv("PAIRLOC_SEED", "abc")
-    code, out, err = run(["check", "--suite", "groebner", "--samples", "2",
-                          "--no-timings"])
-    assert code == 2
-    assert out == ""
-    assert "PAIRLOC_SEED" in json.loads(err)["error"]
+# a reduced basis whose constant, 11·10^4299 − 1, has more digits than str converts
+LONG_CONSTANT_SESSION = ("ring QQ[y,z]\nideal K = y*z + y + 1" + "0" * 4299
+                         + ", 11*y + 1\nideal I = 1\n")
+
+
+@pytest.mark.parametrize("argv", [["gb", "--ideal", "K"], ["saturate", "--a", "K", "--b", "I"],
+                                  ["intersect", "--a", "K", "--b", "I"],
+                                  ["colon", "--a", "K", "--b", "I"]])
+def test_a_basis_constant_past_the_digit_limit_of_str_is_printed(tmp_path, argv):
+    path = tmp_path / "session.txt"
+    path.write_text(LONG_CONSTANT_SESSION)
+    code, out, err = run([*argv, "--session", str(path), "--no-timings"])
+    assert code == 0, err
+    assert "z - 10" + "9" * 4299 in json.loads(out)["result"]["generators"]
 
 
 def test_check_all_suites():

@@ -1,11 +1,16 @@
 """Every input the grammar can be handed exits 0 or 2, never 1.
 
 A hypothesis harness drives `cli.main` in process with session files and
-`-f` values drawn from the grammar, both valid and mutated: digit strings of
-1 to 5,000 characters in coefficients and in GF(...), unknown and repeated
-names, stray characters, empty pieces and bytes that are not UTF-8.  Exit 2
-must print one JSON error to stderr and nothing to stdout; exit 0 one JSON
-report to stdout and nothing to stderr.
+polynomial arguments drawn from the grammar, both valid and mutated: digit
+strings of 1 to 5,000 characters in coefficients and in GF(...), unknown and
+repeated names, stray characters, empty pieces and bytes that are not UTF-8.
+One test draws `gb`, `member`, `radical-member` and `dim`; the other any
+subcommand but `check`, each flag of its `cli.COMMANDS` row drawn by kind:
+ideal names bound in the session or not, polynomials for `-f`, `--element`
+and (';'-joined) `--elements`, variable names for `--vars`, and one of the
+choices of a flag that has them.  Exit 2 must print one JSON error to stderr
+and nothing to stdout; exit 0 one JSON report to stdout and nothing to
+stderr.
 
 Valid exponents stay at 3 or below, and long exponent strings have 20 or more
 digits, past `EXP_LIMIT`, so that every draw is refused or cheap: a large
@@ -18,12 +23,16 @@ import json
 from functools import lru_cache
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from pairloc import cli
 from pairloc.cli import main
 
+from test_cli import LONG_CONSTANT_SESSION
+
 COMMANDS = ["gb", "member", "radical-member", "dim"]
+SUBCOMMANDS = [name for name in cli.COMMANDS if name != "check"]
 NAMES = ["x", "y", "z"]
 UNKNOWN = ["w", "xy", "_", "I"]  # names no ring below declares
 STRAY = ["$", "^", "*", "+", "-", "(", ")", ",", "=", "[", "]", "#", " ", "\t",
@@ -93,9 +102,8 @@ def _mutated(draw, text):
     return text
 
 
-@st.composite
-def sessions(draw):
-    """(session bytes, argv) for one of the commands."""
+def _session(draw):
+    """(session bytes, the variables drawn for the ring, the ideal names bound)."""
     names = [v for v in NAMES if _now_and_then(draw, 2)] or ["x"]
     field = _digits(draw, 1, 5000) if _now_and_then(draw, 10) else _pick(draw, FIELDS)
     ring_names = list(names)
@@ -119,15 +127,60 @@ def sessions(draw):
     if _now_and_then(draw, 20):
         at = draw(_below(len(data) + 1))
         data = data[:at] + _pick(draw, NOT_UTF8) + data[at:]
+    return data, names, bound
+
+
+def _argument(draw, names):
+    """A drawn polynomial, mutated now and then, as a command line hands it
+    over: bytes that are not UTF-8 as surrogate escapes."""
+    f = _mutated(draw, _polynomial(draw, names)).encode()
+    if _now_and_then(draw, 20):
+        f += _pick(draw, NOT_UTF8)
+    return f.decode("utf-8", "surrogateescape")
+
+
+@st.composite
+def sessions(draw):
+    """(session bytes, argv) for one of COMMANDS."""
+    data, names, bound = _session(draw)
     command = _pick(draw, COMMANDS)
     name = _pick(draw, ["I", "K"] if not bound or _now_and_then(draw, 10) else bound)
     argv = [command, f"--ideal={name}", "--no-timings"]
     if command in ("member", "radical-member"):
-        f = _mutated(draw, _polynomial(draw, names)).encode()
-        if _now_and_then(draw, 20):
-            f += _pick(draw, NOT_UTF8)
-        # how a command line hands over bytes that are not UTF-8
-        argv.append("-f" + f.decode("utf-8", "surrogateescape"))
+        argv.append("-f" + _argument(draw, names))
+    return data, argv
+
+
+def _value(draw, flag, kwargs, names, bound):
+    """A value for one flag of a `cli.COMMANDS` row: one of its choices, a
+    polynomial or ';'-joined polynomials, drawn variable names, or else the
+    name of an ideal, bound in the session or not ("K" never is)."""
+    if "choices" in kwargs:
+        return _pick(draw, kwargs["choices"])
+    if flag in ("-f", "--element"):
+        return _argument(draw, names)
+    if flag == "--elements":
+        return ";".join(_argument(draw, names) for _ in range(1 + draw(_below(3))))
+    if flag == "--vars":
+        return ",".join(_pick(draw, UNKNOWN if _now_and_then(draw, 10) else names)
+                        for _ in range(draw(_below(3))))
+    return _pick(draw, bound + ["K"])
+
+
+@st.composite
+def subcommands(draw):
+    """(session bytes, argv) for any subcommand but check: every required
+    flag, each optional one now and then, and an appended one once or twice."""
+    data, names, bound = _session(draw)
+    command = _pick(draw, SUBCOMMANDS)
+    argv = [command, "--no-timings"]
+    for flag, kwargs in cli.COMMANDS[command].arguments.items():
+        if not kwargs.get("required") and _now_and_then(draw, 2):
+            continue
+        for _ in range(1 + (kwargs.get("action") == "append" and draw(_below(2)))):
+            # attached, so that a value starting with "-" is not read as a flag
+            argv.append(flag + ("=" if flag.startswith("--") else "")
+                        + _value(draw, flag, kwargs, names, bound))
     return data, argv
 
 
@@ -136,9 +189,7 @@ def session_path(tmp_path_factory):
     return tmp_path_factory.mktemp("grammar") / "session.txt"
 
 
-@settings(max_examples=500, deadline=None)
-@given(sessions())
-def test_every_drawn_input_exits_0_or_2(session_path, case):
+def _exits_0_or_2(session_path, case):
     data, argv = case
     session_path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
@@ -151,3 +202,16 @@ def test_every_drawn_input_exits_0_or_2(session_path, case):
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert ("result" in payload) == (code == 0) and ("error" in payload) == (code == 2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sessions())
+def test_every_drawn_input_exits_0_or_2(session_path, case):
+    _exits_0_or_2(session_path, case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subcommands())
+@example(case=(LONG_CONSTANT_SESSION.encode(), ["gb", "--no-timings", "--ideal=K"]))
+def test_every_drawn_subcommand_exits_0_or_2(session_path, case):
+    _exits_0_or_2(session_path, case)

@@ -64,11 +64,18 @@ def test_a_constant_ends_the_completion_with_the_unit_ideal(monkeypatch):
        st.sampled_from([0, 32003]), st.sampled_from([LEX, GREVLEX, elimination(1, 2)]))
 def test_monomial_generators_form_no_s_pair(exps, char, order):
     r = RingSpec(char, ("x", "y", "z"), order)
+    small = RingSpec(char, ("y", "z"), LEX if order == LEX else GREVLEX)
     gens = [Polynomial.monomial(r, e, 2) for e in exps]
-    general = tuple(groebner._interreduce(groebner._complete(gens, r), r))
+    general = tuple(groebner._interreduce(groebner._complete(gens, r), r, r))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groebner, "_complete", None)  # any completion would fail
         fast = buchberger(gens).generators
+        # buchberger never eliminates, whatever ring it is handed
+        assert buchberger(gens, small).generators == fast
+        # a monomial ideal meets k[y, z] in its minimal generators free of x
+        assert eliminate(gens, small) == tuple(
+            Polynomial(small, {e[1:]: c for e, c in g.terms.items()})
+            for g in general if not g.leading_exp()[0])
     assert fast == general
     assert all(type(c) is type(r.coeff(1)) for g in fast for c in g.terms.values())
 

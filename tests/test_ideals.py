@@ -390,6 +390,10 @@ def test_eliminations_match_the_t_free_part_of_the_full_basis(seed, char, nvars)
         # an empty t-free part is the zero ideal, which Ideal writes as (0,)
         assert saturate(A, Ideal(r, (f,))).gens == (rabinowitsch or (Polynomial.zero(r),))
     assert radical_member_groebner(f, A) == (len(rabinowitsch) == 1 and rabinowitsch[0].is_one())
+    # all-monomial generators over k[t, x], t in some of them: the shortcut with a tag
+    monomials = [Polynomial.monomial(big, [rng.randint(0, 2) for _ in range(nvars + 1)],
+                                     rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+    assert eliminate(monomials, r) == _t_free_reference(monomials, r)
 
 
 def test_clear_caches_makes_an_existing_ideal_cold(monkeypatch):
