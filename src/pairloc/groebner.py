@@ -191,15 +191,13 @@ def _packed(f):
     return {pack(e): c for e, c in terms.items()}, num, den
 
 
-def _unpacked(ring, terms, factor=None, shift=0):
+def _unpacked(ring, terms, factor=None):
     """The `Polynomial` over ring of a map from packed terms to
-    coefficients, each times factor if one is given.  With a factor, each
-    term loses its lowest shift bits first: the fields of the tags that
-    `eliminate` drops, which are zero in a term free of them."""
+    coefficients, each times factor if one is given."""
     unpack, char = ring.unpack, ring.char
     if factor is None:
         return Polynomial(ring, {unpack(t): c for t, c in terms.items()}, _normalized=True)
-    return Polynomial(ring, {unpack(t >> shift): c * factor % char if char else c * factor
+    return Polynomial(ring, {unpack(t): c * factor % char if char else c * factor
                              for t, c in terms.items()}, _normalized=True)
 
 
@@ -222,7 +220,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     leading monomials, from the packed `_s_terms` of their reducer entries
     scaled back; for monic f and g this is the usual S-polynomial."""
     ring = f.ring
-    _nonzero([g], ring, "operands")
+    if g.ring is not ring and g.ring != ring:
+        raise RingMismatchError("operands over a different ring")
     ef, eg = f.leading_exp(), g.leading_exp()
     ff, fg = f.reducer(), g.reducer()
     terms = _s_terms(ff, fg, ring.pack(_exp_lcm(ef, eg)), ring)
@@ -280,18 +279,21 @@ def _interreduce(basis, big, ring):
     """The reduced Groebner basis from a Groebner basis over big given as
     reducer entries free of the tags of `eliminate` (the leading variables
     of big that ring lacks), in one pass, as monic `Polynomial`s over ring
-    sorted by leading monomial.
+    sorted by leading monomial in big's order.
 
     Elements whose leading term is divisible by another's (the earlier
     one, on a tie) are dropped; each remaining element is then reduced once
     against the others, which leaves its leading term alone, and made
-    monic."""
+    monic.  A tag field is a packed term's lowest bits, zero in these
+    terms, so shifting it away leaves a term of ring; the leading exponent
+    is kept on the result only when big is ring, as big's order on ring's
+    variables need not be ring's own."""
     borrow = big.borrow
     leads = [entry[0] for entry in basis]
     kept = [g for i, g in enumerate(basis)
             if not any(j != i and _lead_divides(lj, leads[i], borrow)
                        and (j < i or lj != leads[i]) for j, lj in enumerate(leads))]
-    char, unpack = ring.char, ring.unpack
+    char, same = ring.char, big == ring
     shift = _FIELD * (big.nvars - ring.nvars)
     reduced = []
     for entry in sorted(kept, reverse=True):  # by leading term, distinct ones
@@ -299,8 +301,10 @@ def _interreduce(basis, big, ring):
         terms = {t: (char - c if char else -c) for t, c in tail}
         terms[lead] = a
         r = _reduce(terms, [g for g in kept if g is not entry], big)[0]
-        p = _unpacked(ring, r, ring.coeff_inv(r[lead]), shift)
-        p._lead = unpack(lead >> shift)
+        unshifted = {t >> shift: c for t, c in r.items()} if shift else r
+        p = _unpacked(ring, unshifted, ring.coeff_inv(r[lead]))
+        if same:
+            p._lead = ring.unpack(lead)
         reduced.append(p)
     return reduced
 

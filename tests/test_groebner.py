@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloc import groebner
-from pairloc.errors import ExponentOverflowError
+from pairloc.errors import ExponentOverflowError, RingMismatchError
 from pairloc.groebner import (buchberger, eliminate, normal_form, s_polynomial,
                               spoly_certificate)
 from pairloc.ideals import adjoin, exact_divide
@@ -105,6 +105,12 @@ def test_s_polynomial_cancels_leads():
     s = s_polynomial(f, g)
     lead = s.leading_exp()
     assert r.pack(lead) > r.pack((2, 2, 0))
+
+
+def test_s_polynomial_refuses_an_operand_over_another_ring():
+    r, other = ring("xyz"), ring("xyw")
+    with pytest.raises(RingMismatchError):
+        s_polynomial(pp(r, "x*y"), Polynomial.zero(other))
 
 
 def _sympy_groebner(gens, r):

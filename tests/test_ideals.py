@@ -11,7 +11,7 @@ from pairloc.groebner import buchberger, eliminate
 from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, adjoin, clear_caches,
                             colon, dim_quotient, exact_divide, in_radical, intersect,
                             radical_member, radical_member_groebner, saturate)
-from pairloc.ring import GREVLEX, Polynomial, RingSpec
+from pairloc.ring import GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.support import s_certificate
 from pairloc.samples import random_monomial_ideal, random_polynomial, standard_ring
 
@@ -395,6 +395,17 @@ def test_eliminations_match_the_t_free_part_of_the_full_basis(seed, char, nvars)
                                      rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
     assert eliminate(monomials, r) == _t_free_reference(monomials, r)
 
+
+@pytest.mark.parametrize("order", [LEX, elimination(1, 1)])
+def test_elimination_results_lead_in_their_own_rings_order(order):
+    # the tag ring orders x, y by grevlex, where y^3 leads x^2 + y^3
+    r = RingSpec(0, ("x", "y"), order)
+    A = Ideal(r, (pp(r, "x^2 + y^3"), pp(r, "x*y")))
+    for op in (intersect, saturate, colon):
+        result = op(A, Ideal.unit(r))
+        assert [g.leading_exp() for g in result.gens] == [min(g.terms, key=r.pack)
+                                                           for g in result.gens]
+        assert [str(g) for g in result.sorted_gens()] == ["x^3", "x^2 + y^3", "x*y"]
 
 def test_clear_caches_makes_an_existing_ideal_cold(monkeypatch):
     import pairloc.ideals as ideals
