@@ -2,13 +2,14 @@
 
 Polynomial arithmetic over QQ or GF(p), a Groebner engine, ideal algebra
 with monomial fast paths, the pair-torsion functor computed by independent
-routes, Betti/depth machinery, vanishing invariants, and a structural
-generalized Čech skeleton, all exposed through the `pairloc` CLI.
+routes, Betti/depth machinery, vanishing invariants, and the collapse rule
+and position-0 kernel of the generalized Čech complex, all exposed through
+the `pairloc` CLI.
 """
 
 from .betti import (INFINITY, BettiTable, depth_at_face, depth_quotient,
                     hochster_betti, polarize)
-from .cech import CechSkeleton, build_cech, collapse, position_zero_kernel
+from .cech import collapse, position_zero_kernel
 from .errors import (ExponentOverflowError, PairlocError, ParseError,
                      PreconditionError, RingMismatchError)
 from .groebner import GroebnerBasis, buchberger, normal_form

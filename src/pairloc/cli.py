@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .betti import INFINITY, depth_at_face, depth_quotient, hochster_betti
-from .cech import build_cech, collapse, position_zero_kernel
+from .cech import collapse, position_zero_kernel
 from .errors import PairlocError, ParseError, PreconditionError
 from .ideals import (FacePrime, Ideal, colon, dim_quotient, intersect,
                      radical_member, saturate)
@@ -269,14 +269,11 @@ def cmd_cech(session, args):
     elements = [parse_polynomial(ring, piece)
                 for piece in args.elements.split(";")]
     J = session.ideal(args.J)
-    sk = build_cech(elements, J)
-    collapsed = collapse(sk)
+    surviving = collapse(elements, J)
     result = {
-        "length": sk.length,
-        "collapsedLength": collapsed.length,
-        "terms": sk.terms(),
-        "collapsedTerms": collapsed.terms(),
-        "pretty": collapsed.pretty(),
+        "length": len(elements),
+        "survivingElements": [str(a) for a in surviving],
+        "collapsedLength": len(surviving),
     }
     witnesses = {}
     if args.K is not None:
@@ -315,7 +312,7 @@ COMMANDS = {
     "member": Command(_element_test(lambda f, A: A.member(f)), "ideal-membership",
                       _ELEMENT_OF_IDEAL),
     "radical-member": Command(_element_test(radical_member),
-                              "radical-membership-by-auxiliary-variable", _ELEMENT_OF_IDEAL),
+                              "radical-membership", _ELEMENT_OF_IDEAL),
     "intersect": Command(_ideal_op(intersect), "ideal-intersection-by-elimination", _TWO_IDEALS),
     "colon": Command(_ideal_op(colon), "ideal-quotient", _TWO_IDEALS),
     "saturate": Command(_ideal_op(saturate), "ideal-saturation", _TWO_IDEALS),

@@ -161,7 +161,8 @@ def test_criterion_10_lichtenbaum_hartshorne_catalog():
 
 def test_criterion_11_cech_structure():
     ok, _ = _suite_ok("cech", 100)
-    _line(11, "collapse idempotence + factorwise kernels on 100 instances", ok)
+    _line(11, "collapse keeps the kernel + factorwise kernels + ara bound "
+              "on 100 instances", ok)
 
 
 SESSION_TEXT = """\

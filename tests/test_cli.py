@@ -283,9 +283,11 @@ def test_cech_command(session_file):
                         "--elements", "x;y", "--J", "J", "--K", "K",
                         "--no-timings"])
     assert code == 0
-    report = json.loads(out)
-    assert report["result"]["length"] == 2
-    assert "positionZeroKernel" in report["result"]
+    result = json.loads(out)["result"]
+    # y ∈ √J = (y) collapses its factor; the token lists are gone
+    assert result == {"length": 2, "survivingElements": ["x"], "collapsedLength": 1,
+                      "positionZeroKernel": ["y"]}
+    assert not {"terms", "collapsedTerms", "pretty"} & set(result)
 
 
 def test_pair_depth_command(session_file):

@@ -93,24 +93,52 @@ def test_clear_caches_empties_every_module_cache():
     assert [name for name, cache in caches.items() if cache] == []
 
 
-def test_every_public_method_has_a_use_outside_the_tests():
-    # a method that only tests call is test-only API: the tests should ask
-    # the question the package answers, or the method should go
-    words = {}  # word -> (file, line) pairs where it occurs
+def _words():
+    """word -> the (file, line) pairs where it occurs in the package, in
+    scripts/ and in bench/; the package's __init__ only re-exports, so its
+    lines are left out."""
+    words = {}
     files = [*PACKAGE.rglob("*.py"), *(ROOT / "scripts").rglob("*.py"),
              *(ROOT / "bench").rglob("*.py")]
     for path in files:
+        if path == PACKAGE / "__init__.py":
+            continue
         for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             for word in re.findall(r"\w+", text):
                 words.setdefault(word, set()).add((path, line))
+    return words
+
+
+def _unused(words, module, nodes):
+    """The public functions and classes among nodes that no line outside
+    their own definition names."""
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        start = min([d.lineno for d in node.decorator_list] + [node.lineno])
+        own = {(PACKAGE / module, line) for line in range(start, node.end_lineno + 1)}
+        if not words.get(node.name, set()) - own:
+            yield node
+
+
+def test_every_public_method_has_a_use_outside_the_tests():
+    # a method that only tests call is test-only API: the tests should ask
+    # the question the package answers, or the method should go
+    words = _words()
     unused = []
     for module, tree in _sources():
         for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            for node in cls.body:
-                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                    continue
-                start = min([d.lineno for d in node.decorator_list] + [node.lineno])
-                own = {(PACKAGE / module, line) for line in range(start, node.end_lineno + 1)}
-                if not words.get(node.name, set()) - own:
-                    unused.append(f"{module}:{node.lineno} {cls.name}.{node.name}")
+            unused += [f"{module}:{node.lineno} {cls.name}.{node.name}"
+                       for node in _unused(words, module, cls.body)
+                       if isinstance(node, ast.FunctionDef)]
+    assert unused == []
+
+
+def test_every_public_function_and_class_has_a_use_outside_the_tests():
+    # likewise for module-level definitions; a re-export in __init__ is no use
+    words = _words()
+    unused = []
+    for module, tree in _sources():
+        unused += [f"{module}:{node.lineno} {node.name}"
+                   for node in _unused(words, module, tree.body)]
     assert unused == []
