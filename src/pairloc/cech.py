@@ -16,23 +16,30 @@ from .support import PairSpec
 from .torsion import GammaResult, PairContext, gamma_monomial
 
 
-def collapse(elements, J: Ideal) -> tuple:
-    """The elements outside √J, in input order: the factors that survive the
-    collapse rule.  An empty list, or an element over another ring than J's,
-    is a `PreconditionError`."""
+def _checked(elements, J: Ideal) -> tuple:
+    """The elements as a tuple.  An empty list, or an element over another
+    ring than J's, is a `PreconditionError`."""
     elements = tuple(elements)
     if not elements:
         raise PreconditionError("at least one element is required")
     for a in elements:
         if a.ring != J.ring:
             raise PreconditionError("elements must live in the ring of J")
-    return tuple(a for a in elements if not radical_member(a, J))
+    return elements
+
+
+def collapse(elements, J: Ideal) -> tuple:
+    """The elements outside √J, in input order: the factors that survive the
+    collapse rule.  The input is checked as in `position_zero_kernel`."""
+    return tuple(a for a in _checked(elements, J) if not radical_member(a, J))
 
 
 def position_zero_kernel(elements, J: Ideal, K: Ideal) -> GammaResult:
     """Kernel of M -> product of one-factor localizations, i.e. the torsion
     submodule for the pair ((elements), J); cross-checked against the
-    intersection of the single-factor kernels."""
+    intersection of the single-factor kernels.  An empty list, or an element
+    over another ring than J's, is a `PreconditionError`."""
+    elements = _checked(elements, J)
     ring = J.ring
     I = Ideal(ring, tuple(elements))
     ctx = PairContext(PairSpec(I, J), K)

@@ -342,7 +342,7 @@ COMMANDS = {
                                                     "default": "simplicial"}}),
     "pair-depth": Command(cmd_pair_depth, "depth-infimum-over-support",
                           {**_PAIR, "--extra": {"action": "append"}}),
-    "cech": Command(cmd_cech, "generalized-cech-skeleton",
+    "cech": Command(cmd_cech, "generalized-cech-collapse-and-kernel",
                     {"--elements": {"required": True, "help": "';'-separated polynomials"},
                      "--J": _REQUIRED, "--K": {}}),
     "check": Command(cmd_check, "property-suite",

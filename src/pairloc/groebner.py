@@ -1,4 +1,4 @@
-"""Polynomial reduction and Buchberger's algorithm.
+"""Polynomial reduction and Groebner bases.
 
 Every reduction runs through one kernel, `_reduce`, on packed terms
 (`ring.RingSpec.pack`): one int per term, the order key above the
@@ -19,20 +19,18 @@ all; the kernel builds no Fraction, and `normal_form` applies the scale once.
 Over GF(p) the same loop runs with monic divisors and no rescaling.  Each
 polynomial's reducer entry is computed once (`Polynomial.reducer`).
 
-Buchberger's completion loop (`_complete`) keeps its basis as packed
-reducer entries from the generators to the end, primitive integer ones over
-QQ and monic ones over GF(p); it deduplicates and sorts the generators on
-these entries.  S-polynomials are formed (`_s_terms`) and reduced in packed
-form.  Pairs are pruned when an element enters, by the Gebauer–Möller
-update (J. Symbolic Comput. 6, 1988): the F and M criteria on the new
-pairs, then the coprime criterion, the B criterion on the live old pairs,
-and an active set that drops each element whose leading term the new one
-divides.  Each pair's lcm is packed once, and the pairs wait in a heap by
-(sugar, −packed lcm, pair): the sugar strategy of Giovini et al. (ISSAC
-1991), which keeps the work degree by degree also in the block orders of
-eliminations, where the normal strategy alone would take the pairs of high
-degree in t first.  The loop stops at the first nonzero constant, since the
-ideal is then (1), and returns the active elements.
+The completion loop (`_complete`) is signature-based (Eder and Faugère,
+J. Symbolic Comput. 80, 2017): each element carries the signature of its
+representation in the generators, position over term, packed into one int
+as the generator's level above a packed monomial.  Pairs are taken in
+increasing signature; one goes when a syzygy's signature divides its own
+(the principal syzygies of the earlier generators, and every reduction to
+zero) or when another element rewrites it in the ratio order (Roune and
+Stillman, ISSAC 2012); reduction is regular, `_reduce` refusing any divisor
+whose multiple's signature is not below the element's.  Its basis stays
+packed reducer entries from the generators to the end, primitive integer
+ones over QQ and monic ones over GF(p), and it stops at the first nonzero
+constant, since the ideal is then (1).
 
 One routine, `eliminate`, turns generators into a reduced basis: it
 completes them over their own ring, keeps the elements free of the leading
@@ -106,7 +104,7 @@ def _add_multiple(terms, tail, shift, c, ring, heap=None):
                 del terms[t]
 
 
-def _reduce(terms, divisors, ring):
+def _reduce(terms, divisors, ring, sig=None):
     """The remainder of the live terms modulo the reducer entries
     (`Polynomial.reducer`) of a list of nonzero polynomials, as
     (remainder, num, den): the remainder maps packed terms to coefficients,
@@ -120,7 +118,13 @@ def _reduce(terms, divisors, ring):
     the one it cancels, so no later step reaches it, and scaling and content
     division keep one integer scale over the whole map.  The remainder has
     no term divisible by a divisor's leading term, and the polynomial minus
-    the remainder lies in the ideal the divisors generate."""
+    the remainder lies in the ideal the divisors generate.
+
+    With a signature sig (`_complete`), the reduction is regular: each
+    divisor is (lead, a, tail, q), q its signature less its leading term,
+    and it cancels a term only when its multiple's signature, q plus that
+    term, is below sig, that is a greater int.  A term that only such
+    multiples could cancel stays in the remainder."""
     borrow = ring.borrow
     heap = list(terms)
     heapify(heap)
@@ -131,11 +135,18 @@ def _reduce(terms, divisors, ring):
         if c is None:
             continue
         probe = item | borrow  # `_lead_divides`, with item | borrow hoisted
-        for lead, a, tail in divisors:
-            if (probe - lead) & borrow == borrow:
-                break
+        if sig is None:
+            for lead, a, tail in divisors:
+                if (probe - lead) & borrow == borrow:
+                    break
+            else:
+                continue
         else:
-            continue
+            for lead, a, tail, q in divisors:
+                if (probe - lead) & borrow == borrow and q + item > sig:
+                    break
+            else:
+                continue
         del terms[item]
         # a * terms - c * x^(item - lead) * g, over gcd(a, c); its leading term cancels c
         scale = 1
@@ -311,95 +322,107 @@ def _interreduce(basis, big, ring):
 
 def _complete(gens, ring):
     """A Groebner basis of the ideal of the nonzero gens, not interreduced,
-    as `Polynomial.reducer` entries; None when the ideal is (1), which is
-    known as soon as a nonzero constant turns up.
+    as `Polynomial.reducer` entries in the order they joined, redundant ones
+    included; None when the ideal is (1), which is known as soon as a
+    nonzero constant turns up.
 
-    The generators are deduplicated and sorted on their reducer entries,
-    canonical up to a scalar once the tail is sorted.  Each element enters
-    by the Gebauer–Möller update (UPDATE in Becker and Weispfenning,
-    *Groebner Bases*, §5.5), which prunes the pairs as the element h comes:
+    The RB algorithm of Eder and Faugère (J. Symbolic Comput. 80, 2017,
+    §7) with the ratio rewrite order (Roune and Stillman, ISSAC 2012).  The
+    generators are deduplicated and sorted on their reducer entries,
+    smallest leading term first; the k-th of n has the signature e_k, and
+    an element that a reduction yields has the signature of the S-pair it
+    came from.  A signature m·e_k is one int, the level n − k shifted above
+    the packed monomial m: as for packed terms, a smaller int is a greater
+    signature (position over term), and a monomial multiplies one by adding
+    its packed exponent difference.  The signatures of index k lie above
+    all earlier ones, so the generators enter one at a time, and all pairs
+    of one are taken before the next enters.
 
-    - F: of the new pairs {g, h}, g active, with one lcm only one is kept,
-      a coprime one if there is one, else the one of least sugar;
-    - M: a new pair goes when another one's lcm properly divides its own,
-      coprime ones counting; only then do the coprime ones go;
-    - B: a live old pair {i, j} of lcm L goes when lead(h) divides L and
-      lcm(i, h) ≠ L ≠ lcm(j, h);
-    - the active elements whose leading terms lead(h) divides stop being
-      active, that is, paired with later elements and returned.
-
-    S-polynomials are still reduced against every element so far, the
-    oldest divisor first: against the active ones only, some lex
-    completions over QQ took over 100 s in place of milliseconds.  Pairs are
-    taken by sugar (Giovini et al., ISSAC 1991): a generator's sugar is its
-    total degree and an S-polynomial's is the larger of its two parents'
-    sugars shifted by the degree of the lcm, the normal form keeping it.
-    The heap holds (sugar, −packed lcm, i, j), and pack(a) > pack(b) iff a
-    is below b, so equal sugars fall back to the smallest lcm and then to
-    the pair.  A pair that B dropped is skipped when it surfaces."""
-    pack, unpack, borrow = ring.pack, ring.unpack, ring.borrow
+    - A generator whose leading term no earlier element divides enters as
+      it is.  Any other is first reduced by the earlier elements, and one
+      that reduces to zero adds nothing.
+    - An S-pair has the greater of its two halves' signatures; a pair whose
+      halves have equal signatures is never formed.  Pairs are taken in
+      increasing signature T, one pair per T.
+    - A pair goes when a syzygy's signature divides T: lt(g)·e_k for every
+      element g of an earlier index (never pushed), and the signature of
+      each reduction to zero.
+    - A pair goes, rewritten, unless the element c of its greater half
+      minimizes (T/sig(c))·lt(c) among the elements whose signature divides
+      T, the later one on a tie.
+    - The S-polynomial's reduction is regular (`_reduce` with the
+      signature T).  A nonzero remainder joins the basis with signature T,
+      unless its leading term is that of a multiple of signature T (the
+      singular criterion), when it goes."""
+    pack, unpack, borrow, char = ring.pack, ring.unpack, ring.borrow, ring.char
     one = pack((0,) * ring.nvars)
-    sugars = {}  # generator entry, its tail sorted -> total degree
+    entries = set()  # generator entries, their tails sorted
     for g in gens:
         lead, a, tail = g.reducer()
         if lead == one:
             return None
-        sugars[lead, a, tuple(sorted(tail))] = g.total_degree()
-    G, leads, ecart = [], [], []  # per element: entry, leading exponents, sugar − their degree
-    active = []  # the indices of the active elements
-    pairs = {}  # live pair (i, j), i < j -> packed lcm of the leading terms
-    heap = []  # (sugar, −packed lcm, i, j) of the live pairs and of dropped ones
-
-    def update(entry, sugar):
-        h, lh = len(G), entry[0]
-        eh = unpack(lh)
-        G.append(entry)
-        leads.append(eh)
-        ecart.append(sugar - sum(eh))
-        lcms = {}  # element -> packed lcm of its leading term and lh
-
-        def lcm_with(i):
-            if i not in lcms:
-                lcms[i] = pack(_exp_lcm(leads[i], eh))
-            return lcms[i]
-
-        # F: of the new pairs with one lcm, a coprime one if any, else the one of least sugar
-        best = {}  # packed lcm -> (not coprime, sugar, g)
-        for g in active:
-            m = _exp_lcm(leads[g], eh)
-            lcms[g] = lcm = pack(m)
-            pair = (lcm + one != G[g][0] + lh, max(ecart[g], ecart[h]) + sum(m), g)
-            if lcm not in best or pair < best[lcm]:
-                best[lcm] = pair
-        # B on the live old pairs
-        for (i, j), lcm in list(pairs.items()):
-            if _lead_divides(lh, lcm, borrow) and lcm_with(i) != lcm != lcm_with(j):
-                del pairs[i, j]
-        # M on the new pairs, the coprime ones among the divisors; then the coprime criterion
-        for lcm, (useful, sugar, g) in best.items():
-            probe = lcm | borrow
-            if useful and not any(other != lcm and (probe - other) & borrow == borrow
-                                  for other in best):
-                pairs[g, h] = lcm
-                heappush(heap, (sugar, -lcm, g, h))
-        active[:] = [g for g in active if not _lead_divides(lh, G[g][0], borrow)]
-        active.append(h)
-
-    # by leading term, smallest first, then by the rest of the entry
-    for entry, degree in sorted(sugars.items(), key=lambda item: (-item[0][0], item[0][1:])):
-        update(entry, degree)
-    while heap:
-        sugar, _, i, j = heappop(heap)
-        lcm = pairs.pop((i, j), None)
-        if lcm is None:
-            continue
-        r = _reduce(_s_terms(G[i], G[j], lcm, ring), G, ring)[0]
-        if r:
-            entry = reducer_entry(r, ring.char)
+        entries.add((lead, a, tuple(sorted(tail))))
+    width = one.bit_length()  # every packed monomial lies below 1 << width
+    G, D, leads = [], [], []  # per element: its entry; the entry and signature − lead; lead exponents
+    for k, entry in enumerate(sorted(entries, key=lambda e: (-e[0], e[1:]))):
+        high = (len(entries) - k) << width
+        syz = [high + g[0] for g in G]  # the principal syzygies lt(g)·e_k
+        first = len(G)  # the elements of index k are G[first:]
+        lead = entry[0]
+        if any(_lead_divides(g[0], lead, borrow) for g in G):
+            terms = {t: char - c if char else -c for t, c in entry[2]}
+            terms[lead] = entry[1]
+            r = _reduce(terms, G, ring)[0]
+            if not r:
+                continue
+            entry = reducer_entry(r, char)
             if entry[0] == one:
                 return None
-            update(entry, sugar)
-    return [G[g] for g in active]
+        sig, heap, last = high + one, [], None
+        while entry is not None:
+            h, lh = len(G), entry[0]
+            eh = unpack(lh)
+            for g in range(h):
+                lcm = pack(_exp_lcm(leads[g], eh))
+                T, i, j = sig + lcm - lh, h, g
+                if g >= first:  # an element of index k: its half may be the greater
+                    other = D[g][3] + lcm
+                    if other == T:
+                        continue
+                    if other < T:
+                        T, i, j = other, g, h
+                probe = T | borrow
+                if not any((probe - z) & borrow == borrow for z in syz):
+                    heappush(heap, (-T, i, j, lcm))
+            G.append(entry)
+            D.append((*entry, sig - lh))
+            leads.append(eh)
+            entry = None
+            while heap:
+                T, i, j, lcm = heappop(heap)
+                T = -T
+                if T == last:
+                    continue
+                probe = T | borrow
+                if any((probe - z) & borrow == borrow for z in syz):
+                    continue
+                q = D[i][3]
+                if any((probe - d[3] - d[0]) & borrow == borrow and (d[3] < q or d[3] == q and c > i)
+                       for c, d in enumerate(D[first:], first) if c != i):
+                    continue
+                last = T
+                r = _reduce(_s_terms(G[i], G[j], lcm, ring), D, ring, T)[0]
+                if not r:
+                    syz.append(T)
+                    continue
+                new = reducer_entry(r, char)
+                lh = new[0]
+                if lh == one:
+                    return None
+                if not any(d[3] + lh == T and _lead_divides(d[0], lh, borrow) for d in D[first:]):
+                    entry, sig = new, T
+                    break
+    return G
 
 
 def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:

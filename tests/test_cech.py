@@ -44,6 +44,16 @@ def test_elements_over_another_ring_rejected():
         collapse([variables(s)[0]], Ideal.zero(r))
 
 
+def test_position_zero_kernel_checks_its_elements():
+    # as in `collapse`; the empty list was an InternalError of the factorwise cross-check
+    r, s = ring("xy"), ring("xyz")
+    J, K = Ideal(r, (pp(r, "y"),)), Ideal(r, (pp(r, "x*y"),))
+    with pytest.raises(PreconditionError):
+        position_zero_kernel([], J, K)
+    with pytest.raises(PreconditionError):
+        position_zero_kernel([variables(s)[0]], J, K)
+
+
 def _polys(r, top=2, size=3):
     """Polynomials of one to `size` terms with exponents up to `top`."""
     exps = st.tuples(*[st.integers(min_value=0, max_value=top)] * r.nvars)

@@ -14,7 +14,7 @@ from pairloc import groebner
 from pairloc.errors import ExponentOverflowError, RingMismatchError
 from pairloc.groebner import (buchberger, eliminate, normal_form, s_polynomial,
                               spoly_certificate)
-from pairloc.ideals import adjoin, exact_divide
+from pairloc.ideals import Ideal, adjoin, exact_divide, radical_member_groebner, saturate
 from pairloc.ring import EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.samples import random_polynomial, standard_ring
 
@@ -428,37 +428,88 @@ def _small_polynomial(rng, r):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([0, 32003]),
-       st.sampled_from([LEX, GREVLEX, elimination(1, 2)]))
+       st.sampled_from([LEX, GREVLEX, elimination(1, 2)]), st.none())
 # lex over QQ, where a reference taking the pair of least lcm alone ran for minutes
-@example(257, 0, LEX)
-@example(1029, 0, LEX)
-@example(1172, 0, LEX)
-def test_completion_matches_a_criteria_free_reference(seed, char, order):
-    # every pair the Gebauer–Möller update drops must reduce to zero anyway
-    rng = random.Random(seed)
-    r = RingSpec(char, ("x", "y", "z"), order)
-    gens = [_small_polynomial(rng, r) for _ in range(rng.randint(2, 4))]
+@example(257, 0, LEX, None)
+@example(1029, 0, LEX, None)
+@example(1172, 0, LEX, None)
+# the Rabinowitsch generators of xy^2 + yz and (y^3), whose basis is (1); rewriting
+# by the latest-added element whose signature divides, in place of the ratio order,
+# lost an element here and left (y, z)
+@example(0, 0, elimination(1, 3), ("y^3", "1 - t*x*y^2 - t*y*z"))
+@example(0, 32003, elimination(1, 3), ("y^3", "1 - t*x*y^2 - t*y*z"))
+def test_completion_matches_a_criteria_free_reference(seed, char, order, fixed):
+    # every pair that the syzygy, rewrite and singular criteria drop must reduce to zero anyway
+    if fixed:
+        r = RingSpec(char, ("t", "x", "y", "z"), order)
+        gens = [pp(r, g) for g in fixed]
+    else:
+        rng = random.Random(seed)
+        r = RingSpec(char, ("x", "y", "z"), order)
+        gens = [_small_polynomial(rng, r) for _ in range(rng.randint(2, 4))]
     expected = _criteria_free_basis(gens)
     assert buchberger(gens).generators == tuple(expected)
-    if order != GREVLEX:  # LEX and elimination(1, 2) eliminate x
-        small = RingSpec(char, ("y", "z"), LEX if order == LEX else GREVLEX)
+    if order != GREVLEX:  # the other orders eliminate the first variable
+        small = RingSpec(char, r.variables[1:], LEX if order == LEX else GREVLEX)
         assert eliminate(gens, small) == tuple(
             Polynomial(small, {e[1:]: c for e, c in g.terms.items()})
             for g in expected if not g.leading_exp()[0])
 
 
-@pytest.mark.parametrize("char", [0, 32003])
-def test_katsura_5_reduces_66_s_pairs(monkeypatch, char):
-    # a criterion that stops pruning shows here as a larger count
-    formed = []
-    original = groebner._s_terms
+def _counting(monkeypatch, name):
+    """The list to which each call of groebner's function name, patched,
+    appends its result."""
+    results = []
+    original = getattr(groebner, name)
 
     def counted(*args):
-        formed.append(args)
-        return original(*args)
+        results.append(original(*args))
+        return results[-1]
 
-    monkeypatch.setattr(groebner, "_s_terms", counted)
+    monkeypatch.setattr(groebner, name, counted)
+    return results
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_katsura_5_forms_26_s_pairs_and_reduces_none_to_zero(monkeypatch, char):
+    # a criterion that stops pruning shows here as a larger count
+    formed = _counting(monkeypatch, "_s_terms")
+    reductions = _counting(monkeypatch, "_reduce")
     names, gens = _SYSTEMS["katsura-5"]
     r = ring(names, char=char)
     buchberger([pp(r, g) for g in gens], r)
-    assert len(formed) == 66
+    assert len(formed) == 26
+    assert all(remainder for remainder, _, _ in reductions)
+
+
+def test_the_rewrite_trap_is_in_the_radical():
+    # f = y·(xy + z), so some power of f lies in (y^3)
+    for char in (0, 32003):
+        r = ring("xyz", char=char)
+        A, f = Ideal(r, (pp(r, "y^3"),)), pp(r, "x*y^2 + y*z")
+        assert radical_member_groebner(f, A)
+        assert saturate(A, Ideal(r, (f,))).gens == (Polynomial.one(r),)
+
+
+def test_seed_1148_in_lex_over_qq(monkeypatch):
+    # once 41 S-pairs and over a second, with 20,000-bit integers; 16 S-pairs now
+    rng = random.Random(1148)
+    r = RingSpec(0, ("x", "y", "z"), LEX)
+    gens = [_small_polynomial(rng, r) for _ in range(rng.randint(2, 4))]
+    formed = _counting(monkeypatch, "_s_terms")
+    basis = buchberger(gens).generators
+    assert len(formed) <= 2 * 16
+    assert len(basis) == 6
+    assert basis == tuple(_criteria_free_basis(gens))
+
+
+def test_a_four_generator_rabinowitsch_test_ends(monkeypatch):
+    # once no answer in minutes; 93 S-pairs now, and sympy's basis of the
+    # Rabinowitsch ideal is not (1)
+    r = ring("xyzw")
+    A = Ideal(r, tuple(pp(r, g) for g in (
+        "-5*x^2*y^2*z^2*w^2 + 7*x^2*y - 5*y*z*w", "3*x^2*z^2*w^2 - x^2*z*w^2 + 7*z",
+        "-x^2*z^2*w^2 - y*z*w^2 + 2*y*z^2", "5*x^2 - z^2 - w")))
+    formed = _counting(monkeypatch, "_s_terms")
+    assert not radical_member_groebner(pp(r, "x*y^2*z*w + 2*x^2*z*w"), A)
+    assert len(formed) <= 2 * 93
