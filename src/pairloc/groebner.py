@@ -326,8 +326,8 @@ def _complete(gens, ring):
     included; None when the ideal is (1), which is known as soon as a
     nonzero constant turns up.
 
-    The RB algorithm of Eder and Faugère (J. Symbolic Comput. 80, 2017,
-    §7) with the ratio rewrite order (Roune and Stillman, ISSAC 2012).  The
+    The RB algorithm of Eder and Faugère (J. Symbolic Comput. 80, 2017)
+    with the ratio rewrite order (Roune and Stillman, ISSAC 2012).  The
     generators are deduplicated and sorted on their reducer entries,
     smallest leading term first; the k-th of n has the signature e_k, and
     an element that a reduction yields has the signature of the S-pair it
@@ -344,16 +344,18 @@ def _complete(gens, ring):
     - An S-pair has the greater of its two halves' signatures; a pair whose
       halves have equal signatures is never formed.  Pairs are taken in
       increasing signature T, one pair per T.
-    - A pair goes when a syzygy's signature divides T: lt(g)·e_k for every
-      element g of an earlier index (never pushed), and the signature of
-      each reduction to zero.
+    - A pair goes when the signature of a known syzygy divides T: lt(g)·e_k
+      for every element g of an earlier index, and the signature of each
+      reduction to zero.  A pair that one known as it forms divides is
+      never pushed.
     - A pair goes, rewritten, unless the element c of its greater half
       minimizes (T/sig(c))·lt(c) among the elements whose signature divides
       T, the later one on a tie.
     - The S-polynomial's reduction is regular (`_reduce` with the
-      signature T).  A nonzero remainder joins the basis with signature T,
-      unless its leading term is that of a multiple of signature T (the
-      singular criterion), when it goes."""
+      signature T), against every element so far, the oldest divisor
+      first.  A nonzero remainder joins the basis with signature T, unless
+      its leading term is that of a multiple of signature T (the singular
+      criterion), when it goes."""
     pack, unpack, borrow, char = ring.pack, ring.unpack, ring.borrow, ring.char
     one = pack((0,) * ring.nvars)
     entries = set()  # generator entries, their tails sorted

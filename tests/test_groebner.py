@@ -492,7 +492,8 @@ def test_the_rewrite_trap_is_in_the_radical():
 
 
 def test_seed_1148_in_lex_over_qq(monkeypatch):
-    # once 41 S-pairs and over a second, with 20,000-bit integers; 16 S-pairs now
+    # lex over QQ, where 41 S-pairs grew 20,000-bit integers and took over a second;
+    # the signature criteria leave 16
     rng = random.Random(1148)
     r = RingSpec(0, ("x", "y", "z"), LEX)
     gens = [_small_polynomial(rng, r) for _ in range(rng.randint(2, 4))]
@@ -504,8 +505,8 @@ def test_seed_1148_in_lex_over_qq(monkeypatch):
 
 
 def test_a_four_generator_rabinowitsch_test_ends(monkeypatch):
-    # once no answer in minutes; 93 S-pairs now, and sympy's basis of the
-    # Rabinowitsch ideal is not (1)
+    # no answer in minutes with 4 variables and 4 generators, until the signature
+    # criteria left 93 S-pairs; sympy's basis of the Rabinowitsch ideal is not (1)
     r = ring("xyzw")
     A = Ideal(r, tuple(pp(r, g) for g in (
         "-5*x^2*y^2*z^2*w^2 + 7*x^2*y - 5*y*z*w", "3*x^2*z^2*w^2 - x^2*z*w^2 + 7*z",
