@@ -1,10 +1,10 @@
-"""Count the raw lines and the code lines of the Python files in directories.
+"""Count the raw lines and the code lines of Python files and directories.
 
-Usage: python3 scripts/line_counts.py DIR...
-Prints one JSON object: for each DIR, the "raw" and "code" lines of the
-*.py files under it.  A raw line is any line.  A code line holds a token
-other than a comment, NL, NEWLINE, INDENT or DEDENT, and lies outside every
-module, class and function docstring.
+Usage: python3 scripts/line_counts.py PATH...
+Prints one JSON object: for each PATH, the "raw" and "code" lines of the
+file, or of the *.py files under the directory.  A raw line is any line.  A
+code line holds a token other than a comment, NL, NEWLINE, INDENT or
+DEDENT, and lies outside every module, class and function docstring.
 """
 
 import argparse
@@ -40,17 +40,22 @@ def line_counts(text):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("dirs", nargs="+", metavar="DIR")
+    parser.add_argument("paths", nargs="+", metavar="PATH")
     args = parser.parse_args(argv)
     report = {}
-    for directory in args.dirs:
-        if not Path(directory).is_dir():
-            parser.error(f"not a directory: {directory}")
+    for name in args.paths:
+        path = Path(name)
+        if path.is_file():
+            files = [path]
+        elif path.is_dir():
+            files = sorted(path.rglob("*.py"))
+        else:
+            parser.error(f"not a file or directory: {name}")
         raw = code = 0
-        for path in sorted(Path(directory).rglob("*.py")):
-            r, c = line_counts(path.read_text(encoding="utf-8"))
+        for file in files:
+            r, c = line_counts(file.read_text(encoding="utf-8"))
             raw, code = raw + r, code + c
-        report[directory] = {"raw": raw, "code": code}
+        report[name] = {"raw": raw, "code": code}
     print(json.dumps(report, indent=2))
 
 

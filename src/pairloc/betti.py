@@ -7,11 +7,13 @@ lattice of the minimal generators, in the n variables of the ring and for
 any exponents (Miller-Sturmfels, Combinatorial Commutative Algebra,
 Thm 1.34).
 
-- *One bit matrix per call.*  For each variable i and exponent v, le[i][v]
-  is the bitmask of the generators g with g_i <= v.  The generators dividing
-  x^b are the AND of le[i][b_i] over i, and AND-ing in le[i][b_i - 1] gives
-  the face of i in supp b.  These faces generate a complex on the
-  generators that, by Dowker's theorem (C. H. Dowker, "Homology groups of
+- *One bit matrix per call.*  For each variable i and each exponent v of
+  x_i among the generators, and 0, masks[i][v] holds the bitmasks of the
+  generators g with g_i < v and with g_i <= v; its size is that of the
+  generators, not of their exponents.  The generators dividing x^b, for b
+  in the lcm lattice, are the AND of the second over i, and AND-ing in the
+  first gives the face of i in supp b.  These faces generate a complex on
+  the generators that, by Dowker's theorem (C. H. Dowker, "Homology groups of
   relations", Ann. of Math. 56, 1952), has the reduced homology of K^b.
 - *Fewer vertices, then shape.*  A complex is cut to its maximal facets and
   replaced by the transposed relation of those, its nerve, while that has
@@ -206,30 +208,35 @@ def _homology(masks, char):
 
 
 def _threshold_masks(gens, nvars):
-    """le[i][v]: the bitmask of the generators g (bit k for gens[k]) with
-    g_i <= v, for v from 0 to the largest exponent of variable i."""
-    le = []
+    """masks[i][v] = (lt, le): the bitmasks of the generators g (bit k for
+    gens[k]) with g_i < v and with g_i <= v, for v 0 and each exponent of
+    variable i among the gens, so the size is that of the gens, whatever
+    their exponents."""
+    masks = []
     for i in range(nvars):
-        at = [0] * (max((g[i] for g in gens), default=0) + 1)
+        at = {0: 0}
         for k, g in enumerate(gens):
-            at[g[i]] |= 1 << k
-        for v in range(1, len(at)):
-            at[v] |= at[v - 1]
-        le.append(at)
-    return le
+            at[g[i]] = at.get(g[i], 0) | 1 << k
+        pairs, lt = {}, 0
+        for v in sorted(at):
+            pairs[v] = lt, lt | at[v]
+            lt |= at[v]
+        masks.append(pairs)
+    return masks
 
 
-def _upper_koszul_masks(le, b):
+def _upper_koszul_masks(masks, b):
     """Generating faces, on the generators, of a complex with the reduced
-    homology of K^b, for x^b in K.  K^b is generated by the sets
+    homology of K^b, for x^b in K and b in the lcm lattice, so that each b_i
+    is 0 or an exponent of variable i.  K^b is generated by the sets
     {i in supp b : g_i < b_i} for the generators g dividing x^b, which form
-    G = AND over i of le[i][b_i]; by Dowker's theorem the transposed
-    relation, with the face G AND le[i][b_i - 1] for each i in supp b,
+    G = AND over i of the le mask of b_i; by Dowker's theorem the transposed
+    relation, with the face G AND the lt mask of b_i for each i in supp b,
     generates {S ⊆ G : lcm(S) != b}, which has the same reduced homology."""
     below = -1
-    for at, e in zip(le, b):
-        below &= at[e]
-    return [below & le[i][e - 1] for i, e in enumerate(b) if e]
+    for pairs, e in zip(masks, b):
+        below &= pairs[e][1]
+    return [below & masks[i][e][0] for i, e in enumerate(b) if e]
 
 
 def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
@@ -246,10 +253,10 @@ def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
     for g in K.gens:
         lattice |= {tuple(map(max, g, b)) for b in lattice}
         lattice.add(g)
-    le = _threshold_masks(K.gens, n)
+    masks = _threshold_masks(K.gens, n)
     entries = {(0, (0,) * n): 1}
     for b in lattice:
-        for q, h in _homology(_upper_koszul_masks(le, b), char):
+        for q, h in _homology(_upper_koszul_masks(masks, b), char):
             entries[(q + 2, b)] = h
     return BettiTable.from_dict(n, entries)
 

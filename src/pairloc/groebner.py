@@ -7,17 +7,29 @@ greatest first through a heap of the same ints.  A term times a monomial is
 one addition, a divisibility test (`_lead_divides`) one subtraction and one
 AND, and the `EXP_LIMIT` check one AND with `RingSpec.guard`, made on each
 term that enters the dict.  One step, `_add_multiple`, adds a multiple of a
-reducer entry's tail to the live terms and makes that check; the kernel, the
-S-polynomials (`_s_terms`) and exact division (`exact_divide`) all use it.
-Over QQ the reduction runs on primitive integer
-polynomials: a term is cancelled by pseudo-reduction (the live terms are
-multiplied by the divisor's leading coefficient over a gcd, never divided by
-it) and the content is divided out after each such step (Becker and
-Weispfenning, *Groebner Bases*, §5.3 and §10.1).  The remainder's terms stay
-among the live ones, so one integer scale, kept as two integers, covers them
-all; the kernel builds no Fraction, and `normal_form` applies the scale once.
-Over GF(p) the same loop runs with monic divisors and no rescaling.  Each
-polynomial's reducer entry is computed once (`Polynomial.reducer`).
+record's tail to the live terms and makes that check; the kernel, the
+S-polynomials (`_s_terms`), exact division (`exact_divide`) and the
+principal test (`_divides_power`) all use it.
+
+Every divisor is one record (lead, a, tail, q): the polynomial is a scalar
+multiple of a·x^lead − tail, and q is its signature less its leading term.
+q is 0 in a polynomial's own record (`Polynomial.reducer`, computed once)
+and sig − lead in a completion element's.  `_reduce` has one divisor
+search: a term is cancelled by the first record whose leading term divides
+it and whose multiple's signature, q plus the term, lies below the
+reduction's signature, that is, is a greater int.  A plain reduction runs
+under the default signature −1, an int below every packed signature and
+every packed term, so it uses every divisor.  One helper, `_live`, turns a
+record back into live terms.  Only this module and `ring` know the record.
+
+Over QQ the reduction runs on primitive integer polynomials: a term is
+cancelled by pseudo-reduction (the live terms are multiplied by the
+divisor's leading coefficient over a gcd, never divided by it) and the
+content is divided out after each such step (Becker and Weispfenning,
+*Groebner Bases*, §5.3 and §10.1).  The remainder's terms stay among the
+live ones, so one integer scale, kept as two integers, covers them all; the
+kernel builds no Fraction, and `normal_form` applies the scale once.
+Over GF(p) the same loop runs with monic divisors and no rescaling.
 
 The completion loop (`_complete`) is signature-based (Eder and Faugère,
 J. Symbolic Comput. 80, 2017): each element carries the signature of its
@@ -27,8 +39,8 @@ increasing signature; one goes when a syzygy's signature divides its own
 (the principal syzygies of the earlier generators, and every reduction to
 zero) or when another element rewrites it in the ratio order (Roune and
 Stillman, ISSAC 2012); reduction is regular, `_reduce` refusing any divisor
-whose multiple's signature is not below the element's.  Its basis stays
-packed reducer entries from the generators to the end, primitive integer
+whose multiple's signature is not below the element's.  Its basis is one
+list of records, each element stored once with its q, primitive integer
 ones over QQ and monic ones over GF(p), and it stops at the first nonzero
 constant, since the ideal is then (1).
 
@@ -82,9 +94,9 @@ def _lead_divides(lead, item, borrow):
 
 def _add_multiple(terms, tail, shift, c, ring, heap=None):
     """Add c·x^shift·tail to the live terms, a map from packed terms to
-    coefficients, for tail a reducer entry's tail and shift a packed
-    exponent difference; each term new to the map is checked against
-    `EXP_LIMIT` and, when a heap is given, pushed on it."""
+    coefficients, for tail a record's tail and shift a packed exponent
+    difference; each term new to the map is checked against `EXP_LIMIT`
+    and, when a heap is given, pushed on it."""
     char, guard = ring.char, ring.guard
     for t, tc in tail:
         t += shift
@@ -104,27 +116,25 @@ def _add_multiple(terms, tail, shift, c, ring, heap=None):
                 del terms[t]
 
 
-def _reduce(terms, divisors, ring, sig=None):
-    """The remainder of the live terms modulo the reducer entries
-    (`Polynomial.reducer`) of a list of nonzero polynomials, as
-    (remainder, num, den): the remainder maps packed terms to coefficients,
-    integers over QQ that are num/den times the exact ones.
+def _reduce(terms, divisors, ring, sig=-1):
+    """The remainder of the live terms modulo a list of records (lead, a,
+    tail, q), as (remainder, num, den): the remainder maps packed terms to
+    coefficients, integers over QQ that are num/den times the exact ones.
 
     terms maps packed terms to coefficients, integers over QQ; it is
     consumed, and becomes the remainder.  The greatest term not yet visited
-    is reduced by the first divisor whose leading term divides it; a
-    cancelled term's heap entry is skipped when it surfaces.  A term that no
-    leading term divides stays in the map: each step adds only terms below
-    the one it cancels, so no later step reaches it, and scaling and content
-    division keep one integer scale over the whole map.  The remainder has
-    no term divisible by a divisor's leading term, and the polynomial minus
-    the remainder lies in the ideal the divisors generate.
+    is cancelled by the first divisor whose leading term divides it and
+    whose multiple's signature, q plus that term, is below sig, that is, a
+    greater int; a cancelled term's heap entry is skipped when it surfaces.
+    Any other term stays in the map: each step adds only terms below the one
+    it cancels, so no later step reaches it, and scaling and content
+    division keep one integer scale over the whole map.  The polynomial
+    minus the remainder lies in the ideal the divisors generate.
 
-    With a signature sig (`_complete`), the reduction is regular: each
-    divisor is (lead, a, tail, q), q its signature less its leading term,
-    and it cancels a term only when its multiple's signature, q plus that
-    term, is below sig, that is a greater int.  A term that only such
-    multiples could cancel stays in the remainder."""
+    The default sig, −1, lies below every packed signature and term, so a
+    plain reduction uses every divisor and leaves no term divisible by a
+    divisor's leading term; `_complete` passes an element's signature to
+    reduce regularly."""
     borrow = ring.borrow
     heap = list(terms)
     heapify(heap)
@@ -135,18 +145,11 @@ def _reduce(terms, divisors, ring, sig=None):
         if c is None:
             continue
         probe = item | borrow  # `_lead_divides`, with item | borrow hoisted
-        if sig is None:
-            for lead, a, tail in divisors:
-                if (probe - lead) & borrow == borrow:
-                    break
-            else:
-                continue
+        for lead, a, tail, q in divisors:
+            if (probe - lead) & borrow == borrow and q + item > sig:
+                break
         else:
-            for lead, a, tail, q in divisors:
-                if (probe - lead) & borrow == borrow and q + item > sig:
-                    break
-            else:
-                continue
+            continue
         del terms[item]
         # a * terms - c * x^(item - lead) * g, over gcd(a, c); its leading term cancels c
         scale = 1
@@ -171,15 +174,24 @@ def _reduce(terms, divisors, ring, sig=None):
 
 
 def _s_terms(f, g, lcm, ring):
-    """a_g x^(L - l_f) P_f - a_f x^(L - l_g) P_g for reducer entries
-    (l_f, a_f, T_f) and (l_g, a_g, T_g) of P_f = a_f x^(l_f) - T_f and P_g,
-    and L the packed lcm of their leading terms, as a map from packed terms to
+    """a_g x^(L - l_f) P_f - a_f x^(L - l_g) P_g for records (l_f, a_f, T_f,
+    q_f) and (l_g, a_g, T_g, q_g) of P_f = a_f x^(l_f) - T_f and P_g, and L
+    the packed lcm of their leading terms, as a map from packed terms to
     coefficients; the leading terms cancel and are never formed."""
     char = ring.char
-    (lf, af, tf), (lg, ag, tg) = f, g
+    (lf, af, tf, _), (lg, ag, tg, _) = f, g
     terms = {}
     _add_multiple(terms, tf, lcm - lf, char - ag if char else -ag, ring)
     _add_multiple(terms, tg, lcm - lg, af, ring)
+    return terms
+
+
+def _live(record, char):
+    """The live terms of a record (lead, a, tail, q): a·x^lead − tail, as a
+    map from packed terms to coefficients."""
+    lead, a, tail, _ = record
+    terms = {t: char - c if char else -c for t, c in tail}
+    terms[lead] = a
     return terms
 
 
@@ -228,8 +240,8 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """lc(g) x^(L - lead f) f - lc(f) x^(L - lead g) g, L the lcm of the
-    leading monomials, from the packed `_s_terms` of their reducer entries
-    scaled back; for monic f and g this is the usual S-polynomial."""
+    leading monomials, from the packed `_s_terms` of their records scaled
+    back; for monic f and g this is the usual S-polynomial."""
     ring = f.ring
     if g.ring is not ring and g.ring != ring:
         raise RingMismatchError("operands over a different ring")
@@ -243,12 +255,12 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
     """Quotient f/b, by long division on one dict of packed terms through
-    b's reducer entry (integers over QQ); a nonzero remainder is a bug
-    upstream and raises `InternalError`."""
+    b's record (integers over QQ); a nonzero remainder is a bug upstream and
+    raises `InternalError`."""
     ring = f.ring
     if f.is_zero():
         return f
-    lead, a, tail = b.reducer()
+    lead, a, tail, _ = b.reducer()
     # live terms are num/den times those of f - q*b; b is lc(b)/a times a*x^lead - tail
     terms, num, den = _packed(f)
     borrow, one = ring.borrow, ring.pack((0,) * ring.nvars)
@@ -270,6 +282,27 @@ def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
     return _unpacked(ring, quotient, factor)
 
 
+def _divides_power(g, f, squarings, ring) -> bool:
+    """Whether g divides f^(2^squarings), for term dicts f and g ≠ 0 over
+    ring with int coefficients (mod char over GF(char)): g alone is its own
+    Groebner basis, so each step squares the last remainder, a nonzero
+    multiple of f^(2^(j−1)) modulo g, and reduces it by `_reduce`, stopping
+    at the first zero."""
+    pack = ring.pack
+    one = pack((0,) * ring.nvars)
+    divisor = [reducer_entry({pack(e): c for e, c in g.items()}, ring.char)]
+    rest = {pack(e): c for e, c in f.items()}
+    for _ in range(squarings):
+        terms = list(rest.items())
+        square = {}
+        for t, c in terms:
+            _add_multiple(square, terms, t - one, c, ring)
+        rest = _reduce(square, divisor, ring)[0]
+        if not rest:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis, in the order of its ring."""
@@ -288,8 +321,8 @@ class GroebnerBasis:
 
 def _interreduce(basis, big, ring):
     """The reduced Groebner basis from a Groebner basis over big given as
-    reducer entries free of the tags of `eliminate` (the leading variables
-    of big that ring lacks), in one pass, as monic `Polynomial`s over ring
+    records free of the tags of `eliminate` (the leading variables of big
+    that ring lacks), in one pass, as monic `Polynomial`s over ring
     sorted by leading monomial in big's order.
 
     Elements whose leading term is divisible by another's (the earlier
@@ -300,18 +333,16 @@ def _interreduce(basis, big, ring):
     is kept on the result only when big is ring, as big's order on ring's
     variables need not be ring's own."""
     borrow = big.borrow
-    leads = [entry[0] for entry in basis]
+    leads = [record[0] for record in basis]
     kept = [g for i, g in enumerate(basis)
             if not any(j != i and _lead_divides(lj, leads[i], borrow)
                        and (j < i or lj != leads[i]) for j, lj in enumerate(leads))]
     char, same = ring.char, big == ring
     shift = _FIELD * (big.nvars - ring.nvars)
     reduced = []
-    for entry in sorted(kept, reverse=True):  # by leading term, distinct ones
-        lead, a, tail = entry
-        terms = {t: (char - c if char else -c) for t, c in tail}
-        terms[lead] = a
-        r = _reduce(terms, [g for g in kept if g is not entry], big)[0]
+    for record in sorted(kept, reverse=True):  # by leading term, distinct ones
+        lead = record[0]
+        r = _reduce(_live(record, char), [g for g in kept if g is not record], big)[0]
         unshifted = {t >> shift: c for t, c in r.items()} if shift else r
         p = _unpacked(ring, unshifted, ring.coeff_inv(r[lead]))
         if same:
@@ -322,14 +353,15 @@ def _interreduce(basis, big, ring):
 
 def _complete(gens, ring):
     """A Groebner basis of the ideal of the nonzero gens, not interreduced,
-    as `Polynomial.reducer` entries in the order they joined, redundant ones
-    included; None when the ideal is (1), which is known as soon as a
-    nonzero constant turns up.
+    as one list of records (lead, a, tail, q), q an element's signature less
+    its leading term, in the order they joined, redundant ones included;
+    None when the ideal is (1), which is known as soon as a nonzero
+    constant turns up.
 
     The RB algorithm of Eder and Faugère (J. Symbolic Comput. 80, 2017)
     with the ratio rewrite order (Roune and Stillman, ISSAC 2012).  The
-    generators are deduplicated and sorted on their reducer entries,
-    smallest leading term first; the k-th of n has the signature e_k, and
+    generators are deduplicated and sorted on their own records
+    (`Polynomial.reducer`), smallest leading term first; the k-th of n has the signature e_k, and
     an element that a reduction yields has the signature of the S-pair it
     came from.  A signature m·e_k is one int, the level n − k shifted above
     the packed monomial m: as for packed terms, a smaller int is a greater
@@ -358,37 +390,32 @@ def _complete(gens, ring):
       criterion), when it goes."""
     pack, unpack, borrow, char = ring.pack, ring.unpack, ring.borrow, ring.char
     one = pack((0,) * ring.nvars)
-    entries = set()  # generator entries, their tails sorted
-    for g in gens:
-        lead, a, tail = g.reducer()
-        if lead == one:
-            return None
-        entries.add((lead, a, tuple(sorted(tail))))
+    # the generators' own records, their tails sorted; a constant comes first
+    records = {(lead, a, tuple(sorted(tail)), q)
+               for lead, a, tail, q in (g.reducer() for g in gens)}
     width = one.bit_length()  # every packed monomial lies below 1 << width
-    G, D, leads = [], [], []  # per element: its entry; the entry and signature − lead; lead exponents
-    for k, entry in enumerate(sorted(entries, key=lambda e: (-e[0], e[1:]))):
-        high = (len(entries) - k) << width
+    G, leads = [], []  # per element: its record; its leading exponents
+    for k, record in enumerate(sorted(records, key=lambda e: (-e[0], e[1:]))):
+        high = (len(records) - k) << width
         syz = [high + g[0] for g in G]  # the principal syzygies lt(g)·e_k
         first = len(G)  # the elements of index k are G[first:]
-        lead = entry[0]
-        if any(_lead_divides(g[0], lead, borrow) for g in G):
-            terms = {t: char - c if char else -c for t, c in entry[2]}
-            terms[lead] = entry[1]
-            r = _reduce(terms, G, ring)[0]
+        if any(_lead_divides(g[0], record[0], borrow) for g in G):
+            r = _reduce(_live(record, char), G, ring)[0]
             if not r:
                 continue
-            entry = reducer_entry(r, char)
-            if entry[0] == one:
-                return None
-        sig, heap, last = high + one, [], None
-        while entry is not None:
-            h, lh = len(G), entry[0]
+            record = reducer_entry(r, char)
+        lead, a, tail, _ = record
+        if lead == one:
+            return None
+        record, heap, last = (lead, a, tail, high + one - lead), [], None
+        while record is not None:
+            h, lh, q = len(G), record[0], record[3]
             eh = unpack(lh)
             for g in range(h):
                 lcm = pack(_exp_lcm(leads[g], eh))
-                T, i, j = sig + lcm - lh, h, g
+                T, i, j = q + lcm, h, g
                 if g >= first:  # an element of index k: its half may be the greater
-                    other = D[g][3] + lcm
+                    other = G[g][3] + lcm
                     if other == T:
                         continue
                     if other < T:
@@ -396,10 +423,9 @@ def _complete(gens, ring):
                 probe = T | borrow
                 if not any((probe - z) & borrow == borrow for z in syz):
                     heappush(heap, (-T, i, j, lcm))
-            G.append(entry)
-            D.append((*entry, sig - lh))
+            G.append(record)
             leads.append(eh)
-            entry = None
+            record = None
             while heap:
                 T, i, j, lcm = heappop(heap)
                 T = -T
@@ -408,21 +434,20 @@ def _complete(gens, ring):
                 probe = T | borrow
                 if any((probe - z) & borrow == borrow for z in syz):
                     continue
-                q = D[i][3]
+                q = G[i][3]
                 if any((probe - d[3] - d[0]) & borrow == borrow and (d[3] < q or d[3] == q and c > i)
-                       for c, d in enumerate(D[first:], first) if c != i):
+                       for c, d in enumerate(G[first:], first) if c != i):
                     continue
                 last = T
-                r = _reduce(_s_terms(G[i], G[j], lcm, ring), D, ring, T)[0]
+                r = _reduce(_s_terms(G[i], G[j], lcm, ring), G, ring, T)[0]
                 if not r:
                     syz.append(T)
                     continue
-                new = reducer_entry(r, char)
-                lh = new[0]
+                lh, a, tail, _ = reducer_entry(r, char)
                 if lh == one:
                     return None
-                if not any(d[3] + lh == T and _lead_divides(d[0], lh, borrow) for d in D[first:]):
-                    entry, sig = new, T
+                if not any(d[3] + lh == T and _lead_divides(d[0], lh, borrow) for d in G[first:]):
+                    record = (lh, a, tail, T - lh)
                     break
     return G
 

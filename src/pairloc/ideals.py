@@ -32,10 +32,10 @@ coefficients, computes each power of h once and keeps c, returning the unit
 multiple c^K·p|_{x_i=h/c} of each p of x_i-degree K (`_substitution`).  The
 rest is (1) when a generator has become a nonzero constant; monomial, for
 the support rule; one polynomial g, which `_principal_member` decides by m
-reductions modulo g, its own Groebner basis (f ∈ √(g) iff g divides
-f^(2^m) once 2^m bounds the multiplicity of each prime factor of g: deg g
-does, and so does d when a pure power x_i^d is the one term of g of top
-x_i-degree); or else it goes through `_radical_cache` to
+reductions modulo g, its own Groebner basis, in `groebner._divides_power`
+(f ∈ √(g) iff g divides f^(2^m) once 2^m bounds the multiplicity of each
+prime factor of g: deg g does, and so does d when a pure power x_i^d is the
+one term of g of top x_i-degree); or else it goes through `_radical_cache` to
 `radical_member_groebner`, the reference that tests and
 `oracles.gamma_minprime_oracle` check the other paths against.
 `Ideal.is_unit` builds no basis for monomial generators, of which one must
@@ -49,9 +49,8 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, RingMismatchError
 from .groebner import (GroebnerBasis, buchberger, eliminate, exact_divide, normal_form,
-                       _add_multiple, _complete, _divides, _exp_lcm, _minimalize, _reduce)
-from .ring import (Polynomial, RingSpec, _check_exp, add_times, elimination, integer_terms,
-                   reducer_entry)
+                       _complete, _divides, _divides_power, _exp_lcm, _minimalize)
+from .ring import Polynomial, RingSpec, _check_exp, add_times, elimination, integer_terms
 
 _gb_cache = {}
 _radical_cache = {}
@@ -447,33 +446,18 @@ def _substitution(g, i, e, char):
 
 
 def _principal_member(f, g, ring) -> bool:
-    """f ∈ √(g) for term dicts f and g ≠ 0 from `_pivoted`, by m reductions
-    modulo g alone, its own Groebner basis.  f ∈ √(g) iff every prime factor
-    of g divides f, iff g divides f^(2^m) once 2^m bounds the multiplicity
-    of every prime factor of g.  deg g is such a bound, and so is d when,
-    for some variable x_i, the pure power x_i^d is the one term of g of top
-    x_i-degree d: g is then monic in x_i up to a unit, so each of its
-    factors involves x_i.  Each step squares the last remainder, a nonzero
-    multiple of f^(2^(j−1)) modulo g, and reduces it by the packed kernel
-    `groebner._reduce`."""
-    pack = ring.pack
-    one = pack((0,) * ring.nvars)
-    divisor = [reducer_entry({pack(e): c for e, c in g.items()}, ring.char)]
-    rest = {pack(e): c for e, c in f.items()}
+    """f ∈ √(g) for term dicts f and g ≠ 0 from `_pivoted`, by
+    `groebner._divides_power`: f ∈ √(g) iff every prime factor of g divides
+    f, iff g divides f^(2^m) once 2^m bounds the multiplicity of every prime
+    factor of g.  deg g is such a bound, and so is d when, for some variable
+    x_i, the pure power x_i^d is the one term of g of top x_i-degree d: g is
+    then monic in x_i up to a unit, so each of its factors involves x_i."""
     bound = max(map(sum, g))
     for i in range(ring.nvars):
         top = max(t[i] for t in g)
         if top and [sum(t) for t in g if t[i] == top] == [top]:
             bound = min(bound, top)
-    for _ in range(max(1, (bound - 1).bit_length())):
-        terms = list(rest.items())
-        square = {}
-        for t, c in terms:
-            _add_multiple(square, terms, t - one, c, ring)
-        rest = _reduce(square, divisor, ring)[0]
-        if not rest:
-            return True
-    return False
+    return _divides_power(g, f, max(1, (bound - 1).bit_length()), ring)
 
 
 def dim_quotient(A: Ideal) -> int:

@@ -200,8 +200,8 @@ def _exponent_vector(exp, nvars):
 
 
 def reducer_entry(terms, char):
-    """The `Polynomial.reducer` entry (l, a, tail) of a nonzero polynomial
-    given as a map from packed terms to coefficients."""
+    """The `Polynomial.reducer` record (l, a, tail, 0) of a nonzero
+    polynomial given as a map from packed terms to coefficients."""
     lead = min(terms)
     if char:
         m = char - pow(terms[lead], -1, char)
@@ -211,7 +211,7 @@ def reducer_entry(terms, char):
         a = terms[lead]
         m = -1 if a > 0 else 1
         a = abs(a)
-    return lead, a, [(t, c * m % char if char else c * m) for t, c in terms.items() if t != lead]
+    return lead, a, [(t, c * m % char if char else c * m) for t, c in terms.items() if t != lead], 0
 
 
 def integer_terms(terms):
@@ -245,7 +245,7 @@ class Polynomial:
     """An exact polynomial: immutable, hashable, canonical (no zero terms).
 
     The leading exponent is computed at most once and kept in `_lead`; the
-    reducer entry likewise in `_entry`.
+    reducer record likewise in `_entry`.
     """
 
     __slots__ = ("ring", "terms", "_hash", "_lead", "_entry")
@@ -335,12 +335,14 @@ class Polynomial:
         return exp
 
     def reducer(self):
-        """(l, a, tail), computed once, with which the Groebner kernel
-        reduces by this nonzero polynomial, in packed terms
+        """The record (l, a, tail, q), computed once, with which the Groebner
+        kernel reduces by this nonzero polynomial, in packed terms
         (`RingSpec.pack`): l is the packed leading term, and the polynomial
         is a scalar multiple of a*x^l - sum(c*x^t for t, c in tail).  Over
         GF(p), a = 1 (the tail is scaled by the inverse leading coefficient);
-        over QQ, a > 0 and a and the c are integers with gcd 1."""
+        over QQ, a > 0 and a and the c are integers with gcd 1.  q, a
+        completion element's signature less its leading term, is 0 here: a
+        reduction without a signature uses every record (`groebner._reduce`)."""
         entry = self._entry
         if entry is None:
             pack = self.ring.pack

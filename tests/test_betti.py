@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -48,6 +48,26 @@ def _monomial_ideals(draw):
 @example(MonomialIdeal.from_exps(2, [(1, 1)]), 0)
 def test_hochster_matches_koszul_on_any_exponents(K, char):
     assert hochster_betti(K, char).as_dict() == koszul_tor(K, char).as_dict()
+
+
+_STEPS = st.lists(st.lists(st.integers(1, 2 ** 60), min_size=3, max_size=3),
+                  min_size=6, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_monomial_ideals(), _STEPS, st.sampled_from([0, 2]))
+@example(MonomialIdeal.from_exps(2, [(3, 0), (1, 1)]), [[2 ** 62 - 3, 1, 1]] * 6, 0)
+def test_relabelling_exponents_in_order_maps_the_betti_table(K, steps, char):
+    # a strictly increasing map of each variable's exponents 0..3, fixing 0,
+    # keeps every divisibility and lcm, so it maps the table entry for entry
+    maps = [[0, *accumulate(s)] for s in steps]
+
+    def relabel(exp):
+        return tuple(m[e] for m, e in zip(maps, exp))
+
+    image = MonomialIdeal.from_exps(K.nvars, [relabel(g) for g in K.gens])
+    assert hochster_betti(image, char).as_dict() == {
+        (i, relabel(b)): h for (i, b), h in hochster_betti(K, char).as_dict().items()}
 
 
 def test_reduced_homology_of_circle():
@@ -105,7 +125,7 @@ def _any_monomial_ideals(draw):
 def test_both_dowker_sides_have_the_same_reduced_homology(K):
     # K^b on supp b by its definition, and {S : lcm(S) != b} on the
     # generators dividing x^b, each listed face by face
-    le = _threshold_masks(K.gens, K.nvars)
+    masks = _threshold_masks(K.gens, K.nvars)
     for b in _lcm_lattice(K):
         supp = [i for i, e in enumerate(b) if e]
         below = [g for g in K.gens if all(x <= y for x, y in zip(g, b))]
@@ -118,7 +138,7 @@ def test_both_dowker_sides_have_the_same_reduced_homology(K):
         for char in (0, 2):
             dims = _nonzero(reduced_homology_dims(on_supp, char))
             assert _nonzero(reduced_homology_dims(on_gens, char)) == dims
-            assert _nonzero(reduced_homology_dims(_upper_koszul_masks(le, b), char)) == dims
+            assert _nonzero(reduced_homology_dims(_upper_koszul_masks(masks, b), char)) == dims
             if b in K.gens:
                 assert dims == {-1: 1}
 

@@ -313,6 +313,28 @@ def test_betti_routes_agree_in_the_session_ring(tmp_path):
     assert {len(e["degree"]) for e in results["simplicial"]["entries"]} == {3}
 
 
+def test_depth_commands_answer_at_the_largest_exponent(tmp_path):
+    # the Betti engine's size follows the generators, not their exponents: at
+    # x^(2^62 - 1) each command answers as at x^3, with the degree relabelled
+    big = 2 ** 62 - 1
+    answers = {}
+    for e in (3, big):
+        path = tmp_path / f"session{e}.txt"
+        path.write_text(f"ring QQ[x,y]\nideal K = x^{e}, x*y\n")
+        for command in (["depth", "--K", "K"], ["betti", "--K", "K"],
+                        ["pair-depth", "--I", "K", "--J", "K", "--K", "K"]):
+            code, out, err = run([*command, "--session", str(path), "--no-timings"])
+            assert code == 0, err
+            answers[e, command[0]] = json.loads(out)["result"]
+    assert answers[big, "depth"] == answers[3, "depth"] == {"depth": 0}
+    assert answers[big, "pair-depth"] == answers[3, "pair-depth"]
+    assert answers[big, "pair-depth"]["value"] == 0
+    entries = answers[3, "betti"]["entries"]
+    for entry in entries:
+        entry["degree"][0] = big if entry["degree"][0] == 3 else entry["degree"][0]
+    assert answers[big, "betti"] == {**answers[3, "betti"], "entries": entries}
+
+
 def test_exponent_overflow_exit_code(tmp_path):
     path = tmp_path / "session.txt"
     path.write_text(SESSION + "ideal B = x^99999999999999999999\n")

@@ -514,3 +514,30 @@ def test_a_four_generator_rabinowitsch_test_ends(monkeypatch):
     formed = _counting(monkeypatch, "_s_terms")
     assert not radical_member_groebner(pp(r, "x*y^2*z*w + 2*x^2*z*w"), A)
     assert len(formed) <= 2 * 93
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_one_divisor_search_skips_only_by_signature(char):
+    # x − y and x − 1 both divide x; as completion records, their multiples that
+    # cancel x have the signatures 2·e and e (a greater int is a lower signature)
+    r = ring("xy", char=char)
+    one, x, y = (r.pack(e) for e in ((0, 0), (1, 0), (0, 1)))
+    e = (1 << one.bit_length()) + one
+
+    def record(text, sig):
+        lead, a, tail, q = pp(r, text).reducer()
+        assert q == 0
+        return lead, a, tail, sig - lead
+
+    low, high = record("x - y", 2 * e), record("x - 1", e)
+
+    def remainder(divisors, *sig):
+        return groebner._reduce({x: 1}, divisors, r, *sig)[0]
+
+    # a plain reduction uses every divisor, the first that divides
+    assert remainder([low, high]) == {y: 1}
+    assert remainder([high, low]) == {one: 1}
+    # a regular one skips a divisor whose multiple's signature is not below sig
+    assert remainder([high, low], e - 1) == {one: 1}
+    assert remainder([high, low], e) == {y: 1}
+    assert remainder([high, low], 2 * e) == {x: 1}

@@ -11,6 +11,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pairloc.groebner as groebner
 import pairloc.ideals as ideals
 from pairloc.ideals import Ideal, in_radical, radical_member, radical_member_groebner
 from pairloc.ring import GREVLEX, LEX, Polynomial, RingSpec
@@ -133,8 +134,8 @@ def test_a_pure_power_alone_at_the_top_bounds_the_squarings(monkeypatch):
     # one squaring decides, where 2^m ≥ d would take log2(d) of them on
     # powers of f that stay unreduced until their degree reaches d
     reductions = []
-    real = ideals._reduce
-    monkeypatch.setattr(ideals, "_reduce", lambda *args: reductions.append(1) or real(*args))
+    real = groebner._reduce
+    monkeypatch.setattr(groebner, "_reduce", lambda *args: reductions.append(1) or real(*args))
     for d in (200, 1000):
         A = Ideal(R3, (pp(R3, f"x^{d} + y^2"),))
         assert not radical_member(pp(R3, "x + y + z"), A)

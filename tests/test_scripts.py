@@ -50,3 +50,18 @@ def test_line_counts_script_counts_a_known_file(tmp_path):
                            str(tmp_path / "pkg")], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {str(tmp_path / "pkg"): {"raw": 18, "code": 7}}
+
+
+def test_line_counts_script_counts_a_file_and_refuses_a_missing_path(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(LINE_COUNT_SAMPLE, encoding="utf-8")
+    script = str(ROOT / "scripts" / "line_counts.py")
+    proc = subprocess.run([sys.executable, script, str(sample), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {str(sample): {"raw": 18, "code": 7},
+                                       str(tmp_path): {"raw": 18, "code": 7}}
+    proc = subprocess.run([sys.executable, script, str(tmp_path / "missing.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "not a file or directory" in proc.stderr
