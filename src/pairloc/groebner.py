@@ -361,14 +361,15 @@ def _complete(gens, ring):
     The RB algorithm of Eder and Faugère (J. Symbolic Comput. 80, 2017)
     with the ratio rewrite order (Roune and Stillman, ISSAC 2012).  The
     generators are deduplicated and sorted on their own records
-    (`Polynomial.reducer`), smallest leading term first; the k-th of n has the signature e_k, and
-    an element that a reduction yields has the signature of the S-pair it
-    came from.  A signature m·e_k is one int, the level n − k shifted above
-    the packed monomial m: as for packed terms, a smaller int is a greater
-    signature (position over term), and a monomial multiplies one by adding
-    its packed exponent difference.  The signatures of index k lie above
-    all earlier ones, so the generators enter one at a time, and all pairs
-    of one are taken before the next enters.
+    (`Polynomial.reducer`), smallest leading term first; the k-th of n has
+    the signature e_k, and an element that a reduction yields has the
+    signature of the S-pair it came from.  A signature m·e_k is one int, the
+    level n − k shifted above the packed monomial m: as for packed terms, a
+    smaller int is a greater signature (position over term), and a monomial
+    multiplies one by adding its packed exponent difference.  The
+    signatures of index k lie above all earlier ones, so the generators
+    enter one at a time, and all pairs of one are taken before the next
+    enters.
 
     - A generator whose leading term no earlier element divides enters as
       it is.  Any other is first reduced by the earlier elements, and one
