@@ -8,7 +8,8 @@ one addition, a divisibility test (`_lead_divides`) one subtraction and one
 AND, and the `EXP_LIMIT` check one AND with `RingSpec.guard`, made on each
 term that enters the dict.  One step, `_add_multiple`, adds a multiple of a
 record's tail to the live terms and makes that check; the kernel, the
-S-polynomials (`_s_terms`), exact division (`exact_divide`) and the
+S-polynomials (`_s_terms`), exact division by a polynomial that is not a
+monomial (`exact_divide`; by a monomial it is an exponent shift) and the
 principal test (`_divides_power`) all use it.
 
 Every divisor is one record (lead, a, tail, q): the polynomial is a scalar
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import le
+from operator import le, sub
 
 from .errors import ExponentOverflowError, InternalError, RingMismatchError
 from .ring import _FIELD, EXP_LIMIT, Polynomial, RingSpec, integer_terms, reducer_entry
@@ -254,12 +255,24 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient f/b, by long division on one dict of packed terms through
-    b's record (integers over QQ); a nonzero remainder is a bug upstream and
+    """Quotient f/b: for a monomial b = c·x^m, each term of f shifted down
+    by m and divided by c, with no heap; otherwise by long division on one
+    dict of packed terms through b's record (integers over QQ).  A term that
+    x^m does not divide, or a nonzero remainder, is a bug upstream and
     raises `InternalError`."""
     ring = f.ring
     if f.is_zero():
         return f
+    if b.is_monomial():
+        ((m, c),) = b.terms.items()
+        char, inv = ring.char, ring.coeff_inv(c)
+        quotient = {}
+        for e, v in f.terms.items():
+            e = tuple(map(sub, e, m))
+            if e and min(e) < 0:
+                raise InternalError("exact division failed; inexact dividend")
+            quotient[e] = v * inv % char if char else v * inv
+        return Polynomial(ring, quotient, _normalized=True)
     lead, a, tail, _ = b.reducer()
     # live terms are num/den times those of f - q*b; b is lc(b)/a times a*x^lead - tail
     terms, num, den = _packed(f)
@@ -412,8 +425,8 @@ def _complete(gens, ring):
         while record is not None:
             h, lh, q = len(G), record[0], record[3]
             eh = unpack(lh)
-            for g in range(h):
-                lcm = pack(_exp_lcm(leads[g], eh))
+            for g, eg in enumerate(leads):  # plain loops: cheaper than generators here
+                lcm = pack(tuple(map(max, eg, eh)))
                 T, i, j = q + lcm, h, g
                 if g >= first:  # an element of index k: its half may be the greater
                     other = G[g][3] + lcm
@@ -422,7 +435,10 @@ def _complete(gens, ring):
                     if other < T:
                         T, i, j = other, g, h
                 probe = T | borrow
-                if not any((probe - z) & borrow == borrow for z in syz):
+                for z in syz:
+                    if (probe - z) & borrow == borrow:
+                        break
+                else:
                     heappush(heap, (-T, i, j, lcm))
             G.append(record)
             leads.append(eh)
@@ -433,23 +449,28 @@ def _complete(gens, ring):
                 if T == last:
                     continue
                 probe = T | borrow
-                if any((probe - z) & borrow == borrow for z in syz):
-                    continue
-                q = G[i][3]
-                if any((probe - d[3] - d[0]) & borrow == borrow and (d[3] < q or d[3] == q and c > i)
-                       for c, d in enumerate(G[first:], first) if c != i):
-                    continue
-                last = T
-                r = _reduce(_s_terms(G[i], G[j], lcm, ring), G, ring, T)[0]
-                if not r:
-                    syz.append(T)
-                    continue
-                lh, a, tail, _ = reducer_entry(r, char)
-                if lh == one:
-                    return None
-                if not any(d[3] + lh == T and _lead_divides(d[0], lh, borrow) for d in G[first:]):
-                    record = (lh, a, tail, T - lh)
-                    break
+                for z in syz:
+                    if (probe - z) & borrow == borrow:
+                        break
+                else:
+                    q = G[i][3]
+                    for c in range(first, len(G)):  # c = i fails the ratio test
+                        lc, _, _, qc = G[c]
+                        if (probe - qc - lc) & borrow == borrow and (qc < q or qc == q and c > i):
+                            break
+                    else:
+                        last = T
+                        r = _reduce(_s_terms(G[i], G[j], lcm, ring), G, ring, T)[0]
+                        if not r:
+                            syz.append(T)
+                            continue
+                        lh, a, tail, _ = reducer_entry(r, char)
+                        if lh == one:
+                            return None
+                        if not any(d[3] + lh == T and _lead_divides(d[0], lh, borrow)
+                                   for d in G[first:]):
+                            record = (lh, a, tail, T - lh)
+                            break
     return G
 
 

@@ -14,6 +14,13 @@ intersection eliminates t from t·A + (1 − t)·B, and saturation by all of B
 at once is A : B^∞ = (A + (1 − Σ t_i·b_i)) ∩ k[x].  The Rabinowitsch test,
 `radical_member_groebner`, asks only whether those generators for B = (f)
 give (1), so it runs the completion loop alone and interreduces nothing.
+`adjoin` is memoized, so the tag ring and its packing are built once per
+ring and number of tags, and its embedding builds every tag generator by
+re-keying: t·g is g's terms under the tag monomial t, (1 − t)·g two such
+copies, the one under t negated, and 1 − Σ t_i·b_i the constant 1 beside
+each −b_i under its own tag; no polynomial is multiplied.  `colon` divides
+by each generator b of B with `exact_divide`, an exponent shift when b is a
+monomial.
 
 `in_radical` (I ⊆ √A) and `radical_member` (f ∈ √A) are one question,
 answered by one body, `_contained`.  Monomial A (every generator a monomial
@@ -46,6 +53,7 @@ which is never a unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import PreconditionError, RingMismatchError
 from .groebner import (GroebnerBasis, buchberger, eliminate, exact_divide, normal_form,
@@ -190,43 +198,60 @@ class Ideal:
 
 # -- elimination-backed operations --------------------------------------------
 
+@lru_cache(maxsize=64)
 def adjoin(ring: RingSpec, k: int):
-    """(big, tags, embed): the ring with k fresh leading variables, the
-    tags, named t, t1, t2, … skipping the ring's own names, under
-    `elimination(k, n)` (plain grevlex when either block is empty); the tags
-    as polynomials; and the embedding of the ring's polynomials into it."""
-    n = ring.nvars
+    """(big, embed): the ring with k fresh leading variables, the tags,
+    named t, t1, t2, … skipping the ring's own names, under
+    `elimination(k, n)` (plain grevlex when either block is empty), and the
+    embedding of the ring's polynomials into it.  Memoized, so repeated
+    eliminations over one ring build the tag ring and its packing once.
+
+    embed(f, *places) is Σ s·x^tag·f over big, one copy of f's terms per
+    place (tag, s), tag the exponents of the tags and s = ±1; with no place
+    it is f itself.  Each copy only re-keys f's terms under its tag, and
+    copies under distinct tags share no term, so nothing is multiplied."""
+    n, char = ring.nvars, ring.char
     # the ring's n names leave at least k of the first k + n candidates free
     names = [name for name in ["t"] + [f"t{i}" for i in range(1, k + n)]
              if name not in ring.variables][:k]
-    big = RingSpec(ring.char, tuple(names) + ring.variables,
+    big = RingSpec(char, tuple(names) + ring.variables,
                    elimination(k, n) if k and n else ("grevlex",))
-    pad = (0,) * k
+    pad = ((0,) * k, 1)
 
-    def embed(f):
-        return Polynomial(big, {pad + e: c for e, c in f.terms.items()}, _normalized=True)
+    def embed(f, *places):
+        terms = {}
+        for tag, sign in places or (pad,):
+            if sign > 0:
+                terms.update({tag + e: c for e, c in f.terms.items()})
+            else:
+                terms.update({tag + e: char - c if char else -c for e, c in f.terms.items()})
+        return Polynomial(big, terms, _normalized=True)
 
-    return big, [Polynomial.variable(big, name) for name in names], embed
+    return big, embed
 
 
 def _rabinowitsch(A: Ideal, bs):
     """The tag ring with one tag t_i per nonzero b_i in bs, and the
-    generators of A + (1 − Σ t_i·b_i) over it."""
+    generators of A + (1 − Σ t_i·b_i) over it, the last one 1 followed by
+    each −b_i re-keyed under its tag."""
     bs = [b for b in bs if not b.is_zero()]
-    big, tags, embed = adjoin(A.ring, len(bs))
+    k = len(bs)
+    big, embed = adjoin(A.ring, k)
     gens = [embed(g) for g in A.gens if not g.is_zero()]
-    gens.append(Polynomial.one(big) - sum((t * embed(b) for t, b in zip(tags, bs)),
-                                          Polynomial.zero(big)))
+    last = {(0,) * big.nvars: big.coeff(1)}
+    for i, b in enumerate(bs):
+        last.update(embed(b, ((0,) * i + (1,) + (0,) * (k - i - 1), -1)).terms)
+    gens.append(Polynomial(big, last, _normalized=True))
     return big, gens
 
 
 def intersect(A: Ideal, B: Ideal) -> Ideal:
-    """A ∩ B via a single auxiliary variable: eliminate t from t·A + (1−t)·B."""
+    """A ∩ B via a single auxiliary variable: eliminate t from t·A + (1−t)·B,
+    each generator re-keyed by `adjoin`'s embedding."""
     A._check(B)
-    big, (t,), embed = adjoin(A.ring, 1)
-    one_minus_t = Polynomial.one(big) - t
-    gens = [t * embed(g) for g in A.gens]
-    gens += [one_minus_t * embed(g) for g in B.gens]
+    big, embed = adjoin(A.ring, 1)
+    gens = [embed(g, ((1,), 1)) for g in A.gens]
+    gens += [embed(g, ((0,), 1), ((1,), -1)) for g in B.gens]
     return Ideal(A.ring, eliminate(gens, A.ring))
 
 

@@ -88,11 +88,13 @@ def _j_part(p: Ideal, J: Ideal, f: Polynomial) -> Polynomial:
     π ∈ p and ι ∈ J, under an order where the u-position dominates: on
     monomials of tag degree one, u·x^a > e·x^b always.  Since f ∈ p + J,
     u·f reduces to some e·j; then (f, −j) = (π + ι, ι) for some such π and
-    ι, so j = −ι ∈ J and f + j = π ∈ p.
+    ι, so j = −ι ∈ J and f + j = π ∈ p.  The generators are re-keyed copies
+    of the p_i and J_l under the places u and e of `adjoin`'s embedding.
     """
-    big, (u, e), embed = adjoin(p.ring, 2)
-    gens = [u * embed(g) for g in p.gens]
-    gens += [(u + e) * embed(g) for g in J.gens]
-    gens += [u * u, u * e, e * e]
-    rest = normal_form(u * embed(f), list(buchberger(gens, big)))
+    big, embed = adjoin(p.ring, 2)
+    u, e, x = ((1, 0), 1), ((0, 1), 1), (0,) * p.ring.nvars
+    gens = [embed(g, u) for g in p.gens]
+    gens += [embed(g, u, e) for g in J.gens]
+    gens += [Polynomial.monomial(big, tag + x) for tag in ((2, 0), (1, 1), (0, 2))]
+    rest = normal_form(embed(f, u), list(buchberger(gens, big)))
     return Polynomial(p.ring, {x[2:]: c for x, c in rest.terms.items()}, _normalized=True)

@@ -52,7 +52,8 @@ def test_a_constant_ends_the_completion_with_the_unit_ideal(monkeypatch):
     monkeypatch.setattr(groebner, "_interreduce", refuse)
     # the S-polynomial of x and x - 1 is the constant 1
     assert buchberger([x, x - Polynomial.one(r)]).generators == (Polynomial.one(r),)
-    big, (t,), embed = adjoin(r, 1)
+    big, embed = adjoin(r, 1)
+    t = variables(big)[0]
     x_big = embed(x)
     # x is in the radical of (x), so (x, 1 - t*x) is (1)
     assert eliminate([x_big, Polynomial.one(big) - t * x_big], r) == (Polynomial.one(r),)
@@ -480,6 +481,31 @@ def test_katsura_5_forms_26_s_pairs_and_reduces_none_to_zero(monkeypatch, char):
     buchberger([pp(r, g) for g in gens], r)
     assert len(formed) == 26
     assert all(remainder for remainder, _, _ in reductions)
+
+
+# katsura-6 in the variables a, ..., g; its committed reduced basis is not in the golden file
+_KATSURA_6 = ("abcdefg", ["a + 2*b + 2*c + 2*d + 2*e + 2*f + 2*g - 1",
+                          "a^2 + 2*b^2 + 2*c^2 + 2*d^2 + 2*e^2 + 2*f^2 + 2*g^2 - a",
+                          "2*a*b + 2*b*c + 2*c*d + 2*d*e + 2*e*f + 2*f*g - b",
+                          "b^2 + 2*a*c + 2*b*d + 2*c*e + 2*d*f + 2*e*g - c",
+                          "2*b*c + 2*a*d + 2*b*e + 2*c*f + 2*d*g - d",
+                          "c^2 + 2*b*d + 2*a*e + 2*b*f + 2*c*g - e",
+                          "2*c*d + 2*b*e + 2*a*f + 2*b*g - f"])
+
+
+@pytest.mark.parametrize("name, char, pairs", [
+    ("cyclic-5", 0, 34), ("cyclic-5", 32003, 34), ("katsura-6", 32003, 66)])
+def test_fixed_systems_form_their_pinned_s_pairs_and_reduce_none_to_zero(
+        monkeypatch, name, char, pairs):
+    # the completion's work: each S-pair formed is reduced once, so a change in the
+    # pair loop's pruning or order shows here as another count or a reduction to zero
+    formed = _counting(monkeypatch, "_s_terms")
+    reductions = _counting(monkeypatch, "_reduce")
+    names, gens = _KATSURA_6 if name == "katsura-6" else _SYSTEMS[name]
+    r = ring(names, char=char)
+    buchberger([pp(r, g) for g in gens], r)
+    assert len(formed) == pairs
+    assert [remainder for remainder, _, _ in reductions if not remainder] == []
 
 
 def test_the_rewrite_trap_is_in_the_radical():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloc.errors import InternalError, PreconditionError
-from pairloc.groebner import buchberger, eliminate
+from pairloc.groebner import buchberger, eliminate, normal_form
 from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, adjoin, clear_caches,
                             colon, dim_quotient, exact_divide, in_radical, intersect,
                             radical_member, radical_member_groebner, saturate)
@@ -372,7 +372,8 @@ def _t_free_reference(gens, ring):
 def test_eliminations_match_the_t_free_part_of_the_full_basis(seed, char, nvars):
     rng = random.Random(seed)
     r = standard_ring(nvars, char)
-    big, (t,), embed = adjoin(r, 1)
+    big, embed = adjoin(r, 1)
+    t = variables(big)[0]
     one = Polynomial.one(big)
 
     def some_ideal():
@@ -421,3 +422,128 @@ def test_clear_caches_makes_an_existing_ideal_cold(monkeypatch):
     clear_caches()
     assert A.member(f)
     assert len(calls) == 2
+
+
+def _long_division(f, b):
+    """(quotient, remainder) of f by b by the textbook loop on `Polynomial`
+    arithmetic: the leading term of what is left goes to the quotient when
+    b's leading monomial divides it, and to the remainder otherwise."""
+    r = f.ring
+    eb, cb = b.leading_term()
+    quotient = remainder = Polynomial.zero(r)
+    while f:
+        e, c = f.leading_term()
+        shift = tuple(x - y for x, y in zip(e, eb))
+        if min(shift, default=0) >= 0:
+            term = Polynomial.monomial(r, shift, c * r.coeff_inv(cb))
+            quotient, f = quotient + term, f - term * b
+        else:
+            term = Polynomial.monomial(r, e, c)
+            remainder, f = remainder + term, f - term
+    return quotient, remainder
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([0, 32003]))
+def test_exact_division_by_a_monomial_matches_long_division(seed, char):
+    # the monomial path shifts exponents; long division must agree, and refuse alike
+    rng = random.Random(seed)
+    r = standard_ring(3, char)
+    a = random_polynomial(rng, r, max_degree=3, max_terms=4)
+    coeff = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 97)) * rng.choice([-1, 1])
+    b = Polynomial.monomial(r, [rng.randint(0, 2) for _ in range(3)], coeff)
+    extra = random_polynomial(rng, r, max_degree=2, max_terms=2)
+    for f in (a * b, a * b + extra):
+        quotient, remainder = _long_division(f, b)
+        if remainder:
+            with pytest.raises(InternalError):
+                exact_divide(f, b)
+        else:
+            assert exact_divide(f, b) == quotient
+
+
+# The seed route of every elimination's generators: `Polynomial` products with
+# the tags of `adjoin`'s ring, each generator first lifted by padding its exponents.
+
+def _lift(big, f):
+    pad = (0,) * (big.nvars - f.ring.nvars)
+    return Polynomial(big, {pad + e: c for e, c in f.terms.items()})
+
+
+def _intersect_reference(A, B):
+    big = adjoin(A.ring, 1)[0]
+    t = variables(big)[0]
+    gens = [t * _lift(big, g) for g in A.gens]
+    gens += [(Polynomial.one(big) - t) * _lift(big, g) for g in B.gens]
+    return Ideal(A.ring, eliminate(gens, A.ring))
+
+
+def _colon_reference(A, B):
+    result = Ideal.unit(A.ring)
+    for b in (b for b in B.gens if b):
+        inter = _intersect_reference(A, Ideal(A.ring, (b,)))
+        result = _intersect_reference(result, Ideal(A.ring, [
+            _long_division(g, b)[0] for g in inter.gens if g]))
+    return result
+
+
+def _rabinowitsch_reference(A, bs):
+    bs = [b for b in bs if b]
+    big = adjoin(A.ring, len(bs))[0]
+    tags = variables(big)[:len(bs)]
+    last = Polynomial.one(big)
+    for t, b in zip(tags, bs):
+        last = last - t * _lift(big, b)
+    return big, [_lift(big, g) for g in A.gens if g] + [last]
+
+
+def _j_part_reference(p, J, f):
+    big = adjoin(p.ring, 2)[0]
+    u, e = variables(big)[:2]
+    gens = [u * _lift(big, g) for g in p.gens]
+    gens += [(u + e) * _lift(big, g) for g in J.gens]
+    gens += [u * u, u * e, e * e]
+    rest = normal_form(u * _lift(big, f), list(buchberger(gens, big)))
+    return Polynomial(p.ring, {x[2:]: c for x, c in rest.terms.items()})
+
+
+def _tag_rings():
+    # QQ[t, x, t1] is the ring of the tag-name clash test
+    return st.sampled_from([RingSpec(char, names, order)
+                            for char in (0, 32003) for order in (GREVLEX, LEX)
+                            for names in (("x", "y", "z"), ("t", "x", "t1"))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tag_rings(), st.integers(min_value=0, max_value=10 ** 6))
+def test_rekeyed_generators_match_polynomial_arithmetic(r, seed):
+    rng = random.Random(seed)
+
+    def some_ideal(count):
+        return Ideal(r, [random_polynomial(rng, r, max_degree=2, max_terms=3)
+                         for _ in range(count)])
+
+    A, B = some_ideal(rng.randint(1, 2)), some_ideal(rng.randint(1, 2))
+    # a variable and a monomial, for the shifted division of `colon`
+    V = Ideal(r, (Polynomial.variable(r, r.variables[rng.randrange(3)]),
+                  Polynomial.monomial(r, [rng.randint(0, 1) for _ in range(3)], 3)))
+    f = random_polynomial(rng, r, max_degree=2, max_terms=2)
+    assert intersect(A, B).gens == _intersect_reference(A, B).gens
+    for C in (B, V):
+        assert colon(A, C) == _colon_reference(A, C)
+        big, gens = _rabinowitsch_reference(A, C.gens)
+        assert saturate(A, C).gens == Ideal(r, eliminate(gens, r)).gens
+    big, gens = _rabinowitsch_reference(A, (f,))
+    assert radical_member_groebner(f, A) == buchberger(gens, big).contains_one()
+    certificate = s_certificate(A, f, B)
+    if certificate is None:
+        assert not radical_member_groebner(f, A + B)
+    else:
+        assert certificate.j == _j_part_reference(A, B, f ** certificate.n)
+
+
+def test_adjoin_is_memoized():
+    r = ring("xyz")
+    for k in (1, 2, 3):
+        assert adjoin(r, k) is adjoin(r, k)
+        assert adjoin(r, k)[0] is adjoin(RingSpec(0, ("x", "y", "z"), GREVLEX), k)[0]

@@ -65,3 +65,16 @@ def test_line_counts_script_counts_a_file_and_refuses_a_missing_path(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "not a file or directory" in proc.stderr
+
+
+def test_kind_shares_script_tables_a_workload_by_query_kind():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kind_shares.py"),
+                           "--workload", "polynomial", "--seed", "1", "--passes", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines()
+            if line.startswith("| ") and not line.startswith(("| Query kind", "| ---"))]
+    kinds = {name.strip(): float(ms) for name, ms, _ in rows}
+    assert {"intersect", "colon", "saturate", "katsura4", "cyclic4", "groebner"} <= set(kinds)
+    assert all(ms > 0 for ms in kinds.values())
+    assert sum(int(share.strip(" %")) for _, _, share in rows) in range(95, 106)

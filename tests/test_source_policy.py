@@ -142,3 +142,28 @@ def test_every_public_function_and_class_has_a_use_outside_the_tests():
         unused += [f"{module}:{node.lineno} {node.name}"
                    for node in _unused(words, module, tree.body)]
     assert unused == []
+
+
+# The Groebner kernel's record (lead, a, tail, q) and the routines that read
+# it; only the modules that define them may use them.
+KERNEL_NAMES = {"reducer_entry", "_reduce", "_add_multiple", "_live", "_s_terms", "reducer"}
+KERNEL_MODULES = {"ring.py", "groebner.py"}
+
+
+def _kernel_uses(tree):
+    """(line, name) for each import of a kernel name and each attribute
+    access to one, such as a call of `.reducer()` or of `groebner._reduce`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name in KERNEL_NAMES)
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_NAMES:
+            yield node.lineno, node.attr
+
+
+def test_the_reducer_record_stays_inside_ring_and_groebner():
+    uses = {module: list(_kernel_uses(tree)) for module, tree in _sources()}
+    assert uses["groebner.py"]  # the check sees the kernel's own uses
+    found = [f"{module}:{line} uses {name}" for module, found in uses.items()
+             if module not in KERNEL_MODULES for line, name in found]
+    assert found == []
