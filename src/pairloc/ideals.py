@@ -216,11 +216,11 @@ def adjoin(ring: RingSpec, k: int):
              if name not in ring.variables][:k]
     big = RingSpec(char, tuple(names) + ring.variables,
                    elimination(k, n) if k and n else ("grevlex",))
-    pad = ((0,) * k, 1)
+    untagged = ((0,) * k, 1)
 
     def embed(f, *places):
         terms = {}
-        for tag, sign in places or (pad,):
+        for tag, sign in places or (untagged,):
             if sign > 0:
                 terms.update({tag + e: c for e, c in f.terms.items()})
             else:

@@ -92,9 +92,9 @@ def _j_part(p: Ideal, J: Ideal, f: Polynomial) -> Polynomial:
     of the p_i and J_l under the places u and e of `adjoin`'s embedding.
     """
     big, embed = adjoin(p.ring, 2)
-    u, e, x = ((1, 0), 1), ((0, 1), 1), (0,) * p.ring.nvars
+    u, e, zero = ((1, 0), 1), ((0, 1), 1), (0,) * p.ring.nvars
     gens = [embed(g, u) for g in p.gens]
     gens += [embed(g, u, e) for g in J.gens]
-    gens += [Polynomial.monomial(big, tag + x) for tag in ((2, 0), (1, 1), (0, 2))]
+    gens += [Polynomial.monomial(big, tag + zero) for tag in ((2, 0), (1, 1), (0, 2))]
     rest = normal_form(embed(f, u), list(buchberger(gens, big)))
     return Polynomial(p.ring, {x[2:]: c for x, c in rest.terms.items()}, _normalized=True)

@@ -483,7 +483,7 @@ def test_katsura_5_forms_26_s_pairs_and_reduces_none_to_zero(monkeypatch, char):
     assert all(remainder for remainder, _, _ in reductions)
 
 
-# katsura-6 in the variables a, ..., g; its committed reduced basis is not in the golden file
+# katsura-6 in the variables a, ..., g, kept apart from _SYSTEMS, whose bases the golden file holds
 _KATSURA_6 = ("abcdefg", ["a + 2*b + 2*c + 2*d + 2*e + 2*f + 2*g - 1",
                           "a^2 + 2*b^2 + 2*c^2 + 2*d^2 + 2*e^2 + 2*f^2 + 2*g^2 - a",
                           "2*a*b + 2*b*c + 2*c*d + 2*d*e + 2*e*f + 2*f*g - b",
