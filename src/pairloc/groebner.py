@@ -43,14 +43,20 @@ Stillman, ISSAC 2012); reduction is regular, `_reduce` refusing any divisor
 whose multiple's signature is not below the element's.  Its basis is one
 list of records, each element stored once with its q, primitive integer
 ones over QQ and monic ones over GF(p), and it stops at the first nonzero
-constant, since the ideal is then (1).
+constant, since the ideal is then (1).  It may start from a known basis,
+polynomials that already form a Groebner basis: they enter first as one
+finished block, below every generator's signature, and form no pair among
+themselves (F5C, Eder and Perry, J. Symbolic Comput. 45, 2010).
 
-One routine, `eliminate`, turns generators into a reduced basis: it
-completes them over their own ring, keeps the elements free of the leading
-variables it eliminates (none for `buchberger`, which is `eliminate` over
-the generators' own ring), interreduces those in one pass and turns only
-the reduced basis into monic `Polynomial`s of the target ring
-(`_interreduce`).  Generators that are all monomials form a Groebner basis
+One routine, `eliminate`, turns generators, and a known basis beside them,
+into a reduced basis: it completes them over their own ring, keeps the
+elements free of the leading variables it eliminates (none for
+`buchberger`, which is `eliminate` over the generators' own ring),
+interreduces those in one pass and turns only the reduced basis into monic
+`Polynomial`s of the target ring (`_interreduce`).  `buchberger` computes
+each basis once per ring and set of generators: it keeps them in
+`_gb_cache`, at most `GB_CACHE_LIMIT` of them, which `ideals.clear_caches`
+empties.  Generators that are all monomials form a Groebner basis
 already, so it returns their minimal elements free of those variables
 without forming an S-pair.  `normal_form` and `exact_divide` pack their
 dividend by one helper, `_packed`, every result leaves the packed form
@@ -72,6 +78,9 @@ from operator import le, sub
 
 from .errors import ExponentOverflowError, InternalError, RingMismatchError
 from .ring import _FIELD, EXP_LIMIT, Polynomial, RingSpec, integer_terms, reducer_entry
+
+GB_CACHE_LIMIT = 8192  # at least 10 times the most entries a suite, session or pass holds
+_gb_cache = {}  # (ring, frozenset of generators) -> GroebnerBasis, filled by `buchberger`
 
 
 def _divides(a, b):
@@ -295,18 +304,22 @@ def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
     return _unpacked(ring, quotient, factor)
 
 
-def _divides_power(g, f, squarings, ring) -> bool:
+def _divides_power(g, f, squarings, ring, limit):
     """Whether g divides f^(2^squarings), for term dicts f and g ≠ 0 over
     ring with int coefficients (mod char over GF(char)): g alone is its own
     Groebner basis, so each step squares the last remainder, a nonzero
     multiple of f^(2^(j−1)) modulo g, and reduces it by `_reduce`, stopping
-    at the first zero."""
+    at the first zero.  None, undecided, when the squarings would form more
+    than limit term products in all: a squaring of r terms forms r²."""
     pack = ring.pack
     one = pack((0,) * ring.nvars)
     divisor = [reducer_entry({pack(e): c for e, c in g.items()}, ring.char)]
     rest = {pack(e): c for e, c in f.items()}
     for _ in range(squarings):
         terms = list(rest.items())
+        limit -= len(terms) ** 2
+        if limit < 0:
+            return None
         square = {}
         for t, c in terms:
             _add_multiple(square, terms, t - one, c, ring)
@@ -364,12 +377,12 @@ def _interreduce(basis, big, ring):
     return reduced
 
 
-def _complete(gens, ring):
-    """A Groebner basis of the ideal of the nonzero gens, not interreduced,
-    as one list of records (lead, a, tail, q), q an element's signature less
-    its leading term, in the order they joined, redundant ones included;
-    None when the ideal is (1), which is known as soon as a nonzero
-    constant turns up.
+def _complete(gens, ring, basis=()):
+    """A Groebner basis of the ideal of the nonzero gens and of the known
+    basis, not interreduced, as one list of records (lead, a, tail, q), q an
+    element's signature less its leading term, in the order they joined,
+    redundant ones included; None when the ideal is (1), which is known as
+    soon as a nonzero constant turns up.
 
     The RB algorithm of Eder and Faugère (J. Symbolic Comput. 80, 2017)
     with the ratio rewrite order (Roune and Stillman, ISSAC 2012).  The
@@ -383,6 +396,14 @@ def _complete(gens, ring):
     signatures of index k lie above all earlier ones, so the generators
     enter one at a time, and all pairs of one are taken before the next
     enters.
+
+    The known basis, nonzero polynomials over ring that already form a
+    Groebner basis there, is one finished block below every generator, as
+    in F5C (Eder and Perry, J. Symbolic Comput. 45, 2010): its records
+    enter G first with one shared signature, one level above the first
+    generator's, and no pair is formed among them.  They supply the
+    principal syzygies lt(g)·e_k and reduce at every index; a constant
+    among them is (1).
 
     - A generator whose leading term no earlier element divides enters as
       it is.  Any other is first reduced by the earlier elements, and one
@@ -408,7 +429,11 @@ def _complete(gens, ring):
     records = {(lead, a, tuple(sorted(tail)), q)
                for lead, a, tail, q in (g.reducer() for g in gens)}
     width = one.bit_length()  # every packed monomial lies below 1 << width
-    G, leads = [], []  # per element: its record; its leading exponents
+    block = ((len(records) + 1) << width) + one  # the known basis's signature
+    G = [(lead, a, tail, block - lead) for lead, a, tail, _ in (g.reducer() for g in basis)]
+    if any(g[0] == one for g in G):
+        return None
+    leads = [unpack(g[0]) for g in G]  # per element of G: its leading exponents
     for k, record in enumerate(sorted(records, key=lambda e: (-e[0], e[1:]))):
         high = (len(records) - k) << width
         syz = [high + g[0] for g in G]  # the principal syzygies lt(g)·e_k
@@ -476,23 +501,34 @@ def _complete(gens, ring):
 
 def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens: `eliminate`
-    over the generators' own ring, with nothing to eliminate.
+    over the generators' own ring, with nothing to eliminate, once per
+    (ring, set of generators) until `_gb_cache` is emptied, by
+    `ideals.clear_caches` or on reaching `GB_CACHE_LIMIT` entries.
 
     The ring is that of the nonzero generators; ring only names it when
     there is none, and the zero ideal then yields an empty basis."""
     ring = next((g.ring for g in gens if g.terms), ring)
     if ring is None:
         raise ValueError("cannot infer ring from an empty generator list")
-    return GroebnerBasis(eliminate(gens, ring))
+    key = (ring, frozenset(gens))
+    basis = _gb_cache.get(key)
+    if basis is None:
+        if len(_gb_cache) >= GB_CACHE_LIMIT:
+            _gb_cache.clear()
+        basis = _gb_cache[key] = GroebnerBasis(eliminate(gens, ring))
+    return basis
 
 
-def eliminate(gens, ring: RingSpec) -> tuple:
-    """The reduced basis of (gens) ∩ k[ring's variables], sorted by leading
-    monomial in the order of the gens' ring, for gens over a ring whose
-    variables are k leading ones, the tags, followed by those of `ring`,
-    and whose order is an elimination order for the tags (`ideals.adjoin`).
-    The result lies in `ring`.  With k = 0 this is the reduced basis of
-    (gens), which is `buchberger`; the zero ideal gives ().
+def eliminate(gens, ring: RingSpec, basis=()) -> tuple:
+    """The reduced basis of (gens, basis) ∩ k[ring's variables], sorted by
+    leading monomial in the order of the gens' ring, for gens and a known
+    basis over a ring whose variables are k leading ones, the tags,
+    followed by those of `ring`, and whose order is an elimination order
+    for the tags (`ideals.adjoin`).  The known basis must be a Groebner
+    basis over that ring already; `_complete` takes it as one finished
+    block and forms no pair within it.  The result lies in `ring`.  With
+    k = 0 and no basis this is the reduced basis of (gens), which is
+    `buchberger`; the zero ideal gives ().
 
     In an elimination order a polynomial is free of the tags iff its
     leading monomial is, so the elements of a Groebner basis of (gens) that
@@ -503,21 +539,23 @@ def eliminate(gens, ring: RingSpec) -> tuple:
     free of the tags iff those bits are zero.  Generators that are all
     monomials form a Groebner basis already, and a monomial ideal meets
     k[ring's variables] in the ideal of its minimal generators free of the
-    tags: no S-pair is formed.  The unit ideal gives (1) as soon as
-    `_complete` meets a constant."""
-    big = next((g.ring for g in gens if g.terms), ring)
-    gens = _nonzero(gens, big, "generators")
-    if not gens:
+    tags: no S-pair is formed; the known basis counts among the generators
+    here.  The unit ideal gives (1) as soon as `_complete` meets a
+    constant."""
+    big = next((g.ring for g in (*basis, *gens) if g.terms), ring)
+    gens, basis = _nonzero(gens, big, "generators"), _nonzero(basis, big, "basis")
+    if not gens and not basis:
         return ()
     k = big.nvars - ring.nvars
     if big.char != ring.char or k < 0 or big.variables[k:] != ring.variables:
         raise RingMismatchError("the generators' ring does not end in the target ring")
-    if all(g.is_monomial() for g in gens):
+    if all(g.is_monomial() for g in gens + basis):
         one = ring.coeff(1)
-        minimal = sorted(_minimalize(g.leading_exp() for g in gens), key=big.pack, reverse=True)
+        minimal = sorted(_minimalize(g.leading_exp() for g in gens + basis),
+                         key=big.pack, reverse=True)
         return tuple(Polynomial(ring, {e[k:]: one}, _normalized=True)
                      for e in minimal if not any(e[:k]))
-    G = _complete(gens, big)
+    G = _complete(gens, big, basis)
     if G is None:
         return (Polynomial.one(ring),)
     tags = (1 << _FIELD * k) - 1

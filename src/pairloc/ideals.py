@@ -22,6 +22,15 @@ each −b_i under its own tag; no polynomial is multiplied.  `colon` divides
 by each generator b of B with `exact_divide`, an exponent shift when b is a
 monomial.
 
+`Ideal.groebner` keeps the basis of `groebner.buchberger`, which is
+memoized per set of generators in `_gb_cache`.  On a grevlex ring, which
+the tag rings order alike on the ring's own variables, a basis already
+known there is a Groebner basis over the tag ring too: `intersect` starts
+its elimination from t·GB(A), or else (1 − t)·GB(B), and `saturate` from
+GB(A), as one finished block (`eliminate`'s known basis).  No basis is
+computed only to start from it, and `colon` and the Rabinowitsch test
+start from the generators.
+
 `in_radical` (I ⊆ √A) and `radical_member` (f ∈ √A) are one question,
 answered by one body, `_contained`.  Monomial A (every generator a monomial
 or zero) goes to the support rule, `supports_cover`: √A is generated by the
@@ -42,8 +51,9 @@ the support rule; one polynomial g, which `_principal_member` decides by m
 reductions modulo g, its own Groebner basis, in `groebner._divides_power`
 (f ∈ √(g) iff g divides f^(2^m) once 2^m bounds the multiplicity of each
 prime factor of g: deg g does, and so does d when a pure power x_i^d is the
-one term of g of top x_i-degree); or else it goes through `_radical_cache` to
-`radical_member_groebner`, the reference that tests and
+one term of g of top x_i-degree), unless the squarings would pass
+`PRINCIPAL_WORK_LIMIT` term products; or else it goes through
+`_radical_cache` to `radical_member_groebner`, the reference that tests and
 `oracles.gamma_minprime_oracle` check the other paths against.
 `Ideal.is_unit` builds no basis for monomial generators, of which one must
 be a nonzero constant, nor for one nonzero generator that is not a monomial,
@@ -57,11 +67,13 @@ from functools import lru_cache
 
 from .errors import PreconditionError, RingMismatchError
 from .groebner import (GroebnerBasis, buchberger, eliminate, exact_divide, normal_form,
-                       _complete, _divides, _divides_power, _exp_lcm, _minimalize)
-from .ring import Polynomial, RingSpec, _check_exp, add_times, elimination, integer_terms
+                       _complete, _divides, _divides_power, _exp_lcm, _gb_cache as _bases,
+                       _minimalize)
+from .ring import GREVLEX, Polynomial, RingSpec, _check_exp, add_times, elimination, integer_terms
 
-_gb_cache = {}
+_gb_cache = _bases  # `buchberger`'s memo, under the name the benchmark's tracer reads
 _radical_cache = {}
+PRINCIPAL_WORK_LIMIT = 10_000  # term products of `_principal_member`'s squarings
 _caches = [_gb_cache, _radical_cache]  # every module cache, emptied by clear_caches
 _generation = 0  # bumped by clear_caches; an Ideal's own basis is kept for one generation
 
@@ -115,13 +127,20 @@ class Ideal:
 
     def groebner(self) -> GroebnerBasis:
         if self._gb is None or self._gb_generation != _generation:
-            key = (self.ring, frozenset(self.gens))
-            gb = _gb_cache.get(key)
-            if gb is None:
-                gb = buchberger(self.gens, self.ring)
-                _gb_cache[key] = gb
-            self._gb, self._gb_generation = gb, _generation
+            self._gb, self._gb_generation = buchberger(self.gens, self.ring), _generation
         return self._gb
+
+    def _known_basis(self):
+        """The reduced basis when it is known already, as this ideal's own
+        basis of this generation or in `buchberger`'s cache, and the ring is
+        grevlex, the order of `adjoin`'s tag rings on the ring's own
+        variables, so that the basis stays one over a tag ring; else None.
+        Nothing is computed."""
+        if self.ring.order != GREVLEX:
+            return None
+        if self._gb is not None and self._gb_generation == _generation:
+            return self._gb
+        return _gb_cache.get((self.ring, frozenset(self.gens)))
 
     def member(self, f: Polynomial) -> bool:
         if f.ring != self.ring:
@@ -230,41 +249,62 @@ def adjoin(ring: RingSpec, k: int):
     return big, embed
 
 
-def _rabinowitsch(A: Ideal, bs):
-    """The tag ring with one tag t_i per nonzero b_i in bs, and the
-    generators of A + (1 − Σ t_i·b_i) over it, the last one 1 followed by
-    each −b_i re-keyed under its tag."""
+def _rabinowitsch(ring: RingSpec, bs):
+    """The embedding of `adjoin` with one tag t_i per nonzero b_i in bs, and
+    1 − Σ t_i·b_i over the tag ring: 1 followed by each −b_i re-keyed under
+    its tag."""
     bs = [b for b in bs if not b.is_zero()]
     k = len(bs)
-    big, embed = adjoin(A.ring, k)
-    gens = [embed(g) for g in A.gens if not g.is_zero()]
+    big, embed = adjoin(ring, k)
     last = {(0,) * big.nvars: big.coeff(1)}
     for i, b in enumerate(bs):
         last.update(embed(b, ((0,) * i + (1,) + (0,) * (k - i - 1), -1)).terms)
-    gens.append(Polynomial(big, last, _normalized=True))
-    return big, gens
+    return embed, Polynomial(big, last, _normalized=True)
 
 
 def intersect(A: Ideal, B: Ideal) -> Ideal:
     """A ∩ B via a single auxiliary variable: eliminate t from t·A + (1−t)·B,
-    each generator re-keyed by `adjoin`'s embedding."""
+    each generator re-keyed by `adjoin`'s embedding.  When A's reduced
+    basis is known (`Ideal._known_basis`), t·GB(A) is a Groebner basis over
+    the tag ring and enters the completion as one finished block, beside
+    the (1 − t)·b; else, when B's is, (1 − t)·GB(B) does.  No basis is
+    computed just to start from it."""
     A._check(B)
-    big, embed = adjoin(A.ring, 1)
-    gens = [embed(g, ((1,), 1)) for g in A.gens]
-    gens += [embed(g, ((0,), 1), ((1,), -1)) for g in B.gens]
-    return Ideal(A.ring, eliminate(gens, A.ring))
+    return _intersection(A, B, A._known_basis(), B._known_basis())
+
+
+def _intersection(A: Ideal, B: Ideal, known_a=None, known_b=None) -> Ideal:
+    """`intersect` from the generators, or from a known reduced basis of A
+    (else of B) as a finished block."""
+    embed = adjoin(A.ring, 1)[1]
+
+    def times_t(gens):
+        return [embed(g, ((1,), 1)) for g in gens]
+
+    def times_one_minus_t(gens):
+        return [embed(g, ((0,), 1), ((1,), -1)) for g in gens]
+
+    if known_a is not None:
+        basis, gens = times_t(known_a), times_one_minus_t(B.gens)
+    elif known_b is not None:
+        basis, gens = times_one_minus_t(known_b), times_t(A.gens)
+    else:
+        basis, gens = (), times_t(A.gens) + times_one_minus_t(B.gens)
+    return Ideal(A.ring, eliminate(gens, A.ring, basis))
 
 
 def colon(A: Ideal, B: Ideal) -> Ideal:
     """(A : B), the intersection of the A : b = (A ∩ (b))/b over the
-    nonzero generators b of B; the unit ideal when B = 0."""
+    nonzero generators b of B; the unit ideal when B = 0.  Its
+    intersections start from the generators: from a known basis they
+    measured slower here."""
     A._check(B)
     result = None
     for b in B.gens:
         if not b.is_zero():
-            inter = intersect(A, Ideal(A.ring, (b,)))
+            inter = _intersection(A, Ideal(A.ring, (b,)))
             part = Ideal(A.ring, [exact_divide(g, b) for g in inter.gens if not g.is_zero()])
-            result = part if result is None else intersect(result, part)
+            result = part if result is None else _intersection(result, part)
     return Ideal.unit(A.ring) if result is None else result
 
 
@@ -279,10 +319,19 @@ def saturate(A: Ideal, B: Ideal) -> Ideal:
     power holds some b_i^N, so f ∈ T.  Conversely, over each D(b_i) the tag
     ring is a polynomial ring over (R/A)_{b_i}: sending t_i to 1/b_i and the
     other tags to 0 maps k[t, x] to R_{b_i} and T into A·R_{b_i}.  So each
-    f ∈ T ∩ k[x] has b_i^N·f ∈ A for some N, for each i."""
+    f ∈ T ∩ k[x] has b_i^N·f ∈ A for some N, for each i.
+
+    When A's reduced basis is known (`Ideal._known_basis`), it is a
+    Groebner basis of A over the tag ring, untagged, and enters the
+    completion as one finished block beside 1 − Σ t_i·b_i alone."""
     A._check(B)
-    big, gens = _rabinowitsch(A, B.gens)
-    return Ideal(A.ring, eliminate(gens, A.ring))
+    embed, last = _rabinowitsch(A.ring, B.gens)
+    known = A._known_basis()
+    if known is None:
+        gens, basis = [embed(g) for g in A.gens if not g.is_zero()] + [last], ()
+    else:
+        gens, basis = [last], [embed(g) for g in known]
+    return Ideal(A.ring, eliminate(gens, A.ring, basis))
 
 
 def support_mask(exp) -> int:
@@ -325,9 +374,10 @@ def radical_member(f: Polynomial, A: Ideal) -> bool:
 def radical_member_groebner(f: Polynomial, A: Ideal) -> bool:
     """f ∈ √A, by asking the completion loop whether A + (1 − t·f), from
     which `saturate(A, (f))` eliminates t, is (1), that is whether A : f^∞
-    is; uncached."""
-    big, gens = _rabinowitsch(A, (f,))
-    return _complete(gens, big) is None
+    is; uncached, and always from A's generators, since the other paths are
+    checked against it."""
+    embed, last = _rabinowitsch(A.ring, (f,))
+    return _complete([embed(g) for g in A.gens if not g.is_zero()] + [last], last.ring) is None
 
 
 def in_radical(I: Ideal, A: Ideal) -> bool:
@@ -476,13 +526,21 @@ def _principal_member(f, g, ring) -> bool:
     f, iff g divides f^(2^m) once 2^m bounds the multiplicity of every prime
     factor of g.  deg g is such a bound, and so is d when, for some variable
     x_i, the pure power x_i^d is the one term of g of top x_i-degree d: g is
-    then monic in x_i up to a unit, so each of its factors involves x_i."""
+    then monic in x_i up to a unit, so each of its factors involves x_i.
+
+    The squarings form at most `PRINCIPAL_WORK_LIMIT` term products; past
+    that the powers of f are large and unreduced, and the question goes to
+    the Rabinowitsch test (`_groebner_member`), which gives the same answer."""
     bound = max(map(sum, g))
     for i in range(ring.nvars):
         top = max(t[i] for t in g)
         if top and [sum(t) for t in g if t[i] == top] == [top]:
             bound = min(bound, top)
-    return _divides_power(g, f, max(1, (bound - 1).bit_length()), ring)
+    squarings = max(1, (bound - 1).bit_length())
+    answer = _divides_power(g, f, squarings, ring, PRINCIPAL_WORK_LIMIT)
+    if answer is None:
+        return _groebner_member(Polynomial(ring, f), Ideal(ring, (Polynomial(ring, g),)))
+    return answer
 
 
 def dim_quotient(A: Ideal) -> int:

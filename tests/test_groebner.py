@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairloc import groebner
+from pairloc import groebner, ideals
 from pairloc.errors import ExponentOverflowError, RingMismatchError
 from pairloc.groebner import (buchberger, eliminate, normal_form, s_polynomial,
                               spoly_certificate)
-from pairloc.ideals import Ideal, adjoin, exact_divide, radical_member_groebner, saturate
+from pairloc.ideals import (Ideal, adjoin, clear_caches, exact_divide, radical_member_groebner,
+                            saturate)
 from pairloc.ring import EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.samples import random_polynomial, standard_ring
 
@@ -57,6 +58,16 @@ def test_a_constant_ends_the_completion_with_the_unit_ideal(monkeypatch):
     x_big = embed(x)
     # x is in the radical of (x), so (x, 1 - t*x) is (1)
     assert eliminate([x_big, Polynomial.one(big) - t * x_big], r) == (Polynomial.one(r),)
+    # a constant in a known basis is the unit ideal at once
+    assert eliminate([embed(x - y)], r, [Polynomial.one(big)]) == (Polynomial.one(r),)
+
+
+def test_a_known_basis_counts_in_the_monomial_shortcut(monkeypatch):
+    r = ring("xyz")
+    xy, y2, y2_z = pp(r, "x*y"), pp(r, "y^2"), pp(r, "y^2 - z")
+    assert eliminate([xy], r, [y2_z]) == buchberger([xy, y2_z]).generators
+    monkeypatch.setattr(groebner, "_complete", None)  # any completion would fail
+    assert eliminate([xy], r, [y2]) == (y2, xy)
 
 
 @settings(max_examples=40, deadline=None)
@@ -506,6 +517,39 @@ def test_fixed_systems_form_their_pinned_s_pairs_and_reduce_none_to_zero(
     buchberger([pp(r, g) for g in gens], r)
     assert len(formed) == pairs
     assert [remainder for remainder, _, _ in reductions if not remainder] == []
+
+
+def test_a_second_buchberger_call_forms_no_s_pair(monkeypatch):
+    # one memo per set of generators, shared with Ideal.groebner, until clear_caches
+    formed = _counting(monkeypatch, "_s_terms")
+    names, texts = _SYSTEMS["cyclic-5"]
+    r = ring(names)
+    gens = [pp(r, g) for g in texts]
+    first = buchberger(gens, r)
+    assert len(formed) == 34
+    assert buchberger(gens[::-1], r) is first
+    assert Ideal(r, gens).groebner() is first
+    assert len(formed) == 34
+    clear_caches()
+    assert buchberger(gens, r) == first
+    assert len(formed) == 68
+
+
+def test_a_small_basis_cache_bound_holds_and_changes_no_answer(monkeypatch):
+    rng = random.Random(30)
+    r = standard_ring(3)
+    systems = [[random_polynomial(rng, r, max_degree=2, max_terms=3) for _ in range(2)]
+               for _ in range(10)]
+    assert len({frozenset(gens) for gens in systems}) == 10
+    expected = [buchberger(gens, r) for gens in systems]
+    clear_caches()
+    monkeypatch.setattr(groebner, "GB_CACHE_LIMIT", 3)
+    sizes = []
+    for gens, basis in zip(systems * 2, expected * 2):
+        assert buchberger(gens, r) == basis
+        sizes.append(len(groebner._gb_cache))
+    assert max(sizes) == 3 and sizes[3] == 1  # full at 3 entries, then emptied
+    assert ideals._gb_cache is groebner._gb_cache  # the name the benchmark reads
 
 
 def test_the_rewrite_trap_is_in_the_radical():

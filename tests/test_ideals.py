@@ -323,7 +323,8 @@ def test_saturation_by_several_generators_is_one_elimination(monkeypatch):
 
     calls = []
     monkeypatch.setattr(ideals, "eliminate",
-                        lambda gens, ring: calls.append(ring) or eliminate(gens, ring))
+                        lambda gens, ring, basis=(): calls.append(ring)
+                        or eliminate(gens, ring, basis))
     r = ring("xyz")
     A = Ideal(r, (pp(r, "x^2*y - z"), pp(r, "x*z^2")))
     for k in (1, 2, 3):
@@ -332,6 +333,70 @@ def test_saturation_by_several_generators_is_one_elimination(monkeypatch):
         calls.clear()
         assert saturate(A, B) == expected
         assert calls == [r]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([R3, R3_MOD]).flatmap(_saturation_inputs))
+@example((Ideal.unit(R3), Ideal(R3, (pp(R3, "x*y - z"),))))
+@example((Ideal.unit(R3_MOD), Ideal(R3_MOD, (pp(R3_MOD, "x + y"), pp(R3_MOD, "z^2")))))
+@example((Ideal(R3, (pp(R3, "x^2 - y*z"), pp(R3, "0"))), Ideal.unit(R3)))
+@example((Ideal(R3_MOD, (pp(R3_MOD, "x*y - z^2"),)), Ideal.zero(R3_MOD)))
+def test_a_known_basis_changes_no_elimination(inputs):
+    # grevlex over QQ and GF(32003): intersect and saturate from the generators
+    # (cold caches), from a known basis of A, and intersect from one of B alone
+    A, B = inputs
+    cold = intersect(A, B).gens, saturate(A, B).gens
+    clear_caches()
+    A.groebner()
+    assert (intersect(A, B).gens, saturate(A, B).gens) == cold
+    clear_caches()
+    B.groebner()
+    assert intersect(A, B).gens == cold[0]
+
+
+def test_only_a_known_grevlex_basis_seeds_an_elimination(monkeypatch):
+    import pairloc.ideals as ideals
+
+    seeds = []  # the size of the known basis each elimination starts from
+    monkeypatch.setattr(ideals, "eliminate", lambda gens, ring, basis=():
+                        seeds.append(len(basis)) or eliminate(gens, ring, basis))
+    for order in (GREVLEX, LEX):
+        r = ring("xyz", order=order)
+        A = Ideal(r, (pp(r, "x^2*y - z"), pp(r, "x*z^2 - y")))
+        B = Ideal(r, (pp(r, "x*y + z^2"),))
+        answers = []
+        for known in (None, A, B):
+            clear_caches()
+            if known is not None:
+                known.groebner()
+            seeds.clear()
+            answers.append((intersect(A, B), saturate(A, B), colon(A, B)))
+            # colon keeps its generators; a lex ring is never seeded, as the tag
+            # ring orders its variables by grevlex
+            grevlex = order == GREVLEX
+            expected = {None: [0, 0, 0], A: [len(A.groebner()) * grevlex] * 2 + [0],
+                        B: [len(B.groebner()) * grevlex, 0, 0]}[known]
+            assert seeds == expected
+        assert answers[0] == answers[1] == answers[2]
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_a_seeded_intersection_forms_fewer_s_pairs(monkeypatch, char):
+    from pairloc import groebner
+
+    formed = []
+    s_terms = groebner._s_terms
+    monkeypatch.setattr(groebner, "_s_terms", lambda *args: formed.append(1) or s_terms(*args))
+    r = ring("xyz", char=char)
+    A = Ideal(r, (pp(r, "-3*y^2*z - 2*x^2 + 1"), pp(r, "2*x*y*z - 2")))
+    B = Ideal(r, (pp(r, "x*y + 3*z^2 + 1"),))
+    cold = intersect(A, B)
+    unseeded = len(formed)
+    A.groebner()
+    formed.clear()
+    assert intersect(A, B).gens == cold.gens
+    # the block's principal syzygies lt(g)·e_k take 3 of the 9 pairs left
+    assert (unseeded, len(formed)) == (12, 6)
 
 
 def test_variables_named_like_the_tags_do_not_clash():

@@ -162,3 +162,20 @@ def test_a_principal_ideal_is_a_unit_without_a_basis():
     assert w_member(x_minus_3, pair) is False  # where x = 3 and y·z = 0, y need not vanish
     assert not ideals._gb_cache and not ideals._radical_cache
     assert Ideal(r, (pp(r, "x - 3"), pp(r, "x - 2"))).is_unit()
+
+
+def test_a_costly_principal_test_hands_over_to_the_rabinowitsch_test(monkeypatch):
+    # no variable of g has a pure power alone at its top degree, so the principal
+    # test would square x + y + z up to its 128th power, unreduced until its degree
+    # passes deg g = 101; the bound stops it and the Rabinowitsch test answers
+    products, handed = [], []
+    add_multiple, member = groebner._add_multiple, ideals._groebner_member
+    monkeypatch.setattr(groebner, "_add_multiple",
+                        lambda terms, tail, *args: products.append(len(tail))
+                        or add_multiple(terms, tail, *args))
+    monkeypatch.setattr(ideals, "_groebner_member",
+                        lambda f, A: handed.append(f) or member(f, A))
+    A = Ideal(R3, (pp(R3, "x^100*y + y^3*z + x*z^2"),))
+    assert not radical_member(pp(R3, "x + y + z"), A)
+    assert handed == [pp(R3, "x + y + z")]
+    assert sum(products) < 50_000  # 17,450 with the handover, 4.9 million without it

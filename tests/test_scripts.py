@@ -74,7 +74,13 @@ def test_kind_shares_script_tables_a_workload_by_query_kind():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines()
             if line.startswith("| ") and not line.startswith(("| Query kind", "| ---"))]
-    kinds = {name.strip(): float(ms) for name, ms, _ in rows}
+    kinds = {name.strip(): (float(ms), int(pairs), int(reductions))
+             for name, ms, _, pairs, reductions in rows}
     assert {"intersect", "colon", "saturate", "katsura4", "cyclic4", "groebner"} <= set(kinds)
-    assert all(ms > 0 for ms in kinds.values())
-    assert sum(int(share.strip(" %")) for _, _, share in rows) in range(95, 106)
+    assert all(ms > 0 for ms, _, _ in kinds.values())
+    assert sum(int(share.strip(" %")) for _, _, share, _, _ in rows) in range(95, 106)
+    # the counting pass: every completion forms S-pairs and reduces; a dimension
+    # read from a known basis does neither
+    assert all(kinds[name][1] > 0 and kinds[name][2] > 0
+               for name in ("intersect", "colon", "saturate", "katsura4", "cyclic4"))
+    assert kinds["dim_quotient"][1:] == (0, 0)
