@@ -510,13 +510,18 @@ def buchberger(gens, ring: RingSpec = None) -> GroebnerBasis:
     ring = next((g.ring for g in gens if g.terms), ring)
     if ring is None:
         raise ValueError("cannot infer ring from an empty generator list")
-    key = (ring, frozenset(gens))
-    basis = _gb_cache.get(key)
+    basis = _cached(gens, ring)
     if basis is None:
         if len(_gb_cache) >= GB_CACHE_LIMIT:
             _gb_cache.clear()
-        basis = _gb_cache[key] = GroebnerBasis(eliminate(gens, ring))
+        basis = _gb_cache[ring, frozenset(gens)] = GroebnerBasis(eliminate(gens, ring))
     return basis
+
+
+def _cached(gens, ring: RingSpec):
+    """The basis of gens over ring that `buchberger` keeps in `_gb_cache`,
+    or None when it is not there; nothing is computed."""
+    return _gb_cache.get((ring, frozenset(gens)))
 
 
 def eliminate(gens, ring: RingSpec, basis=()) -> tuple:
