@@ -56,9 +56,10 @@ interreduces those in one pass and turns only the reduced basis into monic
 `Polynomial`s of the target ring (`_interreduce`).  `buchberger` computes
 each basis once per ring and set of generators: it keeps them in
 `_gb_cache`, at most `GB_CACHE_LIMIT` of them, which `ideals.clear_caches`
-empties.  Generators that are all monomials form a Groebner basis
-already, so it returns their minimal elements free of those variables
-without forming an S-pair.  `normal_form` and `exact_divide` pack their
+empties.  That memo is the one store of a reduced basis: an `ideals.Ideal`
+keeps none, and `_cached` answers whether one is known.  Generators that
+are all monomials form a Groebner basis already, so it returns their
+minimal elements free of those variables without forming an S-pair.  `normal_form` and `exact_divide` pack their
 dividend by one helper, `_packed`, every result leaves the packed form
 through `_unpacked`, and one helper, `_nonzero`, drops zero polynomials and
 refuses a foreign ring.  So every basis returned holds Fraction coefficients

@@ -22,13 +22,15 @@ each −b_i under its own tag; no polynomial is multiplied.  `colon` divides
 by each generator b of B with `exact_divide`, an exponent shift when b is a
 monomial.
 
-`Ideal.groebner` keeps the basis of `groebner.buchberger`, which is
-memoized per set of generators in `_gb_cache`.  On a grevlex ring, which
-the tag rings order alike on the ring's own variables, a basis already
-known there is a Groebner basis over the tag ring too: `intersect` starts
-its elimination from t·GB(A), and `saturate` from GB(A), as one finished
-block (`eliminate`'s known basis).  No basis is computed only to start
-from it, and `colon` and the Rabinowitsch test start from the generators.
+An `Ideal` is its ring and generators and keeps no basis: `Ideal.groebner`
+is `groebner.buchberger`, whose memo `_gb_cache`, keyed by ring and set of
+generators, is the one store of a reduced basis, and `Ideal._gb` reads it
+without computing.  On a grevlex ring, which the tag rings order alike on
+the ring's own variables, a basis already known there is a Groebner basis
+over the tag ring too: `intersect` starts its elimination from t·GB(A), and
+`saturate` from GB(A), as one finished block (`eliminate`'s known basis).
+No basis is computed only to start from it, and `colon` and the
+Rabinowitsch test start from the generators.
 
 `in_radical` (I ⊆ √A) and `radical_member` (f ∈ √A) are one question,
 answered by one body, `_contained`.  Monomial A (every generator a monomial
@@ -74,7 +76,6 @@ _gb_cache = _bases  # `buchberger`'s memo, under the name the benchmark's tracer
 _radical_cache = {}
 PRINCIPAL_WORK_LIMIT = 10_000  # term products of `_principal_member`'s squarings
 _caches = [_gb_cache, _radical_cache]  # every module cache, emptied by clear_caches
-_generation = 0  # bumped by clear_caches; an Ideal's own basis is kept for one generation
 
 
 def module_cache():
@@ -88,20 +89,17 @@ def module_cache():
 def clear_caches():
     """Forget everything computed so far: empty every module cache (the
     Groebner bases and radical memberships here, the reduced homology of
-    `betti`'s complexes) and start a new generation, so that each existing
-    `Ideal` also drops the basis it keeps in `_gb` and computes it again on
-    its next use."""
-    global _generation
+    `betti`'s complexes).  An `Ideal` keeps no basis of its own, so an
+    existing one computes its basis again on its next use."""
     for cache in _caches:
         cache.clear()
-    _generation += 1
 
 
 class Ideal:
-    """An ideal given by generators, with its reduced GB cached until the
-    next `clear_caches`."""
+    """An ideal given by generators; its reduced GB is `buchberger`'s,
+    which keeps it until the next `clear_caches`."""
 
-    __slots__ = ("ring", "gens", "_gb", "_gb_generation", "_hash")
+    __slots__ = ("ring", "gens")
 
     def __init__(self, ring: RingSpec, gens):
         self.ring = ring
@@ -112,9 +110,6 @@ class Ideal:
         if not gens:
             gens = (Polynomial.zero(ring),)
         self.gens = gens
-        self._gb = None
-        self._gb_generation = None
-        self._hash = None
 
     @staticmethod
     def zero(ring):
@@ -125,16 +120,19 @@ class Ideal:
         return Ideal(ring, (Polynomial.one(ring),))
 
     def groebner(self) -> GroebnerBasis:
-        if self._gb is None or self._gb_generation != _generation:
-            self._gb, self._gb_generation = buchberger(self.gens, self.ring), _generation
-        return self._gb
+        return buchberger(self.gens, self.ring)
+
+    @property
+    def _gb(self):
+        """The reduced basis if `buchberger` keeps it already, else None;
+        nothing is computed."""
+        return _cached(self.gens, self.ring)
 
     def _known_basis(self):
-        """The reduced basis if `buchberger` keeps it already and the ring
-        is grevlex, the order of `adjoin`'s tag rings on the ring's own
-        variables, so that the basis stays one over a tag ring; else None.
-        Nothing is computed."""
-        return _cached(self.gens, self.ring) if self.ring.order == GREVLEX else None
+        """`_gb` when the ring is grevlex, the order of `adjoin`'s tag rings
+        on the ring's own variables, so that the basis stays one over a tag
+        ring; else None."""
+        return self._gb if self.ring.order == GREVLEX else None
 
     def member(self, f: Polynomial) -> bool:
         if f.ring != self.ring:
@@ -162,9 +160,7 @@ class Ideal:
         return self.groebner().generators == other.groebner().generators
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.groebner().generators))
-        return self._hash
+        return hash((self.ring, self.groebner().generators))
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.sorted_gens()) + ")"
@@ -445,24 +441,27 @@ def _integral(terms):
 def _find_pivot(gens, fs):
     """(k, i, e) for a generator gens[k] = c·x_i − h, x_i absent from h, and e
     the exponent of x_i, or None when there is none or every generator is a
-    monomial.  Pivots of generators that are not monomials come first, then
-    those with fewer terms.  When h is not affine, x_i must have degree at
-    most 1 in the other gens and in fs, so that no substitution multiplies
-    a degree: x_i^k ↦ (h/c)^k would make a degree-d h raise degrees d-fold,
-    and the rest can then cost far more than A as it is."""
+    monomial.  Every eligible pair (k, i) is ranked, whichever way the
+    generators are written: pivots of generators that are not monomials
+    first, then those with fewer terms, then those whose x_i has the lower
+    top degree over the gens and fs, since substituting h/c for x_i raises
+    h to each power of x_i that occurs.  When h is not affine, that top
+    degree must be at most 1, so that no substitution multiplies a degree:
+    x_i^k ↦ (h/c)^k would make a degree-d h raise degrees d-fold, and the
+    rest can then cost far more than A as it is."""
     if all(len(g) == 1 for g in gens):
         return None
+    top = [max(column) for column in zip(*(t for p in gens + fs for t in p))]
     best = key = None
     for k, g in enumerate(gens):
+        affine = max(map(sum, g)) <= 1
         for e in g:
             if sum(e) == 1:
                 i = e.index(1)
-                if all(t == e or not t[i] for t in g) and (
-                        max(map(sum, g)) <= 1
-                        or all(t[i] <= 1 for p in gens + fs for t in p)):
-                    if best is None or (len(g) == 1, len(g)) < key:
-                        best, key = (k, i, e), (len(g) == 1, len(g))
-                    break
+                rank = (len(g) == 1, len(g), top[i], i)
+                if (affine or top[i] <= 1) and (best is None or rank < key) and all(
+                        t == e or not t[i] for t in g):
+                    best, key = (k, i, e), rank
     return best
 
 

@@ -469,11 +469,11 @@ def test_elimination_results_lead_in_their_own_rings_order(order):
         assert [str(g) for g in result.sorted_gens()] == ["x^3", "x^2 + y^3", "x*y"]
 
 def test_clear_caches_makes_an_existing_ideal_cold(monkeypatch):
-    import pairloc.ideals as ideals
+    import pairloc.groebner as groebner
 
-    calls = []
-    monkeypatch.setattr(ideals, "buchberger",
-                        lambda gens, ring: calls.append(ring) or buchberger(gens, ring))
+    calls = []  # one per completion: `buchberger` calls `eliminate` only on a memo miss
+    monkeypatch.setattr(groebner, "eliminate",
+                        lambda gens, ring: calls.append(ring) or eliminate(gens, ring))
     r = ring("xyz")
     A = Ideal(r, (pp(r, "x*y - z"), pp(r, "y^2 - x")))
     f = A.gens[0] * pp(r, "x + z") + A.gens[1]
@@ -482,6 +482,22 @@ def test_clear_caches_makes_an_existing_ideal_cold(monkeypatch):
     clear_caches()
     assert A.member(f)
     assert len(calls) == 2
+
+
+def test_an_ideal_reads_its_basis_from_the_one_memo():
+    import pairloc.groebner as groebner
+
+    r = ring("xyz")
+    A = Ideal(r, (pp(r, "x*y - z"), pp(r, "y^2 - x")))
+    assert A._known_basis() is None and A._gb is None  # nothing computed yet
+    basis = A.groebner()
+    assert A._known_basis() is basis is groebner._cached(A.gens, A.ring)
+    groebner._gb_cache.clear()  # as `buchberger` does at `GB_CACHE_LIMIT`
+    assert A._known_basis() is None and A._gb is None
+    basis = A.groebner()
+    assert A._known_basis() is basis is groebner._cached(A.gens, A.ring)
+    assert Ideal(r, reversed(A.gens)).groebner() is basis  # keyed by the set of generators
+    assert "_gb" not in Ideal.__slots__ and Ideal.__slots__ == ("ring", "gens")
 
 
 def _long_division(f, b):

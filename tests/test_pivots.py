@@ -179,3 +179,20 @@ def test_a_costly_principal_test_hands_over_to_the_rabinowitsch_test(monkeypatch
     assert not radical_member(pp(R3, "x + y + z"), A)
     assert handed == [pp(R3, "x + y + z")]
     assert sum(products) < 50_000  # 17,450 with the handover, 4.9 million without it
+
+
+def test_the_pivot_does_not_depend_on_how_a_generator_is_written(monkeypatch):
+    # x = y + 1 would raise (y + 1) to the 1000th power in f = x^1000, one
+    # term product at a time; y = x − 1 leaves f alone, and z = y^2 then
+    # empties A, whichever way its generators are written and ordered
+    products = []
+    add_times = ideals.add_times
+    monkeypatch.setattr(ideals, "add_times",
+                        lambda *args: products.append(1) or add_times(*args))
+    f = pp(R3, "x^1000")
+    for gens in (("x - y - 1", "y^2 - z"), ("y - x + 1", "y^2 - z"),
+                 ("y^2 - z", "-1 - y + x"), ("-z + y^2", "x - 1 - y")):
+        assert not radical_member(f, Ideal(R3, [pp(R3, g) for g in gens]))
+        assert not in_radical(Ideal(R3, (f, pp(R3, "z"))), Ideal(R3, [pp(R3, g) for g in gens]))
+    assert len(products) < 100  # 0 here; 500,500 per spelling that substitutes x = y + 1
+    assert not ideals._radical_cache and not ideals._gb_cache

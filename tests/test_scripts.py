@@ -84,3 +84,27 @@ def test_kind_shares_script_tables_a_workload_by_query_kind():
     assert all(kinds[name][1] > 0 and kinds[name][2] > 0
                for name in ("intersect", "colon", "saturate", "katsura4", "cyclic4"))
     assert kinds["dim_quotient"][1:] == (0, 0)
+
+
+def test_each_listed_mutant_replaces_one_text_and_names_existing_tests():
+    # the anchor of scripts/mutants.py: a refactor that moves a mutated text
+    # must update tests/mutants.json, or this fails
+    mutants = json.loads((ROOT / "tests" / "mutants.json").read_text(encoding="utf-8"))
+    assert len({m["id"] for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert set(m) == {"id", "file", "text", "replacement", "tests", "reason"}, m["id"]
+        assert (ROOT / m["file"]).read_text(encoding="utf-8").count(m["text"]) == 1, m["id"]
+        assert m["replacement"] != m["text"] and m["tests"] and m["reason"], m["id"]
+        for test in m["tests"]:
+            path, name = test.split("::")
+            assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), test
+
+
+def test_mutants_script_reports_a_killed_mutant():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "mutants.py"),
+                           "no-basis-is-ever-known"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["no-basis-is-ever-known"]["status"] == "killed"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "mutants.py"), "no-such"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "no such mutant" in proc.stderr
