@@ -1,16 +1,16 @@
 """Run the source mutants listed in tests/mutants.json, each against its tests.
 
-    python3 scripts/mutants.py [--timeout SECONDS] [ID ...]
+    python3 scripts/mutants.py [ID ...]
 
 Each mutant names a file, an exact text that occurs once in it, the text
 that replaces it, the test ids that must fail, and the reason.  For each
 mutant (or each named ID), the script copies the checkout's src and tests
 to a fresh temporary directory, makes the one replacement there, and runs
-only the named tests with pytest, stopping them after the timeout, since a
-mutant can make a test hang.  The checkout itself is never changed.  It
-prints one JSON object: per mutant id, its status, which is "killed" (a
-named test failed), "survived" (all passed), "timed out", or "error"
-(pytest could not run the tests: a missing test id, say), and the
+only the named tests with pytest, stopping them after `TIMEOUT` seconds,
+since a mutant can make a test hang.  The checkout itself is never
+changed.  It prints one JSON object: per mutant id, its status, which is
+"killed" (a named test failed), "survived" (all passed), "timed out", or
+"error" (pytest could not run the tests: a missing test id, say), and the
 seconds it took.  It exits 1 when a mutant was not killed.
 """
 
@@ -29,11 +29,12 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = ROOT / "tests" / "mutants.json"
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT = 300  # seconds; the slowest listed mutant's tests take under 30
 
 
-def load(path=MUTANTS):
+def load():
     """The mutant list, as a list of dicts."""
-    with open(path, encoding="utf-8") as source:
+    with open(MUTANTS, encoding="utf-8") as source:
         return json.load(source)
 
 
@@ -48,7 +49,7 @@ def mutate(mutant, root):
     path.write_text(text.replace(mutant["text"], mutant["replacement"]), encoding="utf-8")
 
 
-def run(mutant, timeout):
+def run(mutant):
     """(status, seconds) of the mutant's named tests on a mutated copy."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         root = Path(scratch)
@@ -66,7 +67,7 @@ def run(mutant, timeout):
         start = perf_counter()
         try:
             proc = subprocess.run(command, cwd=root, env=env, capture_output=True,
-                                  timeout=timeout)
+                                  timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "timed out", perf_counter() - start
         seconds = perf_counter() - start
@@ -77,8 +78,6 @@ def run(mutant, timeout):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("ids", nargs="*", metavar="ID", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds before a mutant's tests are stopped (default 300)")
     args = parser.parse_args(argv)
     mutants = load()
     unknown = set(args.ids) - {m["id"] for m in mutants}
@@ -87,7 +86,7 @@ def main(argv=None):
     report = {}
     for mutant in mutants:
         if not args.ids or mutant["id"] in args.ids:
-            status, seconds = run(mutant, args.timeout)
+            status, seconds = run(mutant)
             report[mutant["id"]] = {"status": status, "seconds": round(seconds, 2)}
     print(json.dumps(report, indent=2))
     return 0 if all(r["status"] == "killed" for r in report.values()) else 1

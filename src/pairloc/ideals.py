@@ -451,17 +451,18 @@ def _find_pivot(gens, fs):
     rest can then cost far more than A as it is."""
     if all(len(g) == 1 for g in gens):
         return None
-    top = [max(column) for column in zip(*(t for p in gens + fs for t in p))]
-    best = key = None
+    top, best, key = {}, None, None  # top: x_i-degrees over gens and fs, each found once
     for k, g in enumerate(gens):
-        affine = max(map(sum, g)) <= 1
         for e in g:
             if sum(e) == 1:
                 i = e.index(1)
-                rank = (len(g) == 1, len(g), top[i], i)
-                if (affine or top[i] <= 1) and (best is None or rank < key) and all(
-                        t == e or not t[i] for t in g):
-                    best, key = (k, i, e), rank
+                if all(t == e or not t[i] for t in g):
+                    d = top.get(i)
+                    if d is None:
+                        d = top[i] = max(t[i] for p in gens + fs for t in p)
+                    rank = (len(g) == 1, len(g), d, i)
+                    if (best is None or rank < key) and (d <= 1 or max(map(sum, g)) <= 1):
+                        best, key = (k, i, e), rank
     return best
 
 
