@@ -59,14 +59,15 @@ each basis once per ring and set of generators: it keeps them in
 empties.  That memo is the one store of a reduced basis: an `ideals.Ideal`
 keeps none, and `_cached` answers whether one is known.  Generators that
 are all monomials form a Groebner basis already, so it returns their
-minimal elements free of those variables without forming an S-pair.  `normal_form` and `exact_divide` pack their
-dividend by one helper, `_packed`, every result leaves the packed form
-through `_unpacked`, and one helper, `_nonzero`, drops zero polynomials and
-refuses a foreign ring.  So every basis returned holds Fraction coefficients
-over QQ, and so does every `normal_form` and `s_polynomial`, the wrappers
-over the packed kernel for `Polynomial`s.  Inputs are sorted before
-processing and every iteration order is fixed, so output is deterministic
-for a fixed ring, order, and generator set.
+minimal elements free of those variables without forming an S-pair.
+`normal_form` and `exact_divide` pack their dividend by one helper,
+`_packed`, every result leaves the packed form through `_unpacked`, and one
+helper, `_nonzero`, drops zero polynomials and refuses a foreign ring.  So
+every basis returned holds Fraction coefficients over QQ, and so does
+every `normal_form` and `s_polynomial`, the wrappers over the packed kernel
+for `Polynomial`s.  Inputs are sorted before processing and every
+iteration order is fixed, so output is deterministic for a fixed ring,
+order, and generator set.
 """
 
 from __future__ import annotations

@@ -183,8 +183,8 @@ def test_a_costly_principal_test_hands_over_to_the_rabinowitsch_test(monkeypatch
 
 def test_the_pivot_does_not_depend_on_how_a_generator_is_written(monkeypatch):
     # x = y + 1 would raise (y + 1) to the 1000th power in f = x^1000, one
-    # term product at a time; y = x − 1 leaves f alone, and z = y^2 then
-    # empties A, whichever way its generators are written and ordered
+    # term product at a time; z = y^2 and then y = x − 1 leave f alone and
+    # empty A, whichever way its generators are written and ordered
     products = []
     add_times = ideals.add_times
     monkeypatch.setattr(ideals, "add_times",
