@@ -10,8 +10,9 @@ only the named tests with pytest, stopping them after `TIMEOUT` seconds,
 since a mutant can make a test hang.  The checkout itself is never
 changed.  It prints one JSON object: per mutant id, its status, which is
 "killed" (a named test failed), "survived" (all passed), "timed out", or
-"error" (pytest could not run the tests: a missing test id, say), and the
-seconds it took.  It exits 1 when a mutant was not killed.
+"error" (its text does not occur exactly once, or pytest could not run the
+tests: a missing test id, say), and the seconds it took.  It exits 1 when a
+mutant was not killed.
 """
 
 from __future__ import annotations
@@ -39,14 +40,18 @@ def load():
 
 
 def mutate(mutant, root):
-    """Make the mutant's one replacement in its file under root; refuse a
-    text that does not occur exactly once."""
+    """Make the mutant's one replacement in its file under root and return
+    True; refuse a text that does not occur exactly once, saying so on
+    stderr, and return False."""
     path = root / mutant["file"]
     text = path.read_text(encoding="utf-8")
     count = text.count(mutant["text"])
     if count != 1:
-        raise SystemExit(f"{mutant['id']}: the text occurs {count} times in {mutant['file']}")
+        print(f"{mutant['id']}: the text occurs {count} times in {mutant['file']}",
+              file=sys.stderr)
+        return False
     path.write_text(text.replace(mutant["text"], mutant["replacement"]), encoding="utf-8")
+    return True
 
 
 def run(mutant):
@@ -60,7 +65,8 @@ def run(mutant):
                                 ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
             else:
                 shutil.copy(source, root / name)
-        mutate(mutant, root)
+        if not mutate(mutant, root):
+            return "error", 0.0
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                    *mutant["tests"]]

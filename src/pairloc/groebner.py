@@ -412,19 +412,22 @@ def _complete(gens, ring, basis=()):
       that reduces to zero adds nothing.
     - An S-pair has the greater of its two halves' signatures; a pair whose
       halves have equal signatures is never formed.  Pairs are taken in
-      increasing signature T, one pair per T.
+      increasing signature T, and each is judged once, when it is taken.
     - A pair goes when the signature of a known syzygy divides T: lt(g)·e_k
       for every element g of an earlier index, and the signature of each
-      reduction to zero.  A pair that one known as it forms divides is
-      never pushed.
+      reduction to zero.
     - A pair goes, rewritten, unless the element c of its greater half
       minimizes (T/sig(c))·lt(c) among the elements whose signature divides
-      T, the later one on a tie.
+      T, the later one on a tie.  So at most one pair of each T is reduced:
+      a reduction of signature T either puts T among the syzygies or adds
+      an element n of signature T with lt(n) below the pair's lcm, and n
+      then rewrites every later pair of signature T.  For the same reason
+      no remainder has the leading term of a multiple d·m of signature T
+      (the singular criterion): sig(d) divides T and d has the smaller
+      ratio, so d would have rewritten the pair before its reduction.
     - The S-polynomial's reduction is regular (`_reduce` with the
       signature T), against every element so far, the oldest divisor
-      first.  A nonzero remainder joins the basis with signature T, unless
-      its leading term is that of a multiple of signature T (the singular
-      criterion), when it goes."""
+      first.  A nonzero remainder joins the basis with signature T."""
     pack, unpack, borrow, char = ring.pack, ring.unpack, ring.borrow, ring.char
     one = pack((0,) * ring.nvars)
     # the generators' own records, their tails sorted; a constant comes first
@@ -448,7 +451,7 @@ def _complete(gens, ring, basis=()):
         lead, a, tail, _ = record
         if lead == one:
             return None
-        record, heap, last = (lead, a, tail, high + one - lead), [], None
+        record, heap = (lead, a, tail, high + one - lead), []
         while record is not None:
             h, lh, q = len(G), record[0], record[3]
             eh = unpack(lh)
@@ -461,20 +464,13 @@ def _complete(gens, ring, basis=()):
                         continue
                     if other < T:
                         T, i, j = other, g, h
-                probe = T | borrow
-                for z in syz:
-                    if (probe - z) & borrow == borrow:
-                        break
-                else:
-                    heappush(heap, (-T, i, j, lcm))
+                heappush(heap, (-T, i, j, lcm))
             G.append(record)
             leads.append(eh)
             record = None
             while heap:
                 T, i, j, lcm = heappop(heap)
                 T = -T
-                if T == last:
-                    continue
                 probe = T | borrow
                 for z in syz:
                     if (probe - z) & borrow == borrow:
@@ -486,7 +482,6 @@ def _complete(gens, ring, basis=()):
                         if (probe - qc - lc) & borrow == borrow and (qc < q or qc == q and c > i):
                             break
                     else:
-                        last = T
                         r = _reduce(_s_terms(G[i], G[j], lcm, ring), G, ring, T)[0]
                         if not r:
                             syz.append(T)
@@ -494,10 +489,8 @@ def _complete(gens, ring, basis=()):
                         lh, a, tail, _ = reducer_entry(r, char)
                         if lh == one:
                             return None
-                        if not any(d[3] + lh == T and _lead_divides(d[0], lh, borrow)
-                                   for d in G[first:]):
-                            record = (lh, a, tail, T - lh)
-                            break
+                        record = (lh, a, tail, T - lh)
+                        break
     return G
 
 

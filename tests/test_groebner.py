@@ -519,6 +519,39 @@ def test_fixed_systems_form_their_pinned_s_pairs_and_reduce_none_to_zero(
     assert [remainder for remainder, _, _ in reductions if not remainder] == []
 
 
+def test_no_signature_is_reduced_twice_in_one_completion(monkeypatch):
+    # the scans when a pair is taken keep one regular reduction per signature: a
+    # reduction of signature T makes T a syzygy's signature, or adds an element that
+    # rewrites every later pair of signature T
+    completions = []
+    complete, reduce = groebner._complete, groebner._reduce
+
+    def counted_complete(*args):
+        completions.append([])
+        return complete(*args)
+
+    def counted_reduce(terms, divisors, r, sig=-1):
+        if sig != -1:
+            completions[-1].append(sig)
+        return reduce(terms, divisors, r, sig)
+
+    monkeypatch.setattr(groebner, "_complete", counted_complete)
+    monkeypatch.setattr(groebner, "_reduce", counted_reduce)
+    systems = [[pp(ring(names, char=char), g) for g in gens]
+               for names, gens in (_SYSTEMS["katsura-5"], _SYSTEMS["cyclic-5"])
+               for char in (0, 32003)]
+    rng = random.Random(32)
+    for order in (LEX, GREVLEX):
+        r = RingSpec(0, ("x", "y", "z"), order)
+        systems += [[_small_polynomial(rng, r) for _ in range(rng.randint(2, 4))]
+                    for _ in range(100)]
+    for gens in systems:
+        clear_caches()
+        buchberger(gens)
+    assert len(completions) > 150 and sum(map(len, completions)) > 500
+    assert all(len(sigs) == len(set(sigs)) for sigs in completions)
+
+
 def test_a_second_buchberger_call_forms_no_s_pair(monkeypatch):
     # one memo per set of generators, shared with Ideal.groebner, until clear_caches
     formed = _counting(monkeypatch, "_s_terms")

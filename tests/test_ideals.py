@@ -604,6 +604,12 @@ def test_rekeyed_generators_match_polynomial_arithmetic(r, seed):
     V = Ideal(r, (Polynomial.variable(r, r.variables[rng.randrange(3)]),
                   Polynomial.monomial(r, [rng.randint(0, 1) for _ in range(3)], 3)))
     f = random_polynomial(rng, r, max_degree=2, max_terms=2)
+    # the copies' signs, which no answer shows: t ↦ −t maps each set of tag-ring
+    # generators below to an equivalent one
+    big, embed = adjoin(r, 1)
+    t = variables(big)[0]
+    assert [embed(g, ((0,), 1), ((1,), -1)) for g in B.gens] == [
+        (Polynomial.one(big) - t) * _lift(big, g) for g in B.gens]
     assert intersect(A, B).gens == _intersect_reference(A, B).gens
     for C in (B, V):
         assert colon(A, C) == _colon_reference(A, C)

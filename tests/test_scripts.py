@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/, run as a user runs them."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -108,3 +109,18 @@ def test_mutants_script_reports_a_killed_mutant():
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "mutants.py"), "no-such"],
                           capture_output=True, text=True)
     assert proc.returncode == 2 and "no such mutant" in proc.stderr
+
+
+def test_a_stale_mutant_is_an_error_and_the_others_still_run(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    listed = {m["id"]: m for m in script.load()}["no-basis-is-ever-known"]
+    stale = dict(listed, id="stale", text="a text that no source file holds\n")
+    monkeypatch.setattr(script, "load", lambda: [stale, listed])
+    assert script.main([]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["stale"]["status"] == "error"
+    assert report["no-basis-is-ever-known"]["status"] == "killed"
+    assert "stale: the text occurs 0 times in src/pairloc/ideals.py" in err
