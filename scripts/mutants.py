@@ -7,12 +7,14 @@ that replaces it, the test ids that must fail, and the reason.  For each
 mutant (or each named ID), the script copies the checkout's src and tests
 to a fresh temporary directory, makes the one replacement there, and runs
 only the named tests with pytest, stopping them after `TIMEOUT` seconds,
-since a mutant can make a test hang.  The checkout itself is never
-changed.  It prints one JSON object: per mutant id, its status, which is
-"killed" (a named test failed), "survived" (all passed), "timed out", or
-"error" (its text does not occur exactly once, or pytest could not run the
-tests: a missing test id, say), and the seconds it took.  It exits 1 when a
-mutant was not killed.
+since a mutant can make a test hang, and limiting their address space to
+`MEMORY_LIMIT` bytes, since one can make a test's memory grow without
+bound: a run that passes the limit fails with a MemoryError.  The
+checkout itself is never changed.  It prints one JSON object: per mutant
+id, its status, which is "killed" (a named test failed), "survived" (all
+passed), "timed out", or "error" (its text does not occur exactly once, or
+pytest could not run the tests: a missing test id, say), and the seconds
+it took.  It exits 1 when a mutant was not killed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -31,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = ROOT / "tests" / "mutants.json"
 COPIED = ("src", "tests", "pyproject.toml")
 TIMEOUT = 300  # seconds; the slowest listed mutant's tests take under 30
+MEMORY_LIMIT = 2 * 1024 ** 3  # bytes of address space per pytest run
 
 
 def load():
@@ -54,6 +58,12 @@ def mutate(mutant, root):
     return True
 
 
+def limit_memory():
+    """Cap this process's address space at `MEMORY_LIMIT`: run in each
+    pytest child before it starts."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def run(mutant):
     """(status, seconds) of the mutant's named tests on a mutated copy."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
@@ -73,7 +83,7 @@ def run(mutant):
         start = perf_counter()
         try:
             proc = subprocess.run(command, cwd=root, env=env, capture_output=True,
-                                  timeout=TIMEOUT)
+                                  timeout=TIMEOUT, preexec_fn=limit_memory)
         except subprocess.TimeoutExpired:
             return "timed out", perf_counter() - start
         seconds = perf_counter() - start

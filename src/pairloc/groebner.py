@@ -21,7 +21,9 @@ it and whose multiple's signature, q plus the term, lies below the
 reduction's signature, that is, is a greater int.  A plain reduction runs
 under the default signature −1, an int below every packed signature and
 every packed term, so it uses every divisor.  One helper, `_live`, turns a
-record back into live terms.  Only this module and `ring` know the record.
+record back into live terms, and one, `_rekeyed`, moves it into a ring
+whose packing is an affine image of its own.  Only this module and `ring`
+read the record; `ideals.adjoin` hands one on, re-keyed, unread.
 
 Over QQ the reduction runs on primitive integer polynomials: a term is
 cancelled by pseudo-reduction (the live terms are multiplied by the
@@ -51,23 +53,30 @@ themselves (F5C, Eder and Perry, J. Symbolic Comput. 45, 2010).
 One routine, `eliminate`, turns generators, and a known basis beside them,
 into a reduced basis: it completes them over their own ring, keeps the
 elements free of the leading variables it eliminates (none for
-`buchberger`, which is `eliminate` over the generators' own ring),
-interreduces those in one pass and turns only the reduced basis into monic
-`Polynomial`s of the target ring (`_interreduce`).  `buchberger` computes
-each basis once per ring and set of generators: it keeps them in
-`_gb_cache`, at most `GB_CACHE_LIMIT` of them, which `ideals.clear_caches`
-empties.  That memo is the one store of a reduced basis: an `ideals.Ideal`
-keeps none, and `_cached` answers whether one is known.  Generators that
-are all monomials form a Groebner basis already, so it returns their
-minimal elements free of those variables without forming an S-pair.
-`normal_form` and `exact_divide` pack their dividend by one helper,
-`_packed`, every result leaves the packed form through `_unpacked`, and one
-helper, `_nonzero`, drops zero polynomials and refuses a foreign ring.  So
-every basis returned holds Fraction coefficients over QQ, and so does
-every `normal_form` and `s_polynomial`, the wrappers over the packed kernel
-for `Polynomial`s.  Inputs are sorted before processing and every
-iteration order is fixed, so output is deterministic for a fixed ring,
-order, and generator set.
+`buchberger`, which is `eliminate` over the generators' own ring), and
+interreduces those in one pass, smallest leading term first, each against
+the elements already reduced (`_interreduce`).  Each reduced element is
+packed once, into the record that is the divisor for the later ones and,
+when nothing is eliminated, the `Polynomial.reducer` record of the monic
+`Polynomial` returned, so the reductions, `ideals.Ideal.member` and the
+seeded eliminations of `ideals` read the basis without packing it again.
+`buchberger` computes each basis once per ring and set of generators: it
+keeps them in `_gb_cache`, at most `GB_CACHE_LIMIT` of them, which
+`ideals.clear_caches` empties.  That memo is the one store of a reduced
+basis: an `ideals.Ideal` keeps none, and `_cached` answers whether one is
+known.  Generators that are all monomials form a Groebner basis already,
+so it returns their minimal elements free of those variables without
+forming an S-pair.  `normal_form` and `exact_divide` pack their dividend
+by one helper, `_packed`, every result leaves the packed form through
+`_unpacked`, one `Fraction(n, d)` per coefficient over QQ, and one helper,
+`_nonzero`, drops zero polynomials and refuses a foreign ring.  So every
+basis returned holds Fraction coefficients over QQ, and so does every
+`normal_form` and `s_polynomial`, the wrappers over the packed kernel for
+`Polynomial`s; `_remainder`, the packed remainder under `normal_form`,
+serves `ideals.Ideal.member`, which needs only to know whether it is
+zero.  Inputs are sorted before processing and every iteration order is
+fixed, so output is deterministic for a fixed ring, order, and generator
+set.
 """
 
 from __future__ import annotations
@@ -207,6 +216,14 @@ def _live(record, char):
     return terms
 
 
+def _rekeyed(record, shift, offset):
+    """A record (lead, a, tail, q) with each packed term t re-keyed as
+    (t << shift) + offset, and q 0: the record of a polynomial's copy in a
+    ring whose packing is that image of its own (`ideals.adjoin`)."""
+    lead, a, tail, _ = record
+    return (lead << shift) + offset, a, [((t << shift) + offset, c) for t, c in tail], 0
+
+
 def _nonzero(polys, ring, what):
     """The nonzero polynomials of polys; a `RingMismatchError` names what
     when one is over a ring other than ring."""
@@ -228,12 +245,27 @@ def _packed(f):
 
 def _unpacked(ring, terms, factor=None):
     """The `Polynomial` over ring of a map from packed terms to
-    coefficients, each times factor if one is given."""
+    coefficients, each times factor if one is given: over QQ, a rational
+    n/d by which each coefficient c becomes one Fraction(c·n, d)."""
     unpack, char = ring.unpack, ring.char
     if factor is None:
         return Polynomial(ring, {unpack(t): c for t, c in terms.items()}, _normalized=True)
-    return Polynomial(ring, {unpack(t): c * factor % char if char else c * factor
-                             for t, c in terms.items()}, _normalized=True)
+    if char:
+        return Polynomial(ring, {unpack(t): c * factor % char for t, c in terms.items()},
+                          _normalized=True)
+    n, d = factor.numerator, factor.denominator
+    return Polynomial(ring, {unpack(t): Fraction(c * n, d) for t, c in terms.items()},
+                      _normalized=True)
+
+
+def _remainder(f, basis):
+    """(remainder, num, den) of a nonzero f modulo the records of a list of
+    nonzero polynomials over its ring, by `_reduce`: the remainder maps
+    packed terms to coefficients, integers over QQ that are num/den times
+    the exact ones."""
+    terms, num, den = _packed(f)
+    remainder, rnum, rden = _reduce(terms, [g.reducer() for g in basis], f.ring)
+    return remainder, num * rnum, den * rden
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -244,10 +276,8 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     basis = _nonzero(basis, ring, "basis")
     if not f.terms:
         return f
-    terms, num, den = _packed(f)
-    remainder, rnum, rden = _reduce(terms, [g.reducer() for g in basis], ring)
-    # the remainder is num/den · rnum/rden times the exact one
-    return _unpacked(ring, remainder, None if ring.char else Fraction(den * rden, num * rnum))
+    remainder, num, den = _remainder(f, basis)
+    return _unpacked(ring, remainder, None if ring.char else Fraction(den, num))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -282,7 +312,9 @@ def exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
             e = tuple(map(sub, e, m))
             if e and min(e) < 0:
                 raise InternalError("exact division failed; inexact dividend")
-            quotient[e] = v * inv % char if char else v * inv
+            quotient[e] = v
+        if c != 1:  # by x^m itself each coefficient is copied unchanged
+            quotient = {e: v * inv % char if char else v * inv for e, v in quotient.items()}
         return Polynomial(ring, quotient, _normalized=True)
     lead, a, tail, _ = b.reducer()
     # live terms are num/den times those of f - q*b; b is lc(b)/a times a*x^lead - tail
@@ -351,15 +383,20 @@ def _interreduce(basis, big, ring):
     """The reduced Groebner basis from a Groebner basis over big given as
     records free of the tags of `eliminate` (the leading variables of big
     that ring lacks), in one pass, as monic `Polynomial`s over ring
-    sorted by leading monomial in big's order.
+    sorted by leading monomial in big's order, smallest first.
 
     Elements whose leading term is divisible by another's (the earlier
-    one, on a tie) are dropped; each remaining element is then reduced once
-    against the others, which leaves its leading term alone, and made
-    monic.  A tag field is a packed term's lowest bits, zero in these
-    terms, so shifting it away leaves a term of ring; the leading exponent
-    is kept on the result only when big is ring, as big's order on ring's
-    variables need not be ring's own."""
+    one, on a tie) are dropped.  The others are taken smallest leading term
+    first, and each is reduced once against the elements already reduced;
+    the first needs no reduction.  That is the whole reduction: a divisor of
+    a tail term has a leading term at most that term, which is below the
+    element's own, and the basis is a Groebner basis, so the remainder is
+    the unique one.  Each remainder is packed once into its record
+    (`reducer_entry`), the divisor for the later elements, and made monic.
+    A tag field is a packed term's lowest bits, zero in these terms, so
+    shifting it away leaves a term of ring; the leading exponent and the
+    record are kept on the result only when big is ring, as big's order on
+    ring's variables need not be ring's own."""
     borrow = big.borrow
     leads = [record[0] for record in basis]
     kept = [g for i, g in enumerate(basis)
@@ -367,14 +404,18 @@ def _interreduce(basis, big, ring):
                        and (j < i or lj != leads[i]) for j, lj in enumerate(leads))]
     char, same = ring.char, big == ring
     shift = _FIELD * (big.nvars - ring.nvars)
-    reduced = []
-    for record in sorted(kept, reverse=True):  # by leading term, distinct ones
+    done, reduced = [], []
+    for record in sorted(kept, reverse=True):  # smallest leading term first
         lead = record[0]
-        r = _reduce(_live(record, char), [g for g in kept if g is not record], big)[0]
+        r = _live(record, char)
+        if done:
+            r = _reduce(r, done, big)[0]
+        entry = reducer_entry(r, char)
+        done.append(entry)
         unshifted = {t >> shift: c for t, c in r.items()} if shift else r
         p = _unpacked(ring, unshifted, ring.coeff_inv(r[lead]))
         if same:
-            p._lead = ring.unpack(lead)
+            p._lead, p._entry = ring.unpack(lead), entry
         reduced.append(p)
     return reduced
 

@@ -18,9 +18,14 @@ give (1), so it runs the completion loop alone and interreduces nothing.
 ring and number of tags, and its embedding builds every tag generator by
 re-keying: t·g is g's terms under the tag monomial t, (1 − t)·g two such
 copies, the one under t negated, and 1 − Σ t_i·b_i the constant 1 beside
-each −b_i under its own tag; no polynomial is multiplied.  `colon` divides
-by each generator b of B with `exact_divide`, an exponent shift when b is a
-monomial.
+each −b_i under its own tag; no polynomial is multiplied.  A copy under one
+tag also takes g's packed record (`Polynomial.reducer`), when g has one,
+re-keyed by one shift and one add per term, so a reduced basis enters a
+seeded elimination unpacked: on a grevlex ring the tag ring's packing is
+an affine image of the ring's whenever the two orders' fields have one
+width, which `adjoin` checks once on the zero and unit exponent vectors.
+`colon` divides by each generator b of B with `exact_divide`, an exponent
+shift when b is a monomial.
 
 An `Ideal` is its ring and generators and keeps no basis: `Ideal.groebner`
 is `groebner.buchberger`, whose memo `_gb_cache`, keyed by ring and set of
@@ -69,8 +74,9 @@ from functools import lru_cache
 from .errors import PreconditionError, RingMismatchError
 from .groebner import (GroebnerBasis, buchberger, eliminate, exact_divide, normal_form,
                        _cached, _complete, _divides, _divides_power, _exp_lcm,
-                       _gb_cache as _bases, _minimalize)
-from .ring import GREVLEX, Polynomial, RingSpec, _check_exp, add_times, elimination, integer_terms
+                       _gb_cache as _bases, _minimalize, _rekeyed, _remainder)
+from .ring import (_FIELD, GREVLEX, Polynomial, RingSpec, _check_exp, add_times, elimination,
+                   integer_terms)
 
 _gb_cache = _bases  # `buchberger`'s memo, under the name the benchmark's tracer reads
 _radical_cache = {}
@@ -137,7 +143,7 @@ class Ideal:
     def member(self, f: Polynomial) -> bool:
         if f.ring != self.ring:
             raise RingMismatchError("element over a different ring")
-        return not self.normal_form(f)
+        return not f.terms or not _remainder(f, self.groebner())[0]
 
     def is_unit(self):
         """Whether this is (1).  A monomial ideal is (1) iff a generator is a
@@ -218,7 +224,11 @@ def adjoin(ring: RingSpec, k: int):
     embed(f, *places) is Σ s·x^tag·f over big, one copy of f's terms per
     place (tag, s), tag the exponents of the tags and s = ±1; with no place
     it is f itself.  Each copy only re-keys f's terms under its tag, and
-    copies under distinct tags share no term, so nothing is multiplied."""
+    copies under distinct tags share no term, so nothing is multiplied.
+    With at most one place, the copy also takes f's record, if f has one,
+    re-keyed (`groebner._rekeyed`) when big's packing is an affine image
+    of the ring's (a record is up to a scalar, so the sign does not
+    matter); otherwise the copy is packed afresh when it is first used."""
     n, char = ring.nvars, ring.char
     # the ring's n names leave at least k of the first k + n candidates free
     names = [name for name in ["t"] + [f"t{i}" for i in range(1, k + n)]
@@ -226,6 +236,13 @@ def adjoin(ring: RingSpec, k: int):
     big = RingSpec(char, tuple(names) + ring.variables,
                    elimination(k, n) if k and n else ("grevlex",))
     untagged = ((0,) * k, 1)
+    # big.pack(tag + e) = (ring.pack(e) << shift) + offset(tag) for all e iff
+    # the two affine maps agree on the zero and unit vectors under one tag
+    shift, zero = _FIELD * k, (0,) * n
+    lifted = ring.pack(zero) << shift
+    offset = big.pack(untagged[0] + zero) - lifted
+    affine = all(big.pack(untagged[0] + e) == (ring.pack(e) << shift) + offset
+                 for e in (zero[:i] + (1,) + zero[i + 1:] for i in range(n)))
 
     def embed(f, *places):
         terms = {}
@@ -234,7 +251,11 @@ def adjoin(ring: RingSpec, k: int):
                 terms.update({tag + e: c for e, c in f.terms.items()})
             else:
                 terms.update({tag + e: char - c if char else -c for e, c in f.terms.items()})
-        return Polynomial(big, terms, _normalized=True)
+        copy = Polynomial(big, terms, _normalized=True)
+        if affine and f._entry is not None and len(places) <= 1:
+            tag = (places or (untagged,))[0][0]
+            copy._entry = _rekeyed(f._entry, shift, big.pack(tag + zero) - lifted)
+        return copy
 
     return big, embed
 

@@ -5,8 +5,10 @@ nonnegative ints below `EXP_LIMIT`) to nonzero field scalars.  Coefficients
 over QQ are `fractions.Fraction` (always reduced); over GF(p) they are ints in
 [0, p).  Reduction over QQ runs on integers instead: `integer_terms` clears
 denominators and content, and `Polynomial.reducer` keeps a polynomial's
-primitive integer multiple for the Groebner kernel.  Every polynomial the
-package returns holds Fractions over QQ.
+primitive integer multiple for the Groebner kernel, built by
+`reducer_entry` from integer terms, or carried over from the reduction
+that made the polynomial (a reduced Groebner basis element, or its copy in
+a tag ring).  Every polynomial the package returns holds Fractions over QQ.
 
 Monomial orders (lex, grevlex, elimination blocks) are attached to the ring.
 Each is a linear map of the exponents followed by a lexicographic comparison
@@ -201,17 +203,17 @@ def _exponent_vector(exp, nvars):
 
 def reducer_entry(terms, char):
     """The `Polynomial.reducer` record (l, a, tail, 0) of a nonzero
-    polynomial given as a map from packed terms to coefficients."""
+    polynomial given as a map from packed terms to coefficients, ints mod
+    char over GF(char) and integers over QQ, whose content one gcd divides
+    out."""
     lead = min(terms)
     if char:
         m = char - pow(terms[lead], -1, char)
-        a = 1
-    else:
-        terms = integer_terms(terms)[0]
-        a = terms[lead]
-        m = -1 if a > 0 else 1
-        a = abs(a)
-    return lead, a, [(t, c * m % char if char else c * m) for t, c in terms.items() if t != lead], 0
+        return lead, 1, [(t, c * m % char) for t, c in terms.items() if t != lead], 0
+    a, m = terms[lead], gcd(*terms.values())
+    if a > 0:
+        m = -m  # the polynomial over −m has a positive lead and the tail c/m
+    return lead, a // -m, [(t, c // m) for t, c in terms.items() if t != lead], 0
 
 
 def integer_terms(terms):
@@ -345,9 +347,9 @@ class Polynomial:
         reduction without a signature uses every record (`groebner._reduce`)."""
         entry = self._entry
         if entry is None:
-            pack = self.ring.pack
-            entry = self._entry = reducer_entry({pack(e): c for e, c in self.terms.items()},
-                                                self.ring.char)
+            pack, char = self.ring.pack, self.ring.char
+            terms = self.terms if char else integer_terms(self.terms)[0]
+            entry = self._entry = reducer_entry({pack(e): c for e, c in terms.items()}, char)
         return entry
 
     # -- arithmetic ----------------------------------------------------------

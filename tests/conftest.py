@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from pairloc.ideals import clear_caches
@@ -20,6 +22,15 @@ def pp(r, text):
 
 def variables(r):
     return tuple(Polynomial.variable(r, v) for v in r.variables)
+
+
+def assert_fresh_record(p):
+    """p's carried record is the one `Polynomial.reducer` packs afresh from its
+    terms, and primitive over QQ: a > 0 and gcd 1 over a and the tail."""
+    lead, a, tail, q = p._entry
+    assert p._entry == Polynomial(p.ring, dict(p.terms)).reducer(), p
+    if not p.ring.char:
+        assert a > 0 and gcd(a, *(c for _, c in tail)) == 1, p
 
 
 # The tuple order keys the package used before it packed its terms, kept as

@@ -19,7 +19,7 @@ from pairloc.ideals import (Ideal, adjoin, clear_caches, exact_divide, radical_m
 from pairloc.ring import EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.samples import random_polynomial, standard_ring
 
-from conftest import pp, reference_sort_key, ring, variables
+from conftest import assert_fresh_record, pp, reference_sort_key, ring, variables
 
 
 def test_normal_form_lex_example():
@@ -644,3 +644,25 @@ def test_one_divisor_search_skips_only_by_signature(char):
     assert remainder([high, low], e - 1) == {one: 1}
     assert remainder([high, low], e) == {y: 1}
     assert remainder([high, low], 2 * e) == {x: 1}
+
+
+def test_every_basis_element_carries_its_fresh_record():
+    # the interreduction packs each element once; that record is the output's own
+    systems = [[pp(ring(names, char=char), g) for g in gens]
+               for names, gens in _SYSTEMS.values() for char in (0, 32003)]
+    rng = random.Random(33)
+    for order in (LEX, GREVLEX):
+        for char in (0, 32003):
+            r = RingSpec(char, ("x", "y", "z"), order)
+            systems += [[_small_polynomial(rng, r) for _ in range(rng.randint(2, 4))]
+                        for _ in range(50)]
+    carried = 0
+    for gens in systems:
+        basis = buchberger(gens)
+        if basis.contains_one() or all(g.is_monomial() for g in gens):
+            continue  # no interreduction: a record is packed on first use
+        for p in basis:
+            assert_fresh_record(p)
+            assert p._lead == min(p.terms, key=p.ring.pack)
+            carried += 1
+    assert carried > 600

@@ -15,7 +15,7 @@ from pairloc.ring import GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.support import s_certificate
 from pairloc.samples import random_monomial_ideal, random_polynomial, standard_ring
 
-from conftest import pp, ring, variables
+from conftest import assert_fresh_record, pp, ring, variables
 
 
 def test_intersect_two_planes():
@@ -629,3 +629,63 @@ def test_adjoin_is_memoized():
     for k in (1, 2, 3):
         assert adjoin(r, k) is adjoin(r, k)
         assert adjoin(r, k)[0] is adjoin(RingSpec(0, ("x", "y", "z"), GREVLEX), k)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_record_a_copy_carries_is_a_fresh_one(n):
+    # embed re-keys a record only where the tag ring's packing is an affine image
+    # of the ring's: grevlex, and the fields of both orders of one width, which
+    # fails for n = 2 or 3 with k >= 4 tags; elsewhere the copy carries none
+    rng = random.Random(n)
+    for order in (GREVLEX, LEX):
+        for char in (0, 32003):
+            r = RingSpec(char, tuple("xyzw"[:n]), order)
+            polys = [p for p in (random_polynomial(rng, r, 3, 4) for _ in range(8)) if p]
+            for p in polys:
+                p.reducer()
+            for k in range(1, 6):
+                big, embed = adjoin(r, k)
+                rekeyed = order == GREVLEX and max(k, n).bit_length() == n.bit_length()
+                first, untagged = (1,) + (0,) * (k - 1), (0,) * k
+                for p in polys:
+                    tag = tuple(rng.randint(0, 2) for _ in range(k))
+                    for copy in (embed(p), embed(p, (tag, 1)), embed(p, (tag, -1))):
+                        assert (copy._entry is not None) == rekeyed
+                        if rekeyed:
+                            assert_fresh_record(copy)
+                    assert embed(p, (first, 1), (untagged, -1))._entry is None
+            # an elimination's answer lies in r: a record or lead it keeps is r's own
+            A, B = Ideal(r, polys[:2]), Ideal(r, polys[2:4])
+            A.groebner()
+            for answer in (intersect(A, B), saturate(A, B)):
+                for g in answer.gens:
+                    assert g._lead in (None, min(g.terms, key=r.pack))
+                    if g._entry is not None:
+                        assert_fresh_record(g)
+
+
+def test_member_with_a_known_basis_builds_nothing(monkeypatch):
+    # the basis elements carry their records from the interreduction, and member
+    # tests the packed remainder: no record is packed and no Polynomial is built
+    from pairloc import groebner
+
+    for char in (0, 32003):
+        r = ring("xyz", char=char)
+        x, y, z = variables(r)
+        A = Ideal(r, (pp(r, "x^2 + y*z - 2"), pp(r, "2*x*y - z^2 + 1"), pp(r, "y^3 - x*z")))
+        basis = A.groebner()
+        unpacked, packed = [], []
+        unpack, reducer = groebner._unpacked, Polynomial.reducer
+        monkeypatch.setattr(groebner, "_unpacked", lambda *a: unpacked.append(a) or unpack(*a))
+
+        def counted(p):
+            if p._entry is None and any(p is g for g in basis):
+                packed.append(p)
+            return reducer(p)
+
+        monkeypatch.setattr(Polynomial, "reducer", counted)
+        answers = [A.member(f) for f in (x * A.gens[0] + z * A.gens[2], A.gens[1] ** 2,
+                                         x + y, pp(r, "x*y*z - 1"), Polynomial.zero(r))]
+        monkeypatch.undo()
+        assert answers == [True, True, False, False, True]
+        assert (unpacked, packed) == ([], [])

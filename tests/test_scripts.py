@@ -124,3 +124,27 @@ def test_a_stale_mutant_is_an_error_and_the_others_still_run(monkeypatch, capsys
     assert report["stale"]["status"] == "error"
     assert report["no-basis-is-ever-known"]["status"] == "killed"
     assert "stale: the text occurs 0 times in src/pairloc/ideals.py" in err
+
+
+def test_each_mutant_run_has_a_memory_limit(monkeypatch):
+    # a mutant can make a test's memory grow without bound, so every pytest child
+    # starts with an address-space limit; its preexec_fn is run here in a child
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    listed = {m["id"]: m for m in script.load()}["no-basis-is-ever-known"]
+    calls = []
+
+    def fake_run(command, **options):
+        calls.append(options)
+        return subprocess.CompletedProcess(command, 1)
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    assert script.run(listed)[0] == "killed"
+    (options,) = calls
+    monkeypatch.undo()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import resource; print(resource.getrlimit(resource.RLIMIT_AS))"],
+        preexec_fn=options["preexec_fn"], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == str((script.MEMORY_LIMIT, script.MEMORY_LIMIT))
+    assert script.MEMORY_LIMIT >= 2**30
