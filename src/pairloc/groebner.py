@@ -21,9 +21,9 @@ it and whose multiple's signature, q plus the term, lies below the
 reduction's signature, that is, is a greater int.  A plain reduction runs
 under the default signature −1, an int below every packed signature and
 every packed term, so it uses every divisor.  One helper, `_live`, turns a
-record back into live terms, and one, `_rekeyed`, moves it into a ring
-whose packing is an affine image of its own.  Only this module and `ring`
-read the record; `ideals.adjoin` hands one on, re-keyed, unread.
+record back into live terms, and one, `_rekeyed`, moves it into a larger
+ring whose packing of those terms is their own packing shifted, plus a
+constant.  Only this module and `ring` read the record.
 
 Over QQ the reduction runs on primitive integer polynomials: a term is
 cancelled by pseudo-reduction (the live terms are multiplied by the
@@ -59,7 +59,13 @@ the elements already reduced (`_interreduce`).  Each reduced element is
 packed once, into the record that is the divisor for the later ones and,
 when nothing is eliminated, the `Polynomial.reducer` record of the monic
 `Polynomial` returned, so the reductions, `ideals.Ideal.member` and the
-seeded eliminations of `ideals` read the basis without packing it again.
+seeded eliminations read the basis without packing it again.  The ring of
+those eliminations, k tags before a ring's variables under an elimination
+order, is built by `adjoin`, whose embedding only copies terms under a tag
+monomial.  A known basis is handed to `eliminate` over the ring itself,
+with the tag monomial it enters under, and `eliminate` re-keys each
+element's record into the tag ring (`_rekeyed`): on a grevlex ring the tag
+ring packs tag + e as ring.pack(e) << 64k plus a constant of the tag.
 `buchberger` computes each basis once per ring and set of generators: it
 keeps them in `_gb_cache`, at most `GB_CACHE_LIMIT` of them, which
 `ideals.clear_caches` empties.  That memo is the one store of a reduced
@@ -83,12 +89,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import le, sub
 
 from .errors import ExponentOverflowError, InternalError, RingMismatchError
-from .ring import _FIELD, EXP_LIMIT, Polynomial, RingSpec, integer_terms, reducer_entry
+from .ring import (_FIELD, EXP_LIMIT, Polynomial, RingSpec, elimination, integer_terms,
+                   reducer_entry)
 
 GB_CACHE_LIMIT = 8192  # at least 10 times the most entries a suite, session or pass holds
 _gb_cache = {}  # (ring, frozenset of generators) -> GroebnerBasis, filled by `buchberger`
@@ -219,7 +227,8 @@ def _live(record, char):
 def _rekeyed(record, shift, offset):
     """A record (lead, a, tail, q) with each packed term t re-keyed as
     (t << shift) + offset, and q 0: the record of a polynomial's copy in a
-    ring whose packing is that image of its own (`ideals.adjoin`)."""
+    ring whose packing is that image of its own (`eliminate`'s known
+    block)."""
     lead, a, tail, _ = record
     return (lead << shift) + offset, a, [((t << shift) + offset, c) for t, c in tail], 0
 
@@ -422,10 +431,10 @@ def _interreduce(basis, big, ring):
 
 def _complete(gens, ring, basis=()):
     """A Groebner basis of the ideal of the nonzero gens and of the known
-    basis, not interreduced, as one list of records (lead, a, tail, q), q an
-    element's signature less its leading term, in the order they joined,
-    redundant ones included; None when the ideal is (1), which is known as
-    soon as a nonzero constant turns up.
+    basis's polynomials, not interreduced, as one list of records (lead, a,
+    tail, q), q an element's signature less its leading term, in the order
+    they joined, redundant ones included; None when the ideal is (1), which
+    is known as soon as a nonzero constant turns up.
 
     The RB algorithm of Eder and Faugère (J. Symbolic Comput. 80, 2017)
     with the ratio rewrite order (Roune and Stillman, ISSAC 2012).  The
@@ -440,11 +449,12 @@ def _complete(gens, ring, basis=()):
     enter one at a time, and all pairs of one are taken before the next
     enters.
 
-    The known basis, nonzero polynomials over ring that already form a
-    Groebner basis there, is one finished block below every generator, as
-    in F5C (Eder and Perry, J. Symbolic Comput. 45, 2010): its records
-    enter G first with one shared signature, one level above the first
-    generator's, and no pair is formed among them.  They supply the
+    The known basis, the records (lead, a, tail, q) of polynomials over
+    ring that already form a Groebner basis there (`eliminate` re-keys
+    them), is one finished block below every generator, as in F5C (Eder
+    and Perry, J. Symbolic Comput. 45, 2010): they enter G first with one
+    shared signature, one level above the first generator's, and no pair
+    is formed among them.  They supply the
     principal syzygies lt(g)·e_k and reduce at every index; a constant
     among them is (1).
 
@@ -476,7 +486,7 @@ def _complete(gens, ring, basis=()):
                for lead, a, tail, q in (g.reducer() for g in gens)}
     width = one.bit_length()  # every packed monomial lies below 1 << width
     block = ((len(records) + 1) << width) + one  # the known basis's signature
-    G = [(lead, a, tail, block - lead) for lead, a, tail, _ in (g.reducer() for g in basis)]
+    G = [(lead, a, tail, block - lead) for lead, a, tail, _ in basis]
     if any(g[0] == one for g in G):
         return None
     leads = [unpack(g[0]) for g in G]  # per element of G: its leading exponents
@@ -560,16 +570,56 @@ def _cached(gens, ring: RingSpec):
     return _gb_cache.get((ring, frozenset(gens)))
 
 
-def eliminate(gens, ring: RingSpec, basis=()) -> tuple:
-    """The reduced basis of (gens, basis) ∩ k[ring's variables], sorted by
-    leading monomial in the order of the gens' ring, for gens and a known
-    basis over a ring whose variables are k leading ones, the tags,
-    followed by those of `ring`, and whose order is an elimination order
-    for the tags (`ideals.adjoin`).  The known basis must be a Groebner
-    basis over that ring already; `_complete` takes it as one finished
-    block and forms no pair within it.  The result lies in `ring`.  With
-    k = 0 and no basis this is the reduced basis of (gens), which is
-    `buchberger`; the zero ideal gives ().
+@lru_cache(maxsize=64)
+def adjoin(ring: RingSpec, k: int):
+    """(big, embed): the ring with k fresh leading variables, the tags,
+    named t, t1, t2, … skipping the ring's own names, under
+    `elimination(k, n)` (plain grevlex when either block is empty), and the
+    embedding of the ring's polynomials into it.  Memoized, so repeated
+    eliminations over one ring build the tag ring and its packing once.
+
+    embed(f, *places) is Σ s·x^tag·f over big, one copy of f's terms per
+    place (tag, s), tag the exponents of the tags and s = ±1; with no place
+    it is f itself.  Each copy only copies f's terms under its tag, and
+    copies under distinct tags share no term, so nothing is multiplied; a
+    copy is packed when it is first reduced."""
+    n, char = ring.nvars, ring.char
+    # the ring's n names leave at least k of the first k + n candidates free
+    names = [name for name in ["t"] + [f"t{i}" for i in range(1, k + n)]
+             if name not in ring.variables][:k]
+    big = RingSpec(char, tuple(names) + ring.variables,
+                   elimination(k, n) if k and n else ("grevlex",))
+
+    def embed(f, *places):
+        terms = {}
+        for tag, sign in places or (((0,) * k, 1),):
+            if sign > 0:
+                terms.update({tag + e: c for e, c in f.terms.items()})
+            else:
+                terms.update({tag + e: char - c if char else -c for e, c in f.terms.items()})
+        return Polynomial(big, terms, _normalized=True)
+
+    return big, embed
+
+
+def eliminate(gens, ring: RingSpec, basis=(), tag=()) -> tuple:
+    """The reduced basis of (gens, x^tag·basis) ∩ k[ring's variables],
+    sorted by leading monomial in the order of the gens' ring, for gens
+    over a ring whose variables are k leading ones, the tags, followed by
+    those of `ring`, and whose order is an elimination order for the tags
+    (`adjoin`).  The result lies in `ring`.  With k = 0 and no basis this
+    is the reduced basis of (gens), which is `buchberger`; the zero ideal
+    gives ().
+
+    The known basis is a reduced basis over `ring` itself, as `buchberger`
+    returns it, and tag the exponents of the k tags it enters under.  When
+    k > 0, ring must be grevlex, the order of `adjoin`'s tag ring on ring's
+    variables, so that x^tag·basis is a Groebner basis over the tag ring:
+    `_complete` takes it as one finished block and forms no pair within it.
+    Each element's record enters re-keyed (`_rekeyed`), never packed
+    again: every block of a packed term has fields of its own width
+    (`ring._order_forms`), so the tag ring packs tag + e as
+    ring.pack(e) << 64k plus a constant of the tag, for every e.
 
     In an elimination order a polynomial is free of the tags iff its
     leading monomial is, so the elements of a Groebner basis of (gens) that
@@ -581,10 +631,10 @@ def eliminate(gens, ring: RingSpec, basis=()) -> tuple:
     monomials form a Groebner basis already, and a monomial ideal meets
     k[ring's variables] in the ideal of its minimal generators free of the
     tags: no S-pair is formed; the known basis counts among the generators
-    here.  The unit ideal gives (1) as soon as `_complete` meets a
-    constant."""
-    big = next((g.ring for g in (*basis, *gens) if g.terms), ring)
-    gens, basis = _nonzero(gens, big, "generators"), _nonzero(basis, big, "basis")
+    here, each element under its tag.  The unit ideal gives (1) as soon as
+    `_complete` meets a constant."""
+    big = next((g.ring for g in gens), ring)
+    gens, basis = _nonzero(gens, big, "generators"), _nonzero(basis, ring, "basis")
     if not gens and not basis:
         return ()
     k = big.nvars - ring.nvars
@@ -592,14 +642,17 @@ def eliminate(gens, ring: RingSpec, basis=()) -> tuple:
         raise RingMismatchError("the generators' ring does not end in the target ring")
     if all(g.is_monomial() for g in gens + basis):
         one = ring.coeff(1)
-        minimal = sorted(_minimalize(g.leading_exp() for g in gens + basis),
+        minimal = sorted(_minimalize([g.leading_exp() for g in gens]
+                                     + [tag + g.leading_exp() for g in basis]),
                          key=big.pack, reverse=True)
         return tuple(Polynomial(ring, {e[k:]: one}, _normalized=True)
                      for e in minimal if not any(e[:k]))
-    G = _complete(gens, big, basis)
+    shift, zero = _FIELD * k, (0,) * ring.nvars
+    offset = big.pack(tag + zero) - (ring.pack(zero) << shift)
+    G = _complete(gens, big, [_rekeyed(g.reducer(), shift, offset) for g in basis])
     if G is None:
         return (Polynomial.one(ring),)
-    tags = (1 << _FIELD * k) - 1
+    tags = (1 << shift) - 1
     return tuple(_interreduce([g for g in G if not g[0] & tags], big, ring))
 
 

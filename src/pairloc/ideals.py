@@ -8,34 +8,31 @@ Assh and dimension all read one routine, `MonomialIdeal._covers`: the
 minimal vertex covers of the generators' supports, as bitmasks.
 
 Every question that adjoins auxiliary variables builds its ring with one
-primitive, `adjoin`, and is one call of one elimination, `groebner.eliminate`,
-which completes a basis over k[t, x] and interreduces only its t-free part:
-intersection eliminates t from t·A + (1 − t)·B, and saturation by all of B
-at once is A : B^∞ = (A + (1 − Σ t_i·b_i)) ∩ k[x].  The Rabinowitsch test,
-`radical_member_groebner`, asks only whether those generators for B = (f)
-give (1), so it runs the completion loop alone and interreduces nothing.
-`adjoin` is memoized, so the tag ring and its packing are built once per
-ring and number of tags, and its embedding builds every tag generator by
-re-keying: t·g is g's terms under the tag monomial t, (1 − t)·g two such
-copies, the one under t negated, and 1 − Σ t_i·b_i the constant 1 beside
-each −b_i under its own tag; no polynomial is multiplied.  A copy under one
-tag also takes g's packed record (`Polynomial.reducer`), when g has one,
-re-keyed by one shift and one add per term, so a reduced basis enters a
-seeded elimination unpacked: on a grevlex ring the tag ring's packing is
-an affine image of the ring's whenever the two orders' fields have one
-width, which `adjoin` checks once on the zero and unit exponent vectors.
-`colon` divides by each generator b of B with `exact_divide`, an exponent
-shift when b is a monomial.
+primitive, `groebner.adjoin`, and is one call of one elimination,
+`groebner.eliminate`, which completes a basis over k[t, x] and interreduces
+only its t-free part: intersection eliminates t from t·A + (1 − t)·B, and
+saturation by all of B at once is A : B^∞ = (A + (1 − Σ t_i·b_i)) ∩ k[x].
+The Rabinowitsch test, `radical_member_groebner`, asks only whether those
+generators for B = (f) give (1), so it runs the completion loop alone and
+interreduces nothing.  `adjoin` is memoized, so the tag ring and its
+packing are built once per ring and number of tags, and its embedding
+builds every tag generator by copying terms: t·g is g's terms under the
+tag monomial t, (1 − t)·g two such copies, the one under t negated, and
+1 − Σ t_i·b_i the constant 1 beside each −b_i under its own tag; no
+polynomial is multiplied.  `colon` divides by each generator b of B with
+`exact_divide`, an exponent shift when b is a monomial.
 
 An `Ideal` is its ring and generators and keeps no basis: `Ideal.groebner`
 is `groebner.buchberger`, whose memo `_gb_cache`, keyed by ring and set of
 generators, is the one store of a reduced basis, and `Ideal._gb` reads it
 without computing.  On a grevlex ring, which the tag rings order alike on
 the ring's own variables, a basis already known there is a Groebner basis
-over the tag ring too: `intersect` starts its elimination from t·GB(A), and
-`saturate` from GB(A), as one finished block (`eliminate`'s known basis).
-No basis is computed only to start from it, and `colon` and the
-Rabinowitsch test start from the generators.
+over the tag ring too: `intersect` starts its elimination from t·GB(A),
+and `saturate` from GB(A), as one finished block.  Each hands GB(A) to
+`eliminate` as it is, over the ring, with the tag monomial of its block, t
+or 1; `eliminate` moves the records into the tag ring.  No basis is
+computed only to start from it, and `colon` and the Rabinowitsch test
+start from the generators.
 
 `in_radical` (I ⊆ √A) and `radical_member` (f ∈ √A) are one question,
 answered by one body, `_contained`.  Monomial A (every generator a monomial
@@ -69,14 +66,12 @@ which is never a unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import PreconditionError, RingMismatchError
-from .groebner import (GroebnerBasis, buchberger, eliminate, exact_divide, normal_form,
+from .groebner import (GroebnerBasis, adjoin, buchberger, eliminate, exact_divide, normal_form,
                        _cached, _complete, _divides, _divides_power, _exp_lcm,
-                       _gb_cache as _bases, _minimalize, _rekeyed, _remainder)
-from .ring import (_FIELD, GREVLEX, Polynomial, RingSpec, _check_exp, add_times, elimination,
-                   integer_terms)
+                       _gb_cache as _bases, _minimalize, _remainder)
+from .ring import GREVLEX, Polynomial, RingSpec, _check_exp, add_times, integer_terms
 
 _gb_cache = _bases  # `buchberger`'s memo, under the name the benchmark's tracer reads
 _radical_cache = {}
@@ -137,7 +132,8 @@ class Ideal:
     def _known_basis(self):
         """`_gb` when the ring is grevlex, the order of `adjoin`'s tag rings
         on the ring's own variables, so that the basis stays one over a tag
-        ring; else None."""
+        ring and `eliminate` can re-key its records there for any number of
+        tags; else None."""
         return self._gb if self.ring.order == GREVLEX else None
 
     def member(self, f: Polynomial) -> bool:
@@ -213,56 +209,9 @@ class Ideal:
 
 # -- elimination-backed operations --------------------------------------------
 
-@lru_cache(maxsize=64)
-def adjoin(ring: RingSpec, k: int):
-    """(big, embed): the ring with k fresh leading variables, the tags,
-    named t, t1, t2, … skipping the ring's own names, under
-    `elimination(k, n)` (plain grevlex when either block is empty), and the
-    embedding of the ring's polynomials into it.  Memoized, so repeated
-    eliminations over one ring build the tag ring and its packing once.
-
-    embed(f, *places) is Σ s·x^tag·f over big, one copy of f's terms per
-    place (tag, s), tag the exponents of the tags and s = ±1; with no place
-    it is f itself.  Each copy only re-keys f's terms under its tag, and
-    copies under distinct tags share no term, so nothing is multiplied.
-    With at most one place, the copy also takes f's record, if f has one,
-    re-keyed (`groebner._rekeyed`) when big's packing is an affine image
-    of the ring's (a record is up to a scalar, so the sign does not
-    matter); otherwise the copy is packed afresh when it is first used."""
-    n, char = ring.nvars, ring.char
-    # the ring's n names leave at least k of the first k + n candidates free
-    names = [name for name in ["t"] + [f"t{i}" for i in range(1, k + n)]
-             if name not in ring.variables][:k]
-    big = RingSpec(char, tuple(names) + ring.variables,
-                   elimination(k, n) if k and n else ("grevlex",))
-    untagged = ((0,) * k, 1)
-    # big.pack(tag + e) = (ring.pack(e) << shift) + offset(tag) for all e iff
-    # the two affine maps agree on the zero and unit vectors under one tag
-    shift, zero = _FIELD * k, (0,) * n
-    lifted = ring.pack(zero) << shift
-    offset = big.pack(untagged[0] + zero) - lifted
-    affine = all(big.pack(untagged[0] + e) == (ring.pack(e) << shift) + offset
-                 for e in (zero[:i] + (1,) + zero[i + 1:] for i in range(n)))
-
-    def embed(f, *places):
-        terms = {}
-        for tag, sign in places or (untagged,):
-            if sign > 0:
-                terms.update({tag + e: c for e, c in f.terms.items()})
-            else:
-                terms.update({tag + e: char - c if char else -c for e, c in f.terms.items()})
-        copy = Polynomial(big, terms, _normalized=True)
-        if affine and f._entry is not None and len(places) <= 1:
-            tag = (places or (untagged,))[0][0]
-            copy._entry = _rekeyed(f._entry, shift, big.pack(tag + zero) - lifted)
-        return copy
-
-    return big, embed
-
-
 def _rabinowitsch(ring: RingSpec, bs):
     """The embedding of `adjoin` with one tag t_i per nonzero b_i in bs, and
-    1 − Σ t_i·b_i over the tag ring: 1 followed by each −b_i re-keyed under
+    1 − Σ t_i·b_i over the tag ring: 1 followed by each −b_i copied under
     its tag."""
     bs = [b for b in bs if not b.is_zero()]
     k = len(bs)
@@ -275,10 +224,10 @@ def _rabinowitsch(ring: RingSpec, bs):
 
 def intersect(A: Ideal, B: Ideal) -> Ideal:
     """A ∩ B via a single auxiliary variable: eliminate t from t·A + (1−t)·B,
-    each generator re-keyed by `adjoin`'s embedding.  When A's reduced
-    basis is known (`Ideal._known_basis`), t·GB(A) is a Groebner basis over
-    the tag ring and enters the completion as one finished block, beside
-    the (1 − t)·b.  No basis is computed just to start from it."""
+    each generator copied by `adjoin`'s embedding.  When A's reduced basis
+    is known (`Ideal._known_basis`), t·GB(A) is a Groebner basis over the
+    tag ring and enters the completion as one finished block, beside the
+    (1 − t)·b.  No basis is computed just to start from it."""
     A._check(B)
     return _intersect(A, B, A._known_basis())
 
@@ -287,11 +236,10 @@ def _intersect(A: Ideal, B: Ideal, known=None) -> Ideal:
     """`intersect` from t·known, a reduced basis of A, as a finished block
     when it is given; else from t·g for A's generators g."""
     embed = adjoin(A.ring, 1)[1]
-    times_t = [embed(g, ((1,), 1)) for g in (A.gens if known is None else known)]
     rest = [embed(g, ((0,), 1), ((1,), -1)) for g in B.gens]
     if known is None:
-        return Ideal(A.ring, eliminate(times_t + rest, A.ring))
-    return Ideal(A.ring, eliminate(rest, A.ring, times_t))
+        return Ideal(A.ring, eliminate([embed(g, ((1,), 1)) for g in A.gens] + rest, A.ring))
+    return Ideal(A.ring, eliminate(rest, A.ring, known, (1,)))
 
 
 def colon(A: Ideal, B: Ideal) -> Ideal:
@@ -329,10 +277,10 @@ def saturate(A: Ideal, B: Ideal) -> Ideal:
     embed, last = _rabinowitsch(A.ring, B.gens)
     known = A._known_basis()
     if known is None:
-        gens, basis = [embed(g) for g in A.gens if not g.is_zero()] + [last], ()
-    else:
-        gens, basis = [last], [embed(g) for g in known]
-    return Ideal(A.ring, eliminate(gens, A.ring, basis))
+        gens = [embed(g) for g in A.gens if not g.is_zero()] + [last]
+        return Ideal(A.ring, eliminate(gens, A.ring))
+    untagged = (0,) * (last.ring.nvars - A.ring.nvars)
+    return Ideal(A.ring, eliminate([last], A.ring, known, untagged))
 
 
 def support_mask(exp) -> int:

@@ -7,25 +7,32 @@ over QQ are `fractions.Fraction` (always reduced); over GF(p) they are ints in
 denominators and content, and `Polynomial.reducer` keeps a polynomial's
 primitive integer multiple for the Groebner kernel, built by
 `reducer_entry` from integer terms, or carried over from the reduction
-that made the polynomial (a reduced Groebner basis element, or its copy in
-a tag ring).  Every polynomial the package returns holds Fractions over QQ.
+that made the polynomial (a reduced Groebner basis element).  Every
+polynomial the package returns holds Fractions over QQ.
 
 Monomial orders (lex, grevlex, elimination blocks) are attached to the ring.
 Each is a linear map of the exponents followed by a lexicographic comparison
 (Robbiano, EUROCAL 1985), so one int per exponent vector carries it: the
 order key K = Σ e_i·w_i, whose fields are the values of the order's linear
-forms.  The ring's one order key is the packed term (Monagan and Pearce,
-CASC 2007), ``((MAXK − K) << 64n) | E``, where E holds exponent i in bits
-[64i, 64i + 64): the greatest monomial has the least packed term, every sort
-by the order sorts by `RingSpec.pack`, and the Groebner kernel works on
-packed terms.  Packing is affine in the exponents, so the packed product of
-two terms is the sum of their packed terms minus the packed 1.  An exponent
-below `EXP_LIMIT` = 2^62 leaves its field's bits 62 (`RingSpec.guard`) and
-63 (`RingSpec.borrow`) clear, and the sum of two such exponents stays below
-2^63, so a product can neither carry into the next field nor pass the limit
-unseen: it has passed it iff ``item & guard``.  b divides a iff
-``((a | borrow) − b) & borrow == borrow``, since no field borrows from the
-next.
+forms, each block's in fields of a width of its own (`_order_forms`).  The
+ring's one order key is the packed term (Monagan and Pearce, CASC 2007),
+``((MAXK − K) << 64n) | E``, where E holds exponent i in bits [64i, 64i +
+64): the greatest monomial has the least packed term, every sort by the
+order sorts by `RingSpec.pack`, and the Groebner kernel works on packed
+terms.  Packing is affine in the exponents, so the packed product of two
+terms is the sum of their packed terms minus the packed 1.  Since a block's
+fields do not depend on the blocks before it, a ring whose last block is a
+grevlex ring's variables packs tag + e as that ring's pack(e) << 64k plus
+a constant of the tag, for k leading variables: so `groebner.eliminate`
+moves a grevlex ring's records into `groebner.adjoin`'s tag ring by one
+shift and one add per term, for every k.
+
+An exponent below `EXP_LIMIT` = 2^62 leaves its field's bits 62
+(`RingSpec.guard`) and 63 (`RingSpec.borrow`) clear, and the sum of two
+such exponents stays below 2^63, so a product can neither carry into the
+next field nor pass the limit unseen: it has passed it iff ``item &
+guard``.  b divides a iff ``((a | borrow) − b) & borrow == borrow``, since
+no field borrows from the next.
 """
 
 from __future__ import annotations
@@ -71,11 +78,14 @@ def _is_prime(p: int) -> bool:
 
 
 def _order_forms(nvars, order):
-    """The linear forms of a monomial order, as rows of 0/1 coefficients:
-    exp a is below exp b iff the forms' values at a are lexicographically
-    below their values at b (Robbiano, EUROCAL 1985).  Each grevlex block
-    [s, s + k) gives its degree, then x_s + … + x_(s+k−2), …, x_s; lex is k
-    blocks of one variable, grevlex one block of k."""
+    """The linear forms of a monomial order, as (row, width) pairs: the row
+    of 0/1 coefficients, exp a is below exp b iff the forms' values at a
+    are lexicographically below their values at b (Robbiano, EUROCAL 1985),
+    and the bits of the form's field in a packed term.  Each grevlex block
+    [s, s + k) gives its degree, then x_s + … + x_(s+k−2), …, x_s, in
+    fields of `_FIELD` − 1 + k.bit_length() bits: a form sums at most k
+    exponents, each below 2 * EXP_LIMIT = 2^63.  Lex is k blocks of one
+    variable, grevlex one block of k."""
     kind = order[0]
     if kind == "lex":
         blocks = (1,) * nvars
@@ -83,24 +93,27 @@ def _order_forms(nvars, order):
         blocks = (nvars,) if nvars else ()
     else:
         blocks = order[1]
-    rows, start = [], 0
+    forms, start = [], 0
     for size in blocks:
+        width = _FIELD - 1 + size.bit_length()
         for stop in range(start + size, start, -1):
-            rows.append([int(start <= i < stop) for i in range(nvars)])
+            forms.append(([int(start <= i < stop) for i in range(nvars)], width))
         start += size
-    return rows, max(blocks, default=1)
+    return forms
 
 
 @lru_cache(maxsize=64)
 def _packing(nvars, order):
-    """(pack, unpack, guard, borrow) of a ring: see `RingSpec`."""
-    rows, widest = _order_forms(nvars, order)
-    # a form sums at most `widest` exponents, each below 2 * EXP_LIMIT = 2^63
-    width = _FIELD - 1 + widest.bit_length()
-    weights = [sum(row[i] << width * (nvars - 1 - j) for j, row in enumerate(rows))
-               for i in range(nvars)]
+    """(pack, unpack, guard, borrow) of a ring: see `RingSpec`.  The order
+    key's fields follow `_order_forms`, the last form's lowest, so the key
+    of a ring's last block lies in the same bits as in a ring of that block
+    alone."""
+    weights, low = [0] * nvars, 0  # low: the bits of the fields below the next one
+    for row, width in reversed(_order_forms(nvars, order)):
+        weights = [w + (c << low) for w, c in zip(weights, row)]
+        low += width
     span = _FIELD * nvars  # bits of the exponent part
-    base = ((1 << width * nvars) - 1) << span
+    base = ((1 << low) - 1) << span
     deltas = [(1 << _FIELD * i) - (w << span) for i, w in enumerate(weights)]
     mask = (1 << span) - 1
     fields = Struct(f"<{nvars}Q")

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError
-from .groebner import buchberger, normal_form
-from .ideals import Ideal, adjoin, in_radical, radical_member
+from .groebner import adjoin, buchberger, normal_form
+from .ideals import Ideal, in_radical, radical_member
 from .ring import Polynomial
 
 
@@ -81,15 +81,15 @@ def s_certificate(p: Ideal, a: Polynomial, J: Ideal):
 def _j_part(p: Ideal, J: Ideal, f: Polynomial) -> Polynomial:
     """A j ∈ J with f + j ∈ p, for f ∈ p + J.
 
-    Adjoin two tags u and e (`ideals.adjoin`), so that k[u, e, x] is ordered
+    Adjoin two tags u and e (`groebner.adjoin`), so that k[u, e, x] is ordered
     by `elimination(2, n)`, and take the ideal of u·p_i, u·J_l + e·J_l, u²,
     u·e and e².  Its part of degree one in the tags is the submodule of R²
     generated by the (p_i, 0) and (J_l, J_l), that is the (π + ι, ι) with
     π ∈ p and ι ∈ J, under an order where the u-position dominates: on
     monomials of tag degree one, u·x^a > e·x^b always.  Since f ∈ p + J,
     u·f reduces to some e·j; then (f, −j) = (π + ι, ι) for some such π and
-    ι, so j = −ι ∈ J and f + j = π ∈ p.  The generators are re-keyed copies
-    of the p_i and J_l under the places u and e of `adjoin`'s embedding.
+    ι, so j = −ι ∈ J and f + j = π ∈ p.  The generators are copies of the
+    p_i and J_l under the places u and e of `adjoin`'s embedding.
     """
     big, embed = adjoin(p.ring, 2)
     u, e, zero = ((1, 0), 1), ((0, 1), 1), (0,) * p.ring.nvars

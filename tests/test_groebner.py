@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from pairloc import groebner, ideals
 from pairloc.errors import ExponentOverflowError, RingMismatchError
-from pairloc.groebner import (buchberger, eliminate, normal_form, s_polynomial,
+from pairloc.groebner import (adjoin, buchberger, eliminate, normal_form, s_polynomial,
                               spoly_certificate)
-from pairloc.ideals import (Ideal, adjoin, clear_caches, exact_divide, radical_member_groebner,
-                            saturate)
+from pairloc.ideals import Ideal, clear_caches, exact_divide, radical_member_groebner, saturate
 from pairloc.ring import EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.samples import random_polynomial, standard_ring
 
@@ -58,8 +57,8 @@ def test_a_constant_ends_the_completion_with_the_unit_ideal(monkeypatch):
     x_big = embed(x)
     # x is in the radical of (x), so (x, 1 - t*x) is (1)
     assert eliminate([x_big, Polynomial.one(big) - t * x_big], r) == (Polynomial.one(r),)
-    # a constant in a known basis is the unit ideal at once
-    assert eliminate([embed(x - y)], r, [Polynomial.one(big)]) == (Polynomial.one(r),)
+    # a constant in a known basis, untagged, is the unit ideal at once
+    assert eliminate([embed(x - y)], r, [Polynomial.one(r)], (0,)) == (Polynomial.one(r),)
 
 
 def test_a_known_basis_counts_in_the_monomial_shortcut(monkeypatch):
@@ -68,6 +67,54 @@ def test_a_known_basis_counts_in_the_monomial_shortcut(monkeypatch):
     assert eliminate([xy], r, [y2_z]) == buchberger([xy, y2_z]).generators
     monkeypatch.setattr(groebner, "_complete", None)  # any completion would fail
     assert eliminate([xy], r, [y2]) == (y2, xy)
+
+
+def _random_exponents(rng, n):
+    """Exponent vectors of n entries: small ones, and some up to `EXP_LIMIT`."""
+    return [tuple(rng.randint(0, 9 if small else EXP_LIMIT - 1) for _ in range(n))
+            for small in (True, True, True, False, False)]
+
+
+def test_a_grevlex_tag_ring_packs_the_rings_terms_as_a_shift_of_its_own():
+    # big.pack(tag + e) − (ring.pack(e) << 64k) depends on the tag alone on a
+    # grevlex ring, for every k; on a lex ring of n >= 2 variables it does not,
+    # which is why only grevlex rings seed an elimination
+    rng = random.Random(34)
+    for n in range(1, 7):
+        for k in range(1, 11):
+            for order in (GREVLEX, LEX):
+                r = RingSpec(0, tuple(f"x{i}" for i in range(n)), order)
+                big = adjoin(r, k)[0]
+                offsets = [{big.pack(tag + e) - (r.pack(e) << 64 * k)
+                            for e in _random_exponents(rng, n)}
+                           for tag in _random_exponents(rng, k)]
+                shifted = all(len(offset) == 1 for offset in offsets)
+                assert shifted == (order == GREVLEX or n == 1), (n, k, order)
+
+
+def test_the_known_block_enters_as_the_fresh_records_of_its_copies(monkeypatch):
+    # eliminate re-keys each element of a reduced basis over the ring under the
+    # block's tag: the record its copy in the tag ring would pack afresh
+    rng = random.Random(34)
+    blocks = []
+    monkeypatch.setattr(groebner, "_complete", lambda gens, ring, basis: blocks.append(basis))
+    for n in range(1, 7):
+        for char in (0, 32003):
+            r = standard_ring(n, char)
+            x = variables(r)[0]
+            known = buchberger([random_polynomial(rng, r, max_degree=2, max_terms=3)
+                                for _ in range(2)] + [x * x + x + Polynomial.one(r)])
+            for k in range(1, 11):
+                big, embed = adjoin(r, k)
+                tag = tuple(rng.randint(0, 2) for _ in range(k))
+                # the completion is stubbed, so the answer is that of a constant
+                assert eliminate([embed(x + Polynomial.one(r))], r, known, tag) == (
+                    Polynomial.one(r),)
+                for g, record in zip(known, blocks.pop(), strict=True):
+                    copy = embed(g, (tag, 1))
+                    assert copy._entry is None  # a copy carries no record
+                    copy._entry = record
+                    assert_fresh_record(copy)
 
 
 @settings(max_examples=40, deadline=None)

@@ -323,8 +323,8 @@ def test_saturation_by_several_generators_is_one_elimination(monkeypatch):
 
     calls = []
     monkeypatch.setattr(ideals, "eliminate",
-                        lambda gens, ring, basis=(): calls.append(ring)
-                        or eliminate(gens, ring, basis))
+                        lambda gens, ring, basis=(), tag=(): calls.append(ring)
+                        or eliminate(gens, ring, basis, tag))
     r = ring("xyz")
     A = Ideal(r, (pp(r, "x^2*y - z"), pp(r, "x*z^2")))
     for k in (1, 2, 3):
@@ -355,8 +355,8 @@ def test_only_a_known_grevlex_basis_seeds_an_elimination(monkeypatch):
     import pairloc.ideals as ideals
 
     seeds = []  # the size of the known basis each elimination starts from
-    monkeypatch.setattr(ideals, "eliminate", lambda gens, ring, basis=():
-                        seeds.append(len(basis)) or eliminate(gens, ring, basis))
+    monkeypatch.setattr(ideals, "eliminate", lambda gens, ring, basis=(), tag=():
+                        seeds.append(len(basis)) or eliminate(gens, ring, basis, tag))
     for order in (GREVLEX, LEX):
         r = ring("xyz", order=order)
         A = Ideal(r, (pp(r, "x^2*y - z"), pp(r, "x*z^2 - y")))
@@ -633,28 +633,12 @@ def test_adjoin_is_memoized():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_record_a_copy_carries_is_a_fresh_one(n):
-    # embed re-keys a record only where the tag ring's packing is an affine image
-    # of the ring's: grevlex, and the fields of both orders of one width, which
-    # fails for n = 2 or 3 with k >= 4 tags; elsewhere the copy carries none
+    # an elimination's answer lies in r: a record or lead it keeps is r's own
     rng = random.Random(n)
     for order in (GREVLEX, LEX):
         for char in (0, 32003):
             r = RingSpec(char, tuple("xyzw"[:n]), order)
             polys = [p for p in (random_polynomial(rng, r, 3, 4) for _ in range(8)) if p]
-            for p in polys:
-                p.reducer()
-            for k in range(1, 6):
-                big, embed = adjoin(r, k)
-                rekeyed = order == GREVLEX and max(k, n).bit_length() == n.bit_length()
-                first, untagged = (1,) + (0,) * (k - 1), (0,) * k
-                for p in polys:
-                    tag = tuple(rng.randint(0, 2) for _ in range(k))
-                    for copy in (embed(p), embed(p, (tag, 1)), embed(p, (tag, -1))):
-                        assert (copy._entry is not None) == rekeyed
-                        if rekeyed:
-                            assert_fresh_record(copy)
-                    assert embed(p, (first, 1), (untagged, -1))._entry is None
-            # an elimination's answer lies in r: a record or lead it keeps is r's own
             A, B = Ideal(r, polys[:2]), Ideal(r, polys[2:4])
             A.groebner()
             for answer in (intersect(A, B), saturate(A, B)):
@@ -662,6 +646,26 @@ def test_every_record_a_copy_carries_is_a_fresh_one(n):
                     assert g._lead in (None, min(g.terms, key=r.pack))
                     if g._entry is not None:
                         assert_fresh_record(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([0, 32003]),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=4, max_value=9))
+def test_seeded_eliminations_over_many_tags_match_the_cold_ones(seed, char, n, k):
+    # 4 to 9 tags over 1 to 3 variables: the tag ring's order fields are wider
+    # than the ring's there, and the known block is re-keyed all the same
+    rng = random.Random(seed)
+    r = standard_ring(n, char)
+    A = Ideal(r, [random_polynomial(rng, r, max_degree=2, max_terms=3) for _ in range(2)])
+    B = Ideal(r, [random_polynomial(rng, r, max_degree=1, max_terms=2) for _ in range(k)])
+    # A ∩ (b) under the first of k tags, as `intersect` builds it under one
+    first = (1,) + (0,) * (k - 1)
+    embed = adjoin(r, k)[1]
+    rest = [embed(B.gens[0], ((0,) * k, 1), (first, -1))]
+    cold = (saturate(A, B).gens, intersect(A, B).gens,
+            eliminate([embed(g, (first, 1)) for g in A.gens] + rest, r))
+    known = A.groebner()
+    assert (saturate(A, B).gens, intersect(A, B).gens, eliminate(rest, r, known, first)) == cold
 
 
 def test_member_with_a_known_basis_builds_nothing(monkeypatch):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,28 @@ def test_kind_shares_script_tables_a_workload_by_query_kind():
     assert kinds["dim_quotient"][1:] == (0, 0)
 
 
+def test_ab_script_runs_a_checkout_against_a_copy_of_itself(tmp_path):
+    # two packages named pairloc in one process, each from its own checkout
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = str(ROOT / "scripts" / "ab.py")
+    args = [str(ROOT), str(tmp_path), "--workload", "depth", "--seeds", "1", "--passes", "2"]
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, script, *args], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["parent"] == str(ROOT / "src" / "pairloc" / "__init__.py")
+    assert report["change"] == str(tmp_path / "src" / "pairloc" / "__init__.py")
+    seed = report["seeds"]["1"]
+    assert seed["answers_match"] is True and seed["change_lower_in_blocks"] in ("0 of 1", "1 of 1")
+    assert seed["parent_ms"] > 0 and seed["change_ms"] > 0
+    env["PYTHONHASHSEED"] = "1"  # the completions' work would depend on the run
+    proc = subprocess.run([sys.executable, script, *args], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 2 and "PYTHONHASHSEED=0" in proc.stderr
+
+
 def test_each_listed_mutant_replaces_one_text_and_names_existing_tests():
     # the anchor of scripts/mutants.py: a refactor that moves a mutated text
     # must update tests/mutants.json, or this fails
@@ -124,6 +147,28 @@ def test_a_stale_mutant_is_an_error_and_the_others_still_run(monkeypatch, capsys
     assert report["stale"]["status"] == "error"
     assert report["no-basis-is-ever-known"]["status"] == "killed"
     assert "stale: the text occurs 0 times in src/pairloc/ideals.py" in err
+
+
+def test_a_mutant_that_changes_nothing_survives(monkeypatch, capsys):
+    # its test reads bench/ and scripts/, so a copy without them would fail it
+    # and report the no-op as killed; a named test that does not pass on the
+    # unmutated copy makes the mutant an error, never killed
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    text = "def test_every_public_function_and_class_has_a_use_outside_the_tests"
+    noop = {"id": "no-op", "file": "tests/test_source_policy.py", "text": text,
+            "replacement": text, "reason": "changes nothing",
+            "tests": [f"tests/test_source_policy.py::{text[4:]}"]}
+    monkeypatch.setattr(script, "load", lambda: [noop])
+    assert script.main([]) == 1
+    assert json.loads(capsys.readouterr().out)["no-op"]["status"] == "survived"
+    monkeypatch.setattr(script, "passing", lambda tests: set())
+    monkeypatch.setattr(script, "run", None)  # no mutated copy is made
+    assert script.main([]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["no-op"]["status"] == "error"
+    assert "no-op: a named test does not pass on the unmutated copy" in err
 
 
 def test_each_mutant_run_has_a_memory_limit(monkeypatch):

@@ -146,7 +146,8 @@ def test_every_public_function_and_class_has_a_use_outside_the_tests():
 
 # The Groebner kernel's record (lead, a, tail, q) and the routines that read
 # it; only the modules that define them may use them.
-KERNEL_NAMES = {"reducer_entry", "_reduce", "_add_multiple", "_live", "_s_terms", "reducer"}
+KERNEL_NAMES = {"reducer_entry", "_reduce", "_add_multiple", "_live", "_s_terms", "reducer",
+                "_entry", "_rekeyed"}
 KERNEL_MODULES = {"ring.py", "groebner.py"}
 
 
