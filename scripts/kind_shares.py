@@ -10,10 +10,12 @@ time is its best over the passes; the times are summed by kind and printed
 as a Markdown table, greatest share first.  A query's kind is its
 operation, except that the fixed Groebner systems (ids such as
 ``katsura4-0``) are named by system, over both fields together.  Beside the
-milliseconds, each kind shows the S-pairs formed and the reductions run
-(calls of `groebner._s_terms` and `groebner._reduce`) in one extra pass,
-which is not timed.  With PYTHONHASHSEED=0, as in the benchmark, the
-completions do the same work in every run.
+milliseconds, each kind shows the calls of the functions in `COUNTED` in one
+extra pass, which is not timed: the S-pairs formed and the reductions run
+(`groebner._s_terms` and `groebner._reduce`), and the simplicial complexes
+handed to the Betti engine and the ones of them ranked (`betti._homology`
+and `betti.reduced_homology_dims`).  With PYTHONHASHSEED=0, as in the
+benchmark, the completions do the same work in every run.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from collections import Counter
 from types import SimpleNamespace
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+# (module, function, column): the calls counted per kind in the counting pass
+COUNTED = (("groebner", "_s_terms", "S-pairs"), ("groebner", "_reduce", "Reductions"),
+           ("betti", "_homology", "Complexes"), ("betti", "reduced_homology_dims", "Ranked"))
 
 
 def kind(query):
@@ -37,26 +42,26 @@ def kind(query):
 
 
 def counted(worker, pl, builder, queries):
-    """{(kind, "S-pairs" or "reductions"): count} over one pass, by wrapping
-    groebner's `_s_terms` and `_reduce`; the pass sets the probe's query
-    index before each query, as it does a tracer's.  worker is
-    bench/worker.py."""
-    groebner = pl.groebner
+    """{(kind, column): count} over one pass, by wrapping each function of
+    `COUNTED` on its module; the pass sets the probe's query index before
+    each query, as it does a tracer's.  worker is bench/worker.py."""
     probe, tally = SimpleNamespace(query=-1), Counter()
-    originals = groebner._s_terms, groebner._reduce
+    originals = [(getattr(pl, module), name, column, getattr(getattr(pl, module), name))
+                 for module, name, column in COUNTED]
 
-    def wrapped(what, fn):
+    def wrapped(column, fn):
         def wrapper(*args):
-            tally[kind(queries[probe.query]), what] += 1
+            tally[kind(queries[probe.query]), column] += 1
             return fn(*args)
         return wrapper
 
-    groebner._s_terms = wrapped("S-pairs", originals[0])
-    groebner._reduce = wrapped("reductions", originals[1])
+    for module, name, column, fn in originals:
+        setattr(module, name, wrapped(column, fn))
     try:
         worker.run_pass(pl, builder, queries, tracer=probe)
     finally:
-        groebner._s_terms, groebner._reduce = originals
+        for module, name, _, fn in originals:
+            setattr(module, name, fn)
     return tally
 
 
@@ -93,11 +98,12 @@ def main(argv=None):
     whole = sum(totals.values())
     print(f"{args.workload}, seed {args.seed}, best of {args.passes} passes: {whole:.2f} ms")
     print()
-    print("| Query kind | ms | Share of the batch | S-pairs | Reductions |")
-    print("| --- | --- | --- | --- | --- |")
+    columns = [column for _, _, column in COUNTED]
+    print("| Query kind | ms | Share of the batch | " + " | ".join(columns) + " |")
+    print("| --- " * (3 + len(columns)) + "|")
     for name, ms in totals.most_common():
-        print(f"| {name} | {ms:.3f} | {ms / whole:.0%} | {counts[name, 'S-pairs']}"
-              f" | {counts[name, 'reductions']} |")
+        print(f"| {name} | {ms:.3f} | {ms / whole:.0%} | "
+              + " | ".join(str(counts[name, column]) for column in columns) + " |")
 
 
 if __name__ == "__main__":

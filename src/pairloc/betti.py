@@ -7,20 +7,24 @@ lattice of the minimal generators, in the n variables of the ring and for
 any exponents (Miller-Sturmfels, Combinatorial Commutative Algebra,
 Thm 1.34).
 
-- *One bit matrix per call.*  For each variable i and each exponent v of
-  x_i among the generators, and 0, masks[i][v] holds the bitmasks of the
-  generators g with g_i < v and with g_i <= v; its size is that of the
-  generators, not of their exponents.  The generators dividing x^b, for b
-  in the lcm lattice, are the AND of the second over i, and AND-ing in the
-  first gives the face of i in supp b.  These faces generate a complex on
-  the generators that, by Dowker's theorem (C. H. Dowker, "Homology groups of
+- *Threshold codes.*  Each generator g is one int, with a bit for each
+  variable i and positive exponent v of x_i among the generators, set when
+  g_i >= v; its size is that of the generators, not of their exponents.
+  The code of an lcm is then the OR of the codes, the generators dividing
+  x^b are the AND, over the bits outside b, of the generators lacking that
+  bit, and narrowing those to the generators lacking the top bit of
+  variable i in b gives the face of i in supp b.  These faces generate a complex on the
+  generators that, by Dowker's theorem (C. H. Dowker, "Homology groups of
   relations", Ann. of Math. 56, 1952), has the reduced homology of K^b.
 - *Fewer vertices, then shape.*  A complex is cut to its maximal facets and
   replaced by the transposed relation of those, its nerve, while that has
-  fewer vertices.  One facet is a simplex, acyclic unless it is ∅; two are
-  S^0 when disjoint and contractible when they meet.  Only larger complexes
-  are ranked, by `matrix_rank`, one sparse exact elimination over QQ and
-  GF(p).
+  fewer vertices.  Up to three maximal facets are read off their nerve: one
+  is a simplex, acyclic unless it is ∅; two are S^0 when disjoint and
+  contractible when they meet; three are contractible when all three meet,
+  and otherwise a graph on three points with an edge for each pair that
+  meets, so 0, 1, 2 or 3 edges give H~_0 = 2, H~_0 = 1, nothing or
+  H~_1 = 1.  Only larger complexes are ranked, by `matrix_rank`, one sparse
+  exact elimination over QQ and GF(p).
 - *One homology per complex per pass.*  The nonzero homology of each ranked
   complex is kept in `_homology_cache` under (facets, characteristic), at
   most HOMOLOGY_CACHE_LIMIT entries, emptied when full and by
@@ -187,16 +191,23 @@ def _transpose(facets):
 
 def _homology(masks, char):
     """The nonzero reduced homology ((q, dim), ...) of the complex generated
-    by the faces `masks`: on the side with fewer vertices, by shape for one
-    or two maximal facets, else ranked once per cache generation."""
+    by the faces `masks`: on the side with fewer vertices, by shape for up
+    to three maximal facets, else ranked once per cache generation."""
     facets = _maximal(masks)
-    while len(facets) > 2 and reduce(or_, facets).bit_count() > len(facets):
+    while len(facets) > 3 and reduce(or_, facets).bit_count() > len(facets):
         facets = _maximal(_transpose(facets))
     if len(facets) == 1:
         return () if facets[0] else ((-1, 1),)
     if len(facets) == 2:
         f, g = facets
         return () if f & g else ((0, 1),)
+    if len(facets) == 3:
+        # the nerve: a filled triangle when all three facets meet, else a
+        # graph with an edge for each pair that meets
+        f, g, h = facets
+        if f & g & h:
+            return ()
+        return (((0, 2),), ((0, 1),), (), ((1, 1),))[(f & g != 0) + (f & h != 0) + (g & h != 0)]
     key = (frozenset(facets), char)
     dims = _homology_cache.get(key)
     if dims is None:
@@ -207,36 +218,57 @@ def _homology(masks, char):
     return dims
 
 
-def _threshold_masks(gens, nvars):
-    """masks[i][v] = (lt, le): the bitmasks of the generators g (bit k for
-    gens[k]) with g_i < v and with g_i <= v, for v 0 and each exponent of
-    variable i among the gens, so the size is that of the gens, whatever
-    their exponents."""
-    masks = []
-    for i in range(nvars):
-        at = {0: 0}
+def _threshold_codes(gens, nvars):
+    """(codes, lacks, chain, values): bit j stands for values[j] = (i, v), a
+    variable i and a positive exponent v of x_i among the gens, ordered by i
+    and then v; codes[k] sets bit j when gens[k]_i >= v, lacks[j] holds the
+    gens (bit k for gens[k]) whose code lacks bit j, and chain sets bit j
+    when bit j + 1 stands for the same variable.  So the code of an lcm is
+    the OR of the codes, g divides x^b when code(g) has no bit outside
+    code(b), and b_i is held by the top bit of variable i in code(b), the
+    one of its bits not followed by the next bit of its chain.  The size is
+    that of the gens, whatever their exponents."""
+    values = [(i, v) for i in range(nvars) for v in sorted({g[i] for g in gens} - {0})]
+    codes, lacks, chain = [0] * len(gens), [0] * len(values), 0
+    for j, (i, v) in enumerate(values):
         for k, g in enumerate(gens):
-            at[g[i]] = at.get(g[i], 0) | 1 << k
-        pairs, lt = {}, 0
-        for v in sorted(at):
-            pairs[v] = lt, lt | at[v]
-            lt |= at[v]
-        masks.append(pairs)
-    return masks
+            if g[i] < v:
+                lacks[j] |= 1 << k
+            else:
+                codes[k] |= 1 << j
+        if j and values[j - 1][0] == i:
+            chain |= 1 << j - 1
+    return codes, lacks, chain, values
 
 
-def _upper_koszul_masks(masks, b):
-    """Generating faces, on the generators, of a complex with the reduced
-    homology of K^b, for x^b in K and b in the lcm lattice, so that each b_i
-    is 0 or an exponent of variable i.  K^b is generated by the sets
-    {i in supp b : g_i < b_i} for the generators g dividing x^b, which form
-    G = AND over i of the le mask of b_i; by Dowker's theorem the transposed
-    relation, with the face G AND the lt mask of b_i for each i in supp b,
-    generates {S ⊆ G : lcm(S) != b}, which has the same reduced homology."""
-    below = -1
-    for pairs, e in zip(masks, b):
-        below &= pairs[e][1]
-    return [below & masks[i][e][0] for i, e in enumerate(b) if e]
+def _upper_koszul(gens, nvars):
+    """Yield (b, faces) for each b in the lcm lattice of the gens: faces on
+    the generators (bit k for gens[k]) that generate a complex with the
+    reduced homology of K^b.  K^b is generated by the sets {i in supp b :
+    g_i < b_i} for the generators g dividing x^b, which form `below`; by
+    Dowker's theorem the transposed relation, with the face of the g in
+    `below` with g_i < b_i for each i in supp b, generates {S ⊆ below :
+    lcm(S) != b}, which has the same reduced homology."""
+    codes, lacks, chain, values = _threshold_codes(gens, nvars)
+    lattice = set()
+    for c in codes:
+        lattice |= {c | b for b in lattice}
+        lattice.add(c)
+    for b in lattice:
+        below, out = (1 << len(gens)) - 1, ~b & ((1 << len(values)) - 1)
+        while out:
+            j = out.bit_length() - 1
+            below &= lacks[j]
+            out ^= 1 << j
+        exp, faces = [0] * nvars, []
+        tops = b & ~((b >> 1) & chain)
+        while tops:
+            j = tops.bit_length() - 1
+            i, v = values[j]
+            exp[i] = v
+            faces.append(below & lacks[j])
+            tops ^= 1 << j
+        yield tuple(exp), faces
 
 
 def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
@@ -244,21 +276,15 @@ def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
     complexes: beta_{i,b}(R/K) = dim H~_{i-2}(K^b) for b != 0 in the lcm
     lattice of the minimal generators (Miller-Sturmfels, Thm 1.34).
 
-    K^b = {F ⊆ supp b : x^(b-F) in K} is read from one threshold bit matrix
-    of the generators, as the module docstring describes."""
+    K^b = {F ⊆ supp b : x^(b-F) in K} is read from the threshold codes of
+    the generators, as the module docstring describes."""
     if K.is_unit():
         raise PreconditionError("Betti numbers require a proper ideal")
-    n = K.nvars
-    lattice = set()
-    for g in K.gens:
-        lattice |= {tuple(map(max, g, b)) for b in lattice}
-        lattice.add(g)
-    masks = _threshold_masks(K.gens, n)
-    entries = {(0, (0,) * n): 1}
-    for b in lattice:
-        for q, h in _homology(_upper_koszul_masks(masks, b), char):
+    entries = {(0, (0,) * K.nvars): 1}
+    for b, faces in _upper_koszul(K.gens, K.nvars):
+        for q, h in _homology(faces, char):
             entries[(q + 2, b)] = h
-    return BettiTable.from_dict(n, entries)
+    return BettiTable.from_dict(K.nvars, entries)
 
 
 # -- polarization -------------------------------------------------------------

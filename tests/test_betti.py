@@ -5,10 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloc import betti
-from pairloc.betti import (INFINITY, _homology, _threshold_masks,
-                           _upper_koszul_masks, depth_at_face, depth_quotient,
-                           hochster_betti, matrix_rank, polarize,
-                           reduced_homology_dims, restrict_to_face)
+from pairloc.betti import (INFINITY, _homology, _threshold_codes, _upper_koszul,
+                           depth_at_face, depth_quotient, hochster_betti,
+                           matrix_rank, polarize, reduced_homology_dims,
+                           restrict_to_face)
 from pairloc.ideals import FacePrime, Ideal, MonomialIdeal, clear_caches
 from pairloc.invariants import all_face_primes, pair_depth
 from pairloc.oracles import _dense_rank, koszul_tor
@@ -125,7 +125,8 @@ def _any_monomial_ideals(draw):
 def test_both_dowker_sides_have_the_same_reduced_homology(K):
     # K^b on supp b by its definition, and {S : lcm(S) != b} on the
     # generators dividing x^b, each listed face by face
-    masks = _threshold_masks(K.gens, K.nvars)
+    faces = dict(_upper_koszul(K.gens, K.nvars))
+    assert faces.keys() == _lcm_lattice(K)
     for b in _lcm_lattice(K):
         supp = [i for i, e in enumerate(b) if e]
         below = [g for g in K.gens if all(x <= y for x, y in zip(g, b))]
@@ -138,9 +139,35 @@ def test_both_dowker_sides_have_the_same_reduced_homology(K):
         for char in (0, 2):
             dims = _nonzero(reduced_homology_dims(on_supp, char))
             assert _nonzero(reduced_homology_dims(on_gens, char)) == dims
-            assert _nonzero(reduced_homology_dims(_upper_koszul_masks(masks, b), char)) == dims
+            assert _nonzero(reduced_homology_dims(faces[b], char)) == dims
             if b in K.gens:
                 assert dims == {-1: 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_monomial_ideals())
+@example(MonomialIdeal.from_exps(2, [(2 ** 62 - 3, 1), (3, 2)]))
+def test_threshold_codes_make_lcms_ors_and_divisibility_a_mask(K):
+    codes, lacks, chain, values = _threshold_codes(K.gens, K.nvars)
+    # one bit per variable and distinct positive exponent, whatever their size
+    assert len(values) == len({(i, e) for g in K.gens for i, e in enumerate(g) if e})
+
+    def code(b):
+        return sum(1 << j for j, (i, v) in enumerate(values) if b[i] >= v)
+
+    assert codes == [code(g) for g in K.gens]
+    assert lacks == [sum(1 << k for k, c in enumerate(codes) if not c >> j & 1)
+                     for j in range(len(values))]
+    for b in _lcm_lattice(K):
+        for g in K.gens:
+            assert code(tuple(map(max, g, b))) == code(g) | code(b)
+            assert (code(g) & ~code(b) == 0) == all(x <= y for x, y in zip(g, b))
+        exp, tops = [0] * K.nvars, code(b) & ~((code(b) >> 1) & chain)
+        for j, (i, v) in enumerate(values):
+            if tops >> j & 1:
+                assert exp[i] == 0  # one top bit per variable in supp b
+                exp[i] = v
+        assert tuple(exp) == b
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,7 +176,8 @@ def test_both_dowker_sides_have_the_same_reduced_homology(K):
 @example([0b0111, 0b0011, 0b0100], 0)   # one simplex and two of its faces
 @example([0b0011, 0b1100], 0)           # two disjoint facets: S^0
 @example([0b0011, 0b0110, 0b0010], 0)   # two facets meeting in a vertex
-@example([0b011, 0b101, 0b110], 0)      # hollow triangle: ranked
+@example([0b011, 0b101, 0b110], 0)      # hollow triangle: three facets, three meeting pairs
+@example([0b0111, 0b1011, 0b1101, 0b1110], 0)  # hollow tetrahedron: ranked
 @example([0b000111, 0b111000, 0b100001, 0b010010], 2)  # taken on its nerve
 def test_homology_by_shape_and_nerve_matches_the_ranks(masks, char):
     clear_caches()
@@ -158,15 +186,21 @@ def test_homology_by_shape_and_nerve_matches_the_ranks(masks, char):
 
 def test_shortcut_shapes_need_no_rank(monkeypatch):
     def refuse(rows, char):
-        raise AssertionError("a one- or two-facet complex was ranked")
+        raise AssertionError("a complex of at most three facets was ranked")
 
     monkeypatch.setattr(betti, "matrix_rank", refuse)
     assert _homology([0, 0], 0) == ((-1, 1),)
     assert _homology([0b111, 0b011, 0b100], 0) == ()
     assert _homology([0b0011, 0b1100, 0b0001], 2) == ((0, 1),)
     assert _homology([0b0011, 0b0110], 2) == ()
-    # three facets on five vertices: the nerve has two, which meet
+    # three facets: a common vertex, then 0, 1, 2 or 3 pairs that meet
+    assert _homology([0b0011, 0b0101, 0b1001], 0) == ()
+    assert _homology([0b000011, 0b001100, 0b110000], 0) == ((0, 2),)
+    assert _homology([0b00011, 0b00110, 0b11000], 2) == ((0, 1),)
     assert _homology([0b00011, 0b00110, 0b11100], 0) == ()
+    assert _homology([0b011, 0b101, 0b110], 3) == ((1, 1),)
+    # a path of four edges, taken on its nerve: three facets, two pairs that meet
+    assert _homology([0b01001, 0b00011, 0b00110, 0b10100], 0) == ()
     assert not betti._homology_cache
 
 

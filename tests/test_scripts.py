@@ -69,23 +69,35 @@ def test_line_counts_script_counts_a_file_and_refuses_a_missing_path(tmp_path):
     assert "not a file or directory" in proc.stderr
 
 
-def test_kind_shares_script_tables_a_workload_by_query_kind():
+def _kind_shares(workload):
+    """The rows of `scripts/kind_shares.py`'s table for one pass of the
+    workload on seed 1: ([name, ms, share, counts...], ...)."""
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "kind_shares.py"),
-                           "--workload", "polynomial", "--seed", "1", "--passes", "1"],
+                           "--workload", workload, "--seed", "1", "--passes", "1"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split("|")[1:-1] for line in proc.stdout.splitlines()
+    return [[cell.strip() for cell in line.split("|")[1:-1]]
+            for line in proc.stdout.splitlines()
             if line.startswith("| ") and not line.startswith(("| Query kind", "| ---"))]
-    kinds = {name.strip(): (float(ms), int(pairs), int(reductions))
-             for name, ms, _, pairs, reductions in rows}
+
+
+def test_kind_shares_script_tables_a_workload_by_query_kind():
+    rows = _kind_shares("polynomial")
+    # (ms, S-pairs, reductions, complexes, ranked complexes) per kind
+    kinds = {name: (float(ms), *map(int, counts)) for name, ms, _, *counts in rows}
     assert {"intersect", "colon", "saturate", "katsura4", "cyclic4", "groebner"} <= set(kinds)
-    assert all(ms > 0 for ms, _, _ in kinds.values())
-    assert sum(int(share.strip(" %")) for _, _, share, _, _ in rows) in range(95, 106)
+    assert all(ms > 0 for ms, *_ in kinds.values())
+    assert sum(int(share.strip(" %")) for _, _, share, *_ in rows) in range(95, 106)
     # the counting pass: every completion forms S-pairs and reduces; a dimension
-    # read from a known basis does neither
+    # read from a known basis does neither, and no polynomial query reaches betti
     assert all(kinds[name][1] > 0 and kinds[name][2] > 0
                for name in ("intersect", "colon", "saturate", "katsura4", "cyclic4"))
-    assert kinds["dim_quotient"][1:] == (0, 0)
+    assert kinds["dim_quotient"][1:3] == (0, 0)
+    assert all(counts[3:] == (0, 0) for counts in kinds.values())
+    # a Betti table hands the engine complexes, and ranks only some of them
+    kinds = {name: tuple(map(int, counts)) for name, _, _, *counts in _kind_shares("depth")}
+    *_, complexes, ranked = kinds["hochster_betti"]
+    assert complexes > 0 and ranked <= complexes
 
 
 def test_ab_script_runs_a_checkout_against_a_copy_of_itself(tmp_path):
