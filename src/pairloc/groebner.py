@@ -50,39 +50,41 @@ polynomials that already form a Groebner basis: they enter first as one
 finished block, below every generator's signature, and form no pair among
 themselves (F5C, Eder and Perry, J. Symbolic Comput. 45, 2010).
 
-One routine, `eliminate`, turns generators, and a known basis beside them,
-into a reduced basis: it completes them over their own ring, keeps the
-elements free of the leading variables it eliminates (none for
-`buchberger`, which is `eliminate` over the generators' own ring), and
-interreduces those in one pass, smallest leading term first, each against
-the elements already reduced (`_interreduce`).  Each reduced element is
-packed once, into the record that is the divisor for the later ones and,
-when nothing is eliminated, the `Polynomial.reducer` record of the monic
-`Polynomial` returned, so the reductions, `ideals.Ideal.member` and the
-seeded eliminations read the basis without packing it again.  The ring of
-those eliminations, k tags before a ring's variables under an elimination
-order, is built by `adjoin`, whose embedding only copies terms under a tag
-monomial.  A known basis is handed to `eliminate` over the ring itself,
-with the tag monomial it enters under, and `eliminate` re-keys each
-element's record into the tag ring (`_rekeyed`): on a grevlex ring the tag
-ring packs tag + e as ring.pack(e) << 64k plus a constant of the tag.
-`buchberger` computes each basis once per ring and set of generators: it
-keeps them in `_gb_cache`, at most `GB_CACHE_LIMIT` of them, which
-`ideals.clear_caches` empties.  That memo is the one store of a reduced
-basis: an `ideals.Ideal` keeps none, and `_cached` answers whether one is
-known.  Generators that are all monomials form a Groebner basis already,
-so it returns their minimal elements free of those variables without
-forming an S-pair.  `normal_form` and `exact_divide` pack their dividend
-by one helper, `_packed`, every result leaves the packed form through
-`_unpacked`, one `Fraction(n, d)` per coefficient over QQ, and one helper,
-`_nonzero`, drops zero polynomials and refuses a foreign ring.  So every
-basis returned holds Fraction coefficients over QQ, and so does every
-`normal_form` and `s_polynomial`, the wrappers over the packed kernel for
-`Polynomial`s; `_remainder`, the packed remainder under `normal_form`,
-serves `ideals.Ideal.member`, which needs only to know whether it is
-zero.  Inputs are sorted before processing and every iteration order is
-fixed, so output is deterministic for a fixed ring, order, and generator
-set.
+One routine, `eliminate`, turns generators, and a block of generators that
+enters under a tag monomial, into a reduced basis: it completes them over
+their own ring, keeps the elements free of the leading variables it
+eliminates (none for `buchberger`, which is `eliminate` over the
+generators' own ring), and interreduces those in one pass, smallest leading
+term first, each against the elements already reduced (`_interreduce`).
+Each reduced element is packed once, into the record that is the divisor
+for the later ones and, when nothing is eliminated, the
+`Polynomial.reducer` record of the monic `Polynomial` returned, so the
+reductions, `ideals.Ideal.member` and the seeded eliminations read the
+basis without packing it again.  The ring of those eliminations, k tags
+before a ring's variables under an elimination order, is built by `adjoin`,
+whose embedding only copies terms under a tag monomial.  A block is handed
+to `eliminate` over the ring itself, with the tag monomial it enters under.
+`eliminate` starts from the block's reduced basis exactly when the ring is
+grevlex, whose tag ring packs tag + e as ring.pack(e) << 64k plus a
+constant of the tag, and `buchberger` keeps that basis; it then re-keys
+each element's record into the tag ring (`_rekeyed`).  Otherwise the
+block's generators enter as copies under the tag.  `buchberger` computes
+each basis once per ring and set of generators: it keeps them in
+`_gb_cache`, at most `GB_CACHE_LIMIT` of them, which `ideals.clear_caches`
+empties.  That memo is the one store of a reduced basis: an `ideals.Ideal`
+keeps none, and `_cached` answers whether one is known.  Generators that
+are all monomials form a Groebner basis already, so it returns their
+minimal elements free of those variables without forming an S-pair.
+`normal_form` and `exact_divide` pack their dividend by one helper,
+`_packed`, every result leaves the packed form through `_unpacked`, one
+`Fraction(n, d)` per coefficient over QQ, and one helper, `_nonzero`, drops
+zero polynomials and refuses a foreign ring.  So every basis returned holds
+Fraction coefficients over QQ, and so does every `normal_form` and
+`s_polynomial`, the wrappers over the packed kernel for `Polynomial`s;
+`_remainder`, the packed remainder under `normal_form`, serves
+`ideals.Ideal.member`, which needs only to know whether it is zero.  Inputs
+are sorted before processing and every iteration order is fixed, so output
+is deterministic for a fixed ring, order, and generator set.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ from math import gcd
 from operator import le, sub
 
 from .errors import ExponentOverflowError, InternalError, RingMismatchError
-from .ring import (_FIELD, EXP_LIMIT, Polynomial, RingSpec, elimination, integer_terms,
-                   reducer_entry)
+from .ring import (_FIELD, EXP_LIMIT, GREVLEX, Polynomial, RingSpec, elimination,
+                   integer_terms, reducer_entry)
 
 GB_CACHE_LIMIT = 8192  # at least 10 times the most entries a suite, session or pass holds
 _gb_cache = {}  # (ring, frozenset of generators) -> GroebnerBasis, filled by `buchberger`
@@ -602,24 +604,29 @@ def adjoin(ring: RingSpec, k: int):
     return big, embed
 
 
-def eliminate(gens, ring: RingSpec, basis=(), tag=()) -> tuple:
-    """The reduced basis of (gens, x^tag·basis) ∩ k[ring's variables],
+def eliminate(gens, ring: RingSpec, block=(), tag=()) -> tuple:
+    """The reduced basis of (gens, x^tag·block) ∩ k[ring's variables],
     sorted by leading monomial in the order of the gens' ring, for gens
     over a ring whose variables are k leading ones, the tags, followed by
     those of `ring`, and whose order is an elimination order for the tags
-    (`adjoin`).  The result lies in `ring`.  With k = 0 and no basis this
-    is the reduced basis of (gens), which is `buchberger`; the zero ideal
-    gives ().
+    (`adjoin`), and block generators over `ring` itself, entering under the
+    tag monomial x^tag, the exponents of the k tags.  The result lies in
+    `ring`.  With k = 0 and no block
+    this is the reduced basis of (gens), which is `buchberger`; the zero
+    ideal gives ().
 
-    The known basis is a reduced basis over `ring` itself, as `buchberger`
-    returns it, and tag the exponents of the k tags it enters under.  When
-    k > 0, ring must be grevlex, the order of `adjoin`'s tag ring on ring's
-    variables, so that x^tag·basis is a Groebner basis over the tag ring:
-    `_complete` takes it as one finished block and forms no pair within it.
-    Each element's record enters re-keyed (`_rekeyed`), never packed
-    again: every block of a packed term has fields of its own width
-    (`ring._order_forms`), so the tag ring packs tag + e as
-    ring.pack(e) << 64k plus a constant of the tag, for every e.
+    The block seeds the completion exactly when ring is grevlex and
+    `buchberger` keeps the block's reduced basis (`_cached`): ring's
+    variables are then ordered alike in the tag ring, so x^tag·GB(block)
+    is a Groebner basis there, and `_complete` takes it as one finished
+    block and forms no pair within it.  Each element's record enters
+    re-keyed (`_rekeyed`), never packed again: every block of a packed term
+    has fields of its own width (`ring._order_forms`), so the tag ring
+    packs tag + e as ring.pack(e) << 64k plus a constant of the tag, for
+    every e.  On any other ring a basis need not stay one over the tag
+    ring, and no basis is computed only to start from it, so in every other
+    case the block's generators enter as copies under the tag, among the
+    gens.
 
     In an elimination order a polynomial is free of the tags iff its
     leading monomial is, so the elements of a Groebner basis of (gens) that
@@ -630,11 +637,15 @@ def eliminate(gens, ring: RingSpec, basis=(), tag=()) -> tuple:
     free of the tags iff those bits are zero.  Generators that are all
     monomials form a Groebner basis already, and a monomial ideal meets
     k[ring's variables] in the ideal of its minimal generators free of the
-    tags: no S-pair is formed; the known basis counts among the generators
+    tags: no S-pair is formed; a seeding basis counts among the generators
     here, each element under its tag.  The unit ideal gives (1) as soon as
     `_complete` meets a constant."""
+    basis = _cached(block, ring) if block and ring.order == GREVLEX else None
+    if basis is None and block:  # the block enters as copies under its tag
+        embed = adjoin(ring, len(tag))[1]
+        gens = [*gens, *(embed(g, (tag, 1)) for g in _nonzero(block, ring, "block"))]
     big = next((g.ring for g in gens), ring)
-    gens, basis = _nonzero(gens, big, "generators"), _nonzero(basis, ring, "basis")
+    gens, basis = _nonzero(gens, big, "generators"), list(basis or ())
     if not gens and not basis:
         return ()
     k = big.nvars - ring.nvars

@@ -24,15 +24,13 @@ polynomial is multiplied.  `colon` divides by each generator b of B with
 
 An `Ideal` is its ring and generators and keeps no basis: `Ideal.groebner`
 is `groebner.buchberger`, whose memo `_gb_cache`, keyed by ring and set of
-generators, is the one store of a reduced basis, and `Ideal._gb` reads it
-without computing.  On a grevlex ring, which the tag rings order alike on
-the ring's own variables, a basis already known there is a Groebner basis
-over the tag ring too: `intersect` starts its elimination from t·GB(A),
-and `saturate` from GB(A), as one finished block.  Each hands GB(A) to
-`eliminate` as it is, over the ring, with the tag monomial of its block, t
-or 1; `eliminate` moves the records into the tag ring.  No basis is
-computed only to start from it, and `colon` and the Rabinowitsch test
-start from the generators.
+generators, is the one store of a reduced basis; `Ideal._gb` reads it
+without computing, for the benchmark's tracer.  `intersect` and `saturate`
+hand A's generators to `eliminate` as the block that enters under the tag
+monomial t, or 1, and `eliminate` alone decides whether to start from
+GB(A): only on a grevlex ring, and only when the memo keeps that basis.
+`colon` hands its t·g copies over among the generators, so it never starts
+from a basis, and the Rabinowitsch test completes the generators alone.
 
 `in_radical` (I ⊆ √A) and `radical_member` (f ∈ √A) are one question,
 answered by one body, `_contained`.  Monomial A (every generator a monomial
@@ -71,7 +69,7 @@ from .errors import PreconditionError, RingMismatchError
 from .groebner import (GroebnerBasis, adjoin, buchberger, eliminate, exact_divide, normal_form,
                        _cached, _complete, _divides, _divides_power, _exp_lcm,
                        _gb_cache as _bases, _minimalize, _remainder)
-from .ring import GREVLEX, Polynomial, RingSpec, _check_exp, add_times, integer_terms
+from .ring import Polynomial, RingSpec, _check_exp, add_times, integer_terms
 
 _gb_cache = _bases  # `buchberger`'s memo, under the name the benchmark's tracer reads
 _radical_cache = {}
@@ -126,15 +124,8 @@ class Ideal:
     @property
     def _gb(self):
         """The reduced basis if `buchberger` keeps it already, else None;
-        nothing is computed."""
+        nothing is computed.  Only the benchmark's tracer reads it."""
         return _cached(self.gens, self.ring)
-
-    def _known_basis(self):
-        """`_gb` when the ring is grevlex, the order of `adjoin`'s tag rings
-        on the ring's own variables, so that the basis stays one over a tag
-        ring and `eliminate` can re-key its records there for any number of
-        tags; else None."""
-        return self._gb if self.ring.order == GREVLEX else None
 
     def member(self, f: Polynomial) -> bool:
         if f.ring != self.ring:
@@ -224,36 +215,38 @@ def _rabinowitsch(ring: RingSpec, bs):
 
 def intersect(A: Ideal, B: Ideal) -> Ideal:
     """A ∩ B via a single auxiliary variable: eliminate t from t·A + (1−t)·B,
-    each generator copied by `adjoin`'s embedding.  When A's reduced basis
-    is known (`Ideal._known_basis`), t·GB(A) is a Groebner basis over the
-    tag ring and enters the completion as one finished block, beside the
-    (1 − t)·b.  No basis is computed just to start from it."""
+    by one `eliminate` call with A's generators as the block under t, which
+    starts from GB(A) where that is valid, and each (1 − t)·b two copies of
+    b by `adjoin`'s embedding."""
     A._check(B)
-    return _intersect(A, B, A._known_basis())
+    return Ideal(A.ring, eliminate(_one_minus_t(B), A.ring, A.gens, (1,)))
 
 
-def _intersect(A: Ideal, B: Ideal, known=None) -> Ideal:
-    """`intersect` from t·known, a reduced basis of A, as a finished block
-    when it is given; else from t·g for A's generators g."""
-    embed = adjoin(A.ring, 1)[1]
-    rest = [embed(g, ((0,), 1), ((1,), -1)) for g in B.gens]
-    if known is None:
-        return Ideal(A.ring, eliminate([embed(g, ((1,), 1)) for g in A.gens] + rest, A.ring))
-    return Ideal(A.ring, eliminate(rest, A.ring, known, (1,)))
+def _one_minus_t(B: Ideal):
+    """(1 − t)·b over `adjoin`'s ring with one tag, for each generator b of B."""
+    embed = adjoin(B.ring, 1)[1]
+    return [embed(g, ((0,), 1), ((1,), -1)) for g in B.gens]
 
 
 def colon(A: Ideal, B: Ideal) -> Ideal:
     """(A : B), the intersection of the A : b = (A ∩ (b))/b over the
     nonzero generators b of B; the unit ideal when B = 0.  Its
-    intersections start from the generators: started from a known GB(A),
+    intersections hand the t·g copies to `eliminate` among the generators,
+    so they never start from a known basis: started from a known GB(A),
     A ∩ (b) measured 6–13% slower."""
     A._check(B)
+    embed = adjoin(A.ring, 1)[1]
+
+    def meet(P, Q):
+        return Ideal(A.ring, eliminate([embed(g, ((1,), 1)) for g in P.gens] + _one_minus_t(Q),
+                                       A.ring))
+
     result = None
     for b in B.gens:
         if not b.is_zero():
-            inter = _intersect(A, Ideal(A.ring, (b,)))
+            inter = meet(A, Ideal(A.ring, (b,)))
             part = Ideal(A.ring, [exact_divide(g, b) for g in inter.gens if not g.is_zero()])
-            result = part if result is None else _intersect(result, part)
+            result = part if result is None else meet(result, part)
     return Ideal.unit(A.ring) if result is None else result
 
 
@@ -270,17 +263,12 @@ def saturate(A: Ideal, B: Ideal) -> Ideal:
     other tags to 0 maps k[t, x] to R_{b_i} and T into A·R_{b_i}.  So each
     f ∈ T ∩ k[x] has b_i^N·f ∈ A for some N, for each i.
 
-    When A's reduced basis is known (`Ideal._known_basis`), it is a
-    Groebner basis of A over the tag ring, untagged, and enters the
-    completion as one finished block beside 1 − Σ t_i·b_i alone."""
+    A's generators are the block, untagged, beside 1 − Σ t_i·b_i alone;
+    `eliminate` starts from GB(A) where that is valid."""
     A._check(B)
-    embed, last = _rabinowitsch(A.ring, B.gens)
-    known = A._known_basis()
-    if known is None:
-        gens = [embed(g) for g in A.gens if not g.is_zero()] + [last]
-        return Ideal(A.ring, eliminate(gens, A.ring))
+    last = _rabinowitsch(A.ring, B.gens)[1]
     untagged = (0,) * (last.ring.nvars - A.ring.nvars)
-    return Ideal(A.ring, eliminate([last], A.ring, known, untagged))
+    return Ideal(A.ring, eliminate([last], A.ring, A.gens, untagged))
 
 
 def support_mask(exp) -> int:

@@ -87,53 +87,29 @@ def koszul_tor(K: MonomialIdeal, char: int = 0) -> BettiTable:
 
 def _dense_rank(rows, char: int) -> int:
     """Exact rank of a dense integer matrix over QQ (char 0) or GF(char),
-    the Koszul oracle's own elimination: no production path calls it."""
-    A = [list(r) for r in rows]
+    the Koszul oracle's own elimination: no production path calls it.
+
+    Fraction-free (Bareiss) elimination: each step multiplies the rows
+    below the pivot row by the pivot and divides exactly by the previous
+    pivot, by integer division over QQ and by multiplying with the previous
+    pivot's inverse over GF(char)."""
+    A = [[x % char for x in r] if char else list(r) for r in rows]
     A = [r for r in A if any(r)]
-    if not A:
-        return 0
-    if char:
-        return _rank_mod(A, char)
-    return _rank_bareiss(A)
-
-
-def _rank_bareiss(A):
-    m, n = len(A), len(A[0])
-    rank = 0
-    prev = 1
-    for c in range(n):
+    m, rank, prev = len(A), 0, 1
+    for c in range(len(A[0]) if A else 0):
         piv = next((i for i in range(rank, m) if A[i][c]), None)
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]
-        p = A[rank][c]
-        for i in range(rank + 1, m):
-            aic = A[i][c]
-            for j in range(c + 1, n):
-                A[i][j] = (A[i][j] * p - aic * A[rank][j]) // prev
-            A[i][c] = 0
+        top, inv = A[rank], pow(prev, -1, char) if char else 1
+        p = top[c]
+        for row in A[rank + 1:]:
+            f = row[c]
+            for j in range(c + 1, len(top)):
+                x = row[j] * p - f * top[j]
+                row[j] = x * inv % char if char else x // prev
+            row[c] = 0
         prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _rank_mod(A, p):
-    m, n = len(A), len(A[0])
-    A = [[x % p for x in row] for row in A]
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = pow(A[rank][c], -1, p)
-        A[rank] = [(x * inv) % p for x in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
         rank += 1
         if rank == m:
             break

@@ -196,7 +196,8 @@ class RingSpec:
 def _check_exp(exp):
     if exp:
         if max(exp) >= EXP_LIMIT:
-            raise ExponentOverflowError(f"exponent {max(exp)} exceeds checked bound")
+            # the bound, not the exponent: str() refuses an int of over 4,300 digits
+            raise ExponentOverflowError("an exponent exceeds the checked bound 2^62")
         if min(exp) < 0:
             raise ValueError("negative exponent")
     return exp

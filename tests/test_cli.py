@@ -249,6 +249,8 @@ def test_check_takes_its_seed_from_the_flag_alone(monkeypatch):
 # a reduced basis whose constant, 11·10^4299 − 1, has more digits than str converts
 LONG_CONSTANT_SESSION = ("ring QQ[y,z]\nideal K = y*z + y + 1" + "0" * 4299
                          + ", 11*y + 1\nideal I = 1\n")
+# two exponents of 4,300 digits whose sum, 4,301 digits, str() refuses to print
+LONG_EXPONENT_SESSION = "ring QQ[x]\nideal I = x^" + "9" * 4300 + "*x^" + "9" * 4300 + "\n"
 
 
 @pytest.mark.parametrize("argv", [["gb", "--ideal", "K"], ["saturate", "--a", "K", "--b", "I"],

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from pairloc import cli
 from pairloc.cli import main
 
-from test_cli import LONG_CONSTANT_SESSION
+from test_cli import LONG_CONSTANT_SESSION, LONG_EXPONENT_SESSION
 
 COMMANDS = ["gb", "member", "radical-member", "dim"]
 SUBCOMMANDS = [name for name in cli.COMMANDS if name != "check"]
@@ -213,5 +213,6 @@ def test_every_drawn_input_exits_0_or_2(session_path, case):
 @settings(max_examples=300, deadline=None)
 @given(subcommands())
 @example(case=(LONG_CONSTANT_SESSION.encode(), ["gb", "--no-timings", "--ideal=K"]))
+@example(case=(LONG_EXPONENT_SESSION.encode(), ["gb", "--no-timings", "--ideal=I"]))
 def test_every_drawn_subcommand_exits_0_or_2(session_path, case):
     _exits_0_or_2(session_path, case)

@@ -58,15 +58,19 @@ def test_a_constant_ends_the_completion_with_the_unit_ideal(monkeypatch):
     # x is in the radical of (x), so (x, 1 - t*x) is (1)
     assert eliminate([x_big, Polynomial.one(big) - t * x_big], r) == (Polynomial.one(r),)
     # a constant in a known basis, untagged, is the unit ideal at once
+    buchberger([Polynomial.one(r)])
     assert eliminate([embed(x - y)], r, [Polynomial.one(r)], (0,)) == (Polynomial.one(r),)
 
 
 def test_a_known_basis_counts_in_the_monomial_shortcut(monkeypatch):
+    # a block enters the shortcut as its known basis, or as its copies
     r = ring("xyz")
-    xy, y2, y2_z = pp(r, "x*y"), pp(r, "y^2"), pp(r, "y^2 - z")
+    xy, y2, y2_z, y3 = pp(r, "x*y"), pp(r, "y^2"), pp(r, "y^2 - z"), pp(r, "y^3")
     assert eliminate([xy], r, [y2_z]) == buchberger([xy, y2_z]).generators
+    buchberger([y2, y2 + y3])  # its basis is (y^2), a monomial
     monkeypatch.setattr(groebner, "_complete", None)  # any completion would fail
     assert eliminate([xy], r, [y2]) == (y2, xy)
+    assert eliminate([xy], r, [y2, y2 + y3]) == (y2, xy)
 
 
 def _random_exponents(rng, n):
@@ -93,8 +97,8 @@ def test_a_grevlex_tag_ring_packs_the_rings_terms_as_a_shift_of_its_own():
 
 
 def test_the_known_block_enters_as_the_fresh_records_of_its_copies(monkeypatch):
-    # eliminate re-keys each element of a reduced basis over the ring under the
-    # block's tag: the record its copy in the tag ring would pack afresh
+    # eliminate re-keys each element of a block's kept basis over the ring under
+    # the block's tag: the record its copy in the tag ring would pack afresh
     rng = random.Random(34)
     blocks = []
     monkeypatch.setattr(groebner, "_complete", lambda gens, ring, basis: blocks.append(basis))
@@ -102,13 +106,14 @@ def test_the_known_block_enters_as_the_fresh_records_of_its_copies(monkeypatch):
         for char in (0, 32003):
             r = standard_ring(n, char)
             x = variables(r)[0]
-            known = buchberger([random_polynomial(rng, r, max_degree=2, max_terms=3)
-                                for _ in range(2)] + [x * x + x + Polynomial.one(r)])
+            block = [random_polynomial(rng, r, max_degree=2, max_terms=3)
+                     for _ in range(2)] + [x * x + x + Polynomial.one(r)]
+            known = buchberger(block)
             for k in range(1, 11):
                 big, embed = adjoin(r, k)
                 tag = tuple(rng.randint(0, 2) for _ in range(k))
                 # the completion is stubbed, so the answer is that of a constant
-                assert eliminate([embed(x + Polynomial.one(r))], r, known, tag) == (
+                assert eliminate([embed(x + Polynomial.one(r))], r, block, tag) == (
                     Polynomial.one(r),)
                 for g, record in zip(known, blocks.pop(), strict=True):
                     copy = embed(g, (tag, 1))

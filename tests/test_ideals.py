@@ -323,8 +323,8 @@ def test_saturation_by_several_generators_is_one_elimination(monkeypatch):
 
     calls = []
     monkeypatch.setattr(ideals, "eliminate",
-                        lambda gens, ring, basis=(), tag=(): calls.append(ring)
-                        or eliminate(gens, ring, basis, tag))
+                        lambda gens, ring, block=(), tag=(): calls.append(ring)
+                        or eliminate(gens, ring, block, tag))
     r = ring("xyz")
     A = Ideal(r, (pp(r, "x^2*y - z"), pp(r, "x*z^2")))
     for k in (1, 2, 3):
@@ -352,27 +352,61 @@ def test_a_known_basis_changes_no_elimination(inputs):
 
 
 def test_only_a_known_grevlex_basis_seeds_an_elimination(monkeypatch):
-    import pairloc.ideals as ideals
+    from pairloc import groebner
 
-    seeds = []  # the size of the known basis each elimination starts from
-    monkeypatch.setattr(ideals, "eliminate", lambda gens, ring, basis=(), tag=():
-                        seeds.append(len(basis)) or eliminate(gens, ring, basis, tag))
+    seeds = []  # the size of the known basis each completion starts from
+    complete = groebner._complete
+    monkeypatch.setattr(groebner, "_complete", lambda gens, ring, basis=():
+                        seeds.append(len(basis)) or complete(gens, ring, basis))
     for order in (GREVLEX, LEX):
         r = ring("xyz", order=order)
         A = Ideal(r, (pp(r, "x^2*y - z"), pp(r, "x*z^2 - y")))
         B = Ideal(r, (pp(r, "x*y + z^2"),))
         answers = []
+        size = len(A.groebner())
         for known in (None, A, B):
             clear_caches()
             if known is not None:
                 known.groebner()
             seeds.clear()
             answers.append((intersect(A, B), saturate(A, B), colon(A, B)))
-            # only A's basis seeds, and colon keeps its generators; a lex ring is
+            # only A's basis seeds, and colon hands its copies over; a lex ring is
             # never seeded, as the tag ring orders its variables by grevlex
-            seeded = len(A.groebner()) * (known is A and order == GREVLEX)
+            seeded = size * (known is A and order == GREVLEX)
             assert seeds == [seeded, seeded, 0]
         assert answers[0] == answers[1] == answers[2]
+
+
+def test_a_block_enters_as_copies_unless_its_grevlex_basis_is_kept(monkeypatch):
+    # eliminate seeds from the block's basis only on a grevlex ring and only when
+    # buchberger keeps it; a lex block or one with no kept basis enters as its
+    # t-copies, computes no basis and gives the cold answer.  The block is A's
+    # reduced basis, its own basis: in lex it is none over the tag ring
+    from pairloc import groebner
+
+    seeds = []
+    complete = groebner._complete
+    monkeypatch.setattr(groebner, "_complete", lambda gens, ring, basis=():
+                        seeds.append(len(basis)) or complete(gens, ring, basis))
+    for order in (LEX, GREVLEX):
+        r = ring("xyz", order=order)
+        A = Ideal(r, (pp(r, "x^2 - y*z"), pp(r, "y^2 - x*z + z")))
+        B = Ideal(r, (pp(r, "x*y - z^2"),))
+        embed = adjoin(r, 1)[1]
+        rest = [embed(g, ((0,), 1), ((1,), -1)) for g in B.gens]
+        clear_caches()
+        cold = eliminate([embed(g, ((1,), 1)) for g in A.gens] + rest, r)
+        assert len(cold) == 2
+        block = list(A.groebner())
+        for kept in (False, True):
+            clear_caches()
+            if kept:
+                buchberger(block)
+            seeds.clear()
+            assert eliminate(rest, r, block, (1,)) == cold
+            assert seeds == [len(block) if kept and order == GREVLEX else 0]
+            # no basis is computed only to start from it
+            assert (groebner._cached(block, r) is None) == (not kept)
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -489,13 +523,13 @@ def test_an_ideal_reads_its_basis_from_the_one_memo():
 
     r = ring("xyz")
     A = Ideal(r, (pp(r, "x*y - z"), pp(r, "y^2 - x")))
-    assert A._known_basis() is None and A._gb is None  # nothing computed yet
+    assert A._gb is None  # nothing computed yet
     basis = A.groebner()
-    assert A._known_basis() is basis is groebner._cached(A.gens, A.ring)
+    assert A._gb is basis is groebner._cached(A.gens, A.ring)
     groebner._gb_cache.clear()  # as `buchberger` does at `GB_CACHE_LIMIT`
-    assert A._known_basis() is None and A._gb is None
+    assert A._gb is None
     basis = A.groebner()
-    assert A._known_basis() is basis is groebner._cached(A.gens, A.ring)
+    assert A._gb is basis is groebner._cached(A.gens, A.ring)
     assert Ideal(r, reversed(A.gens)).groebner() is basis  # keyed by the set of generators
     assert Ideal.__slots__ == ("ring", "gens")
 
@@ -664,8 +698,8 @@ def test_seeded_eliminations_over_many_tags_match_the_cold_ones(seed, char, n, k
     rest = [embed(B.gens[0], ((0,) * k, 1), (first, -1))]
     cold = (saturate(A, B).gens, intersect(A, B).gens,
             eliminate([embed(g, (first, 1)) for g in A.gens] + rest, r))
-    known = A.groebner()
-    assert (saturate(A, B).gens, intersect(A, B).gens, eliminate(rest, r, known, first)) == cold
+    A.groebner()
+    assert (saturate(A, B).gens, intersect(A, B).gens, eliminate(rest, r, A.gens, first)) == cold
 
 
 def test_member_with_a_known_basis_builds_nothing(monkeypatch):

@@ -8,8 +8,8 @@ from pairloc.errors import (ExponentOverflowError, ParseError, PreconditionError
                             RingMismatchError)
 from pairloc.groebner import normal_form
 from pairloc.ideals import Ideal
-from pairloc.ring import (EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination,
-                          parse_polynomial)
+from pairloc.ring import (EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, add_times,
+                          elimination, parse_polynomial)
 
 from conftest import pp, reference_sort_key, ring, variables
 
@@ -108,6 +108,15 @@ def test_exponent_overflow_guard():
     big = Polynomial.monomial(r, (2 ** 61,))
     with pytest.raises(ExponentOverflowError):
         _ = big * big
+
+
+def test_an_overflowing_product_names_the_bound_not_its_exponent():
+    # 2·(10^4300 − 1) has 4,301 digits, more than str() converts
+    huge = 10 ** 4300 - 1
+    out = {}
+    with pytest.raises(ExponentOverflowError, match="exceeds the checked bound 2\\^62"):
+        add_times(out, (huge, 0), 1, {(huge, 1): 1}, 0)
+    assert out == {}
 
 
 def test_leading_term():
