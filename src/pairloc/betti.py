@@ -25,10 +25,16 @@ Thm 1.34).
   meets, so 0, 1, 2 or 3 edges give H~_0 = 2, H~_0 = 1, nothing or
   H~_1 = 1.  Only larger complexes are ranked, by `matrix_rank`, one sparse
   exact elimination over QQ and GF(p).
-- *One homology per complex per pass.*  The nonzero homology of each ranked
-  complex is kept in `_homology_cache` under (facets, characteristic), at
-  most HOMOLOGY_CACHE_LIMIT entries, emptied when full and by
-  `ideals.clear_caches`.
+- *Generator points.*  At a minimal generator g, K^g is {∅}, whose only
+  homology is H~_{-1} = 1, so beta_{1,g} = 1 is written directly and no
+  complex is built there.
+- *One table per ideal and one homology per complex, per pass.*  Each
+  table is kept in `_table_cache` under (variables, minimal generators,
+  characteristic), at most TABLE_CACHE_LIMIT entries, so a depth at a face
+  reuses the table of an ideal already met in the pass.  The nonzero
+  homology of each ranked complex is kept in `_homology_cache` under
+  (facets, characteristic), at most HOMOLOGY_CACHE_LIMIT entries.  Both are
+  emptied when full and by `ideals.clear_caches`.
 
 The engine is checked entry by entry against `oracles.koszul_tor`, which
 shares no rank code with it.  `polarize` is kept only to be checked: it must
@@ -56,6 +62,9 @@ INFINITY = float("inf")
 # (frozenset of facets, char) -> ((q, nonzero dim), ...) for each ranked complex
 HOMOLOGY_CACHE_LIMIT = 1024
 _homology_cache = module_cache()
+# (nvars, minimal generators, char) -> BettiTable of R/K
+TABLE_CACHE_LIMIT = 4096
+_table_cache = module_cache()
 
 
 # -- exact rank ---------------------------------------------------------------
@@ -242,18 +251,21 @@ def _threshold_codes(gens, nvars):
 
 
 def _upper_koszul(gens, nvars):
-    """Yield (b, faces) for each b in the lcm lattice of the gens: faces on
-    the generators (bit k for gens[k]) that generate a complex with the
-    reduced homology of K^b.  K^b is generated by the sets {i in supp b :
-    g_i < b_i} for the generators g dividing x^b, which form `below`; by
-    Dowker's theorem the transposed relation, with the face of the g in
-    `below` with g_i < b_i for each i in supp b, generates {S ⊆ below :
-    lcm(S) != b}, which has the same reduced homology."""
+    """Yield (b, faces) for each b in the lcm lattice of the minimal gens
+    but the gens themselves, whose K^b is {∅} (`hochster_betti` writes
+    their entries): faces on the generators (bit k for gens[k]) that
+    generate a complex with the reduced homology of K^b.  K^b is generated
+    by the sets {i in supp b : g_i < b_i} for the generators g dividing
+    x^b, which form `below`; by Dowker's theorem the transposed relation,
+    with the face of the g in `below` with g_i < b_i for each i in supp b,
+    generates {S ⊆ below : lcm(S) != b}, which has the same reduced
+    homology."""
     codes, lacks, chain, values = _threshold_codes(gens, nvars)
     lattice = set()
     for c in codes:
         lattice |= {c | b for b in lattice}
         lattice.add(c)
+    lattice.difference_update(codes)
     for b in lattice:
         below, out = (1 << len(gens)) - 1, ~b & ((1 << len(values)) - 1)
         while out:
@@ -277,14 +289,23 @@ def hochster_betti(K: MonomialIdeal, char: int = 0) -> BettiTable:
     lattice of the minimal generators (Miller-Sturmfels, Thm 1.34).
 
     K^b = {F ⊆ supp b : x^(b-F) in K} is read from the threshold codes of
-    the generators, as the module docstring describes."""
+    the generators, as the module docstring describes; beta_{1,g} = 1 for
+    each generator g is written directly, and each table is kept until the
+    cache is emptied."""
     if K.is_unit():
         raise PreconditionError("Betti numbers require a proper ideal")
-    entries = {(0, (0,) * K.nvars): 1}
-    for b, faces in _upper_koszul(K.gens, K.nvars):
-        for q, h in _homology(faces, char):
-            entries[(q + 2, b)] = h
-    return BettiTable.from_dict(K.nvars, entries)
+    key = (K.nvars, K.gens, char)
+    table = _table_cache.get(key)
+    if table is None:
+        entries = {(0, (0,) * K.nvars): 1}
+        entries.update(((1, g), 1) for g in K.gens)
+        for b, faces in _upper_koszul(K.gens, K.nvars):
+            for q, h in _homology(faces, char):
+                entries[(q + 2, b)] = h
+        if len(_table_cache) >= TABLE_CACHE_LIMIT:
+            _table_cache.clear()
+        table = _table_cache[key] = BettiTable.from_dict(K.nvars, entries)
+    return table
 
 
 # -- polarization -------------------------------------------------------------

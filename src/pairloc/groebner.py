@@ -113,9 +113,17 @@ def _exp_lcm(a, b):
 
 
 def _minimalize(exps):
-    """The exponents none of the others divides, sorted, without repeats."""
-    exps = sorted(set(map(tuple, exps)))
-    return tuple(m for m in exps if not any(g != m and _divides(g, m) for g in exps))
+    """The exponents none of the others divides, sorted, without repeats:
+    a divisor sorts before its multiples, so one pass in sorted order keeps
+    each exponent that no kept one divides."""
+    kept = []
+    for m in sorted(set(map(tuple, exps))):
+        for g in kept:
+            if _divides(g, m):
+                break
+        else:
+            kept.append(m)
+    return tuple(kept)
 
 
 def _lead_divides(lead, item, borrow):
@@ -610,10 +618,10 @@ def eliminate(gens, ring: RingSpec, block=(), tag=()) -> tuple:
     over a ring whose variables are k leading ones, the tags, followed by
     those of `ring`, and whose order is an elimination order for the tags
     (`adjoin`), and block generators over `ring` itself, entering under the
-    tag monomial x^tag, the exponents of the k tags.  The result lies in
-    `ring`.  With k = 0 and no block
-    this is the reduced basis of (gens), which is `buchberger`; the zero
-    ideal gives ().
+    tag monomial x^tag, the exponents of the k tags (a tag of any other
+    length raises `RingMismatchError`).  The result lies in `ring`.  With
+    k = 0 and no block this is the reduced basis of (gens), which is
+    `buchberger`; the zero ideal gives ().
 
     The block seeds the completion exactly when ring is grevlex and
     `buchberger` keeps the block's reduced basis (`_cached`): ring's
@@ -651,6 +659,8 @@ def eliminate(gens, ring: RingSpec, block=(), tag=()) -> tuple:
     k = big.nvars - ring.nvars
     if big.char != ring.char or k < 0 or big.variables[k:] != ring.variables:
         raise RingMismatchError("the generators' ring does not end in the target ring")
+    if block and len(tag) != k:
+        raise RingMismatchError(f"a tag of {len(tag)} entries for {k} tags")
     if all(g.is_monomial() for g in gens + basis):
         one = ring.coeff(1)
         minimal = sorted(_minimalize([g.leading_exp() for g in gens]

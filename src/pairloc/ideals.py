@@ -104,7 +104,7 @@ class Ideal:
         self.ring = ring
         gens = tuple(gens)
         for g in gens:
-            if g.ring != ring:
+            if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("generator over a different ring")
         if not gens:
             gens = (Polynomial.zero(ring),)
@@ -128,7 +128,7 @@ class Ideal:
         return _cached(self.gens, self.ring)
 
     def member(self, f: Polynomial) -> bool:
-        if f.ring != self.ring:
+        if f.ring is not self.ring and f.ring != self.ring:
             raise RingMismatchError("element over a different ring")
         return not f.terms or not _remainder(f, self.groebner())[0]
 
@@ -176,7 +176,8 @@ class Ideal:
         return Ideal(self.ring, tuple(a * b for a in self.gens for b in other.gens))
 
     def _check(self, other):
-        if not isinstance(other, Ideal) or other.ring != self.ring:
+        ring = self.ring
+        if not isinstance(other, Ideal) or other.ring is not ring and other.ring != ring:
             raise RingMismatchError("ideals over different rings")
 
     def monomial_exponents(self):
@@ -303,7 +304,7 @@ def supports_cover(supports, exps) -> bool:
 
 def radical_member(f: Polynomial, A: Ideal) -> bool:
     """f ∈ √A, decided by `_contained`."""
-    if f.ring != A.ring:
+    if f.ring is not A.ring and f.ring != A.ring:
         raise RingMismatchError("element over a different ring")
     return _contained(A, (f,))
 

@@ -18,7 +18,8 @@ from itertools import combinations
 
 from .betti import INFINITY, depth_at_face, hochster_betti
 from .errors import InternalError, PreconditionError
-from .ideals import FacePrime, Ideal, dim_quotient, radical_member, supports_cover
+from .ideals import (FacePrime, Ideal, dim_quotient, radical_member, support_mask,
+                     supports_cover)
 from .support import w_member
 from .torsion import PairContext
 
@@ -42,6 +43,10 @@ def pair_depth(ctx: PairContext, extras=()) -> PairDepthResult:
     support family.  Candidates: all face primes meeting Supp(M); extra primes
     are admitted only for M = R, where depth equals height.
 
+    A face is in Supp(M) iff every generator of K meets it, which K's
+    support masks tell; only at a face in Supp(M) is `w_member` asked, and
+    only at a face in W too is a depth computed, by `depth_at_face`.
+
     Faces are visited by size.  By Auslander–Buchsbaum a face F in Supp(M)
     has depth |F| − pd(M_F) ≥ |F| − pd(M), since a free resolution of M
     localizes to one of M_F (Bruns and Herzog, Thm 1.3.3), so the scan stops
@@ -53,15 +58,15 @@ def pair_depth(ctx: PairContext, extras=()) -> PairDepthResult:
         raise PreconditionError("extra candidate primes require the module to be the ring itself")
 
     pd = None if Km.is_unit() else hochster_betti(Km, ring.char).pd()
+    masks = [support_mask(g) for g in Km.gens]
     best = None  # (depth, witness sort key, witness)
     for face in all_face_primes(ring.nvars):
         if best is not None and len(face.vars) - pd > best[0]:
             break
+        F = sum(1 << i for i in face.vars)
+        if not all(m & F for m in masks) or not w_member(face.to_ideal(ring), ctx.pair):
+            continue
         d = depth_at_face(Km, ring, face)
-        if d is None:
-            continue
-        if not w_member(face.to_ideal(ring), ctx.pair):
-            continue
         key = (d, (0, face.sort_token()))
         if best is None or key < best[:2]:
             best = (d, key[1], face)

@@ -369,7 +369,8 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def _same_ring(self, other):
-        if not isinstance(other, Polynomial) or other.ring != self.ring:
+        ring = self.ring
+        if not isinstance(other, Polynomial) or other.ring is not ring and other.ring != ring:
             raise RingMismatchError("operands over different rings")
 
     def __add__(self, other):

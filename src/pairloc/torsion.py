@@ -63,7 +63,7 @@ class GammaResult:
 def gamma_member(x: Polynomial, ctx: PairContext) -> bool:
     """Membership of x + K in the torsion submodule of R/K; read from
     exponents when x is a monomial and K and J are monomial."""
-    if x.ring != ctx.ring:
+    if x.ring is not ctx.ring and x.ring != ctx.ring:
         raise RingMismatchError("element over a different ring")
     if len(x.terms) == 1:
         K, J = ctx.K.monomial_exponents(), ctx.pair.J.monomial_exponents()

@@ -124,9 +124,10 @@ def _any_monomial_ideals(draw):
 @example(MonomialIdeal.from_exps(2, [(1, 1)]))
 def test_both_dowker_sides_have_the_same_reduced_homology(K):
     # K^b on supp b by its definition, and {S : lcm(S) != b} on the
-    # generators dividing x^b, each listed face by face
+    # generators dividing x^b, each listed face by face; a generator's K^b
+    # is {∅}, so the engine writes its beta_1 = 1 and yields only the rest
     faces = dict(_upper_koszul(K.gens, K.nvars))
-    assert faces.keys() == _lcm_lattice(K)
+    assert faces.keys() == _lcm_lattice(K) - set(K.gens)
     for b in _lcm_lattice(K):
         supp = [i for i, e in enumerate(b) if e]
         below = [g for g in K.gens if all(x <= y for x, y in zip(g, b))]
@@ -139,9 +140,13 @@ def test_both_dowker_sides_have_the_same_reduced_homology(K):
         for char in (0, 2):
             dims = _nonzero(reduced_homology_dims(on_supp, char))
             assert _nonzero(reduced_homology_dims(on_gens, char)) == dims
-            assert _nonzero(reduced_homology_dims(faces[b], char)) == dims
             if b in K.gens:
                 assert dims == {-1: 1}
+            else:
+                assert _nonzero(reduced_homology_dims(faces[b], char)) == dims
+    for char in (0, 2):
+        table = hochster_betti(K, char).as_dict()
+        assert {b: h for (i, b), h in table.items() if i == 1} == dict.fromkeys(K.gens, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,6 +245,35 @@ def test_a_small_homology_cache_bound_holds_and_changes_no_answer(monkeypatch):
             sizes.append(len(betti._homology_cache))
     assert got == expected
     assert len(ranked) > 2  # more complexes than the bound, so entries were evicted
+    assert max(sizes) <= 2
+
+
+def test_a_small_table_cache_bound_holds_and_changes_no_answer(monkeypatch):
+    rng = random.Random(15)
+    ideals = [random_monomial_ideal(rng, n, max_exp=3) for n in (3, 4, 5) for _ in range(8)]
+    ideals.append(_rp2_ideal())
+    expected = [hochster_betti(K, char) for K in ideals for char in (0, 2)]
+    clear_caches()
+    monkeypatch.setattr(betti, "TABLE_CACHE_LIMIT", 2)
+    upper = _upper_koszul
+    built, sizes = [], []
+
+    def spy(gens, nvars):
+        built.append(gens)
+        sizes.append(len(betti._table_cache))
+        return upper(gens, nvars)
+
+    monkeypatch.setattr(betti, "_upper_koszul", spy)
+    got = []
+    for K in ideals:
+        for char in (0, 2):
+            # a table is built at most once for two calls in a row
+            before = len(built)
+            got.append(hochster_betti(K, char))
+            assert hochster_betti(K, char) is got[-1] and len(built) <= before + 1
+            sizes.append(len(betti._table_cache))
+    assert got == expected
+    assert len(built) > 2  # more tables than the bound, so entries were evicted
     assert max(sizes) <= 2
 
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from pairloc import groebner, ideals
 from pairloc.errors import ExponentOverflowError, RingMismatchError
-from pairloc.groebner import (adjoin, buchberger, eliminate, normal_form, s_polynomial,
-                              spoly_certificate)
+from pairloc.groebner import (_minimalize, adjoin, buchberger, eliminate, normal_form,
+                              s_polynomial, spoly_certificate)
 from pairloc.ideals import Ideal, clear_caches, exact_divide, radical_member_groebner, saturate
 from pairloc.ring import EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, elimination
 from pairloc.samples import random_polynomial, standard_ring
@@ -718,3 +718,15 @@ def test_every_basis_element_carries_its_fresh_record():
             assert p._lead == min(p.terms, key=p.ring.pack)
             carried += 1
     assert carried > 600
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), max_size=12)))
+def test_minimalize_keeps_the_exponents_no_other_divides(exps):
+    # the quadratic definition: sorted, without repeats, each exponent kept
+    # unless another one divides it
+    distinct = sorted(set(exps))
+    assert _minimalize(exps) == tuple(
+        m for m in distinct if not any(g != m and all(map(le, g, m)) for g in distinct))
+    assert _minimalize([list(e) for e in exps + exps[::-1]]) == _minimalize(exps)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairloc.errors import InternalError, PreconditionError
+from pairloc.errors import InternalError, PreconditionError, RingMismatchError
 from pairloc.groebner import buchberger, eliminate, normal_form
 from pairloc.ideals import (FacePrime, Ideal, MonomialIdeal, adjoin, clear_caches,
                             colon, dim_quotient, exact_divide, in_radical, intersect,
@@ -407,6 +407,27 @@ def test_a_block_enters_as_copies_unless_its_grevlex_basis_is_kept(monkeypatch):
             assert seeds == [len(block) if kept and order == GREVLEX else 0]
             # no basis is computed only to start from it
             assert (groebner._cached(block, r) is None) == (not kept)
+
+
+def test_a_block_under_a_tag_of_the_wrong_length_is_refused_on_both_paths():
+    # rest lives over a ring with one tag, so the block's tag must have one
+    # entry, whether the block enters seeded from its kept basis or as copies
+    from pairloc import groebner
+
+    r = ring("xyz")
+    A = Ideal(r, (pp(r, "x^2 - y*z"), pp(r, "y^2 - x*z + z")))
+    B = Ideal(r, (pp(r, "x*y - z^2"),))
+    embed = adjoin(r, 1)[1]
+    rest = [embed(g, ((0,), 1), ((1,), -1)) for g in B.gens]
+    for kept in (False, True):
+        clear_caches()
+        if kept:
+            A.groebner()
+        assert (groebner._cached(A.gens, r) is None) == (not kept)
+        for tag in ((), (1, 0), (0, 1)):
+            with pytest.raises(RingMismatchError):
+                eliminate(rest, r, A.gens, tag)
+        assert Ideal(r, eliminate(rest, r, A.gens, (1,))) == intersect(A, B)
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -123,6 +123,25 @@ def test_pair_depth_visits_at_most_n_plus_one_faces(monkeypatch):
     assert len(calls) <= 17
 
 
+def test_pair_depth_asks_for_a_depth_only_at_faces_in_supp_and_w(monkeypatch):
+    # M = R/(yz, xy) and (I, J) = ((x), (y)): a face is in Supp(M) when it
+    # meets both generators, so (y) and (y,z) are in Supp(M) but not in W,
+    # whose faces are those holding x, and ∅ and (x) are in W but not in
+    # Supp(M), though (x) meets xy.  Depth 0 at (x,z) bounds the face of
+    # size 3, as pd = 2
+    calls = []
+    monkeypatch.setattr(invariants, "depth_at_face",
+                        lambda *args: calls.append(args[2]) or depth_at_face(*args))
+    r = ring("xyz")
+    x, y, z = variables(r)
+    ctx = _ctx(r, (x,), (y,), (y * z, x * y))
+    result = pair_depth(ctx)
+    assert (result.value, result.witness) == (0, FacePrime(frozenset({0, 2})))
+    assert (result.value, result.witness) == _full_face_scan(ctx)
+    assert calls == [FacePrime(frozenset({0, 1})), FacePrime(frozenset({0, 2}))]
+    assert all(w_member(face.to_ideal(r), ctx.pair) for face in calls)
+
+
 def test_pair_depth_rejects_extras_with_nonzero_k():
     r = ring("xy")
     x, y = variables(r)

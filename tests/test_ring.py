@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from pairloc.errors import (ExponentOverflowError, ParseError, PreconditionError,
                             RingMismatchError)
 from pairloc.groebner import normal_form
-from pairloc.ideals import Ideal
+from pairloc.ideals import Ideal, radical_member
 from pairloc.ring import (EXP_LIMIT, GREVLEX, LEX, Polynomial, RingSpec, add_times,
                           elimination, parse_polynomial)
+
+from pairloc.support import PairSpec
+from pairloc.torsion import PairContext, gamma_member
 
 from conftest import pp, reference_sort_key, ring, variables
 
@@ -254,3 +257,27 @@ def test_exponents_that_are_not_ints_are_refused(bad):
         Polynomial(r, {(0, bad, 0): 1})
     with pytest.raises(PreconditionError, match="not an int"):
         Polynomial.monomial(r, (bad, 0, 0), 3)
+
+
+def test_an_equal_ring_is_the_same_ring_and_a_different_one_is_refused():
+    # the ring checks test identity first and equality second: an equal ring
+    # built apart is accepted everywhere, a ring differing in its field, its
+    # variables or its order is refused everywhere
+    r, twin = ring("xy"), ring("xy")
+    assert twin == r and twin is not r
+    x, y = variables(r)
+    u, v = variables(twin)
+    assert (x + v, x - v, x * v) == (pp(r, "x + y"), pp(r, "x - y"), pp(r, "x*y"))
+    A, B = Ideal(r, (x * y, u)), Ideal(twin, (v,))
+    A._check(B)
+    assert (A + B).gens == (x * y, x, y) and (A * B).gens == (x * y * y, x * y)
+    assert A.member(u * v) and radical_member(u + v * v, Ideal(r, (x, y * y)))
+    ctx = PairContext(PairSpec(Ideal(twin, (u,)), Ideal(r, ())), Ideal(twin, (u * v,)))
+    assert gamma_member(y, ctx)
+    for other in (ring("xy", char=2), ring("yx"), ring("xy", order=LEX), ring("xyz")):
+        w = variables(other)[0]
+        for op in (lambda: x + w, lambda: x - w, lambda: x * w, lambda: Ideal(r, (x, w)),
+                   lambda: A._check(Ideal(other, (w,))), lambda: A.member(w),
+                   lambda: radical_member(w, A), lambda: gamma_member(w, ctx)):
+            with pytest.raises(RingMismatchError):
+                op()

@@ -87,7 +87,8 @@ def test_clear_caches_empties_every_module_cache():
                                                (0, 0, 1, 1), (1, 0, 0, 1)]))
     caches = {f"{module}.{var}": getattr(import_module(f"pairloc.{module}"), var)
               for module, var in _module_caches()}
-    assert {"ideals._gb_cache", "ideals._radical_cache", "betti._homology_cache"} <= set(caches)
+    assert {"ideals._gb_cache", "ideals._radical_cache", "betti._homology_cache",
+            "betti._table_cache"} <= set(caches)
     assert [name for name, cache in caches.items() if not cache] == []
     clear_caches()
     assert [name for name, cache in caches.items() if cache] == []
